@@ -10,10 +10,10 @@ stays an executable check.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations as it_perms
-from math import factorial
+from itertools import combinations, permutations as it_perms
 from typing import Optional
 
 from .perms import Permutation, contains_pattern, rothe_diagram
@@ -283,8 +283,33 @@ class SurveySummary:
     methods: str
 
 
-def _fast_triple(entries: tuple[int, ...]) -> tuple[bool, bool, bool]:
-    pat = _contains_any_pattern(entries) is None
+def _sieve_avoids(entries: tuple[int, ...], below: set[tuple[int, ...]]) -> bool:
+    """Pattern vote of the survey: does entries avoid the twelve patterns?
+
+    below must be the set of avoiders in S_{n-1}.  Containment is transitive,
+    so w avoids every pattern iff w is not itself one of them and each of its
+    one-step patterns (delete one entry, flatten) avoids them all.
+    """
+    if entries in _PATTERNS_BY_LENGTH.get(len(entries), ()):
+        return False
+    return all(tuple(v - (v > x) for v in entries if v != x) in below for x in entries)
+
+
+def _avoider_class(n: int) -> set[tuple[int, ...]]:
+    """One-line entries of every permutation in S_n avoiding the twelve patterns.
+
+    Built level by level from S_0 with `_sieve_avoids`.
+    """
+    level = {()}
+    for m in range(1, n + 1):
+        level = {e for e in it_perms(range(1, m + 1)) if _sieve_avoids(e, level)}
+    return level
+
+
+def _fast_triple(
+    entries: tuple[int, ...], below: set[tuple[int, ...]]
+) -> tuple[bool, bool, bool]:
+    pat = _sieve_avoids(entries, below)
     conf = not has_configuration(entries)
     mult = _multfree_fast(entries)
     return pat, conf, mult
@@ -326,13 +351,27 @@ def _multfree_fast(entries: tuple[int, ...]) -> bool:
             work[j] = 0 if m == target else m
 
 
+def _block_entries(n: int, first: Optional[int]):
+    """S_n in lexicographic order; only the permutations starting with first if given."""
+    if first is None:
+        return it_perms(range(1, n + 1))
+    rest = [v for v in range(1, n + 1) if v != first]
+    return ((first,) + e for e in it_perms(rest))
+
+
+def _pool_size(workers: int, blocks: int) -> int:
+    """Worker processes for a survey: at most the requested, the cores and the blocks."""
+    return max(1, min(workers, os.cpu_count() or 1, blocks))
+
+
 def _survey_block(args) -> tuple[int, int, int]:
-    n, start, stop = args
+    n, first = args
+    below = _avoider_class(n - 1)
     zero_one = 0
     disagreements = 0
     total = 0
-    for e in islice(it_perms(range(1, n + 1)), start, stop):
-        pat, conf, mult = _fast_triple(e)
+    for e in _block_entries(n, first):
+        pat, conf, mult = _fast_triple(e, below)
         total += 1
         if pat and conf and mult:
             zero_one += 1
@@ -353,21 +392,33 @@ def survey(
     predicates; methods="all" additionally expands every Schubert polynomial
     (streamed level by level, single process).  Size limits default to 8 and
     7 respectively; pass limit= to override deliberately.
+
+    The pattern vote comes from a sieve rather than a scan of every 5- and
+    6-entry subsequence: the avoiders of S_{n-1} are built level by level,
+    and w in S_n avoids the twelve patterns iff w is not one of them and all
+    n of its one-step patterns are avoiders.  This is exact because pattern
+    containment is transitive; it assumes nothing about zero-one-ness, so
+    the vote stays independent of the other predicates.  With workers > 1,
+    S_n is split into one block per first entry, on at most as many
+    processes as there are cores and blocks.
     """
     if methods not in ("fast", "all"):
         raise ValueError(f"unknown methods {methods!r}")
+    if n < 0:
+        raise ValueError("survey size must be nonnegative")
     cap = limit if limit is not None else (
         SURVEY_LIMIT_FAST if methods == "fast" else SURVEY_LIMIT_ALL
     )
     if n > cap:
         raise ValueError(f"survey size {n} exceeds limit {cap}")
     if methods == "all":
+        below = _avoider_class(n - 1)
         zero_one = 0
         disagreements = 0
         total = 0
         for w, f in schubert_all(n):
             expansion = is_zero_one(f)
-            pat, conf, mult = _fast_triple(w.entries)
+            pat, conf, mult = _fast_triple(w.entries, below)
             total += 1
             votes = (expansion, pat, conf, mult)
             if all(votes):
@@ -375,14 +426,13 @@ def survey(
             elif any(votes):
                 disagreements += 1
         return SurveySummary(n, total, zero_one, disagreements, methods)
-    size = factorial(n)
-    if workers <= 1:
-        zero_one, disagreements, total = _survey_block((n, 0, size))
+    pool_size = _pool_size(workers, n)
+    if pool_size == 1:
+        zero_one, disagreements, total = _survey_block((n, None))
     else:
-        step = -(-size // workers)
-        blocks = [(n, s, min(s + step, size)) for s in range(0, size, step)]
+        blocks = [(n, first) for first in range(1, n + 1)]
         zero_one = disagreements = total = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for z, dis, t in pool.map(_survey_block, blocks):
                 zero_one += z
                 disagreements += dis

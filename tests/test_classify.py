@@ -11,10 +11,20 @@ from zeroone.classify import (
     survey,
     witness_pattern,
     zero_one_status,
+    _avoider_class,
+    _block_entries,
     _multfree_fast,
+    _pool_size,
+    _sieve_avoids,
 )
 from zeroone.orthodontia import is_multiplicity_free
-from zeroone.perms import Permutation, all_permutations, parse_permutation, rothe_diagram
+from zeroone.perms import (
+    Permutation,
+    all_permutations,
+    one_step_pattern,
+    parse_permutation,
+    rothe_diagram,
+)
 
 
 def test_twelve_patterns_listed():
@@ -125,6 +135,55 @@ def test_survey_counts():
     pinned = survey(5)
     assert (pinned.total, pinned.zero_one, pinned.disagreements) == (120, 115, 0)
     assert survey(6).zero_one == 605
+    assert survey(6) == survey(6, workers=2)
+
+
+def test_sieve_matches_pattern_scan():
+    for n in range(1, 8):
+        brute = {w.entries for w in all_permutations(n) if avoids_multiplicitous(w)}
+        assert _avoider_class(n) == brute
+    for p in MULTIPLICITOUS_PATTERNS:
+        below = _avoider_class(p.n - 1)
+        assert all(one_step_pattern(p, k).entries in below for k in range(1, p.n + 1))
+        assert not _sieve_avoids(p.entries, below)
+
+
+def test_survey_blocks_split_by_first_entry():
+    for n in range(1, 6):
+        blocks = [e for first in range(1, n + 1) for e in _block_entries(n, first)]
+        assert blocks == list(_block_entries(n, None))
+
+
+def test_survey_pool_clamped(monkeypatch):
+    import zeroone.classify as classify_mod
+
+    monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: 4)
+    assert _pool_size(10**6, 8) == 4
+    assert _pool_size(3, 8) == 3
+    assert _pool_size(10**6, 2) == 2
+    assert _pool_size(10**6, 0) == 1
+    monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: None)
+    assert _pool_size(10**6, 8) == 1
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            return map(fn, blocks)
+
+    monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(classify_mod, "ProcessPoolExecutor", InProcessPool)
+    assert survey(5, workers=10**6) == survey(5)
+    assert started == [3]
 
 
 def test_survey_all_methods_small():

@@ -153,6 +153,10 @@ def test_survey_output():
     assert out == "n 5\ntotal 120\nzero_one 115\ndisagreements 0\n"
     code, _, err = invoke("survey", "9")
     assert code == 1 and "limit" in err
+    for argv in (["survey", "-1"], ["survey", "-1", "--methods", "all"]):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == ""
+        assert err == "error: survey size must be nonnegative\n"
 
 
 def test_invalid_input_exit_codes():
