@@ -14,9 +14,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations as it_perms
-from typing import Optional
+from typing import Iterator, Optional
 
-from .perms import Permutation, contains_pattern, rothe_diagram
+from .perms import Permutation, contains_pattern, rothe_masks
 from .poly import is_zero_one, schubert_all, schubert_classic
 from .orthodontia import is_multiplicity_free
 
@@ -73,135 +73,89 @@ class ConfigurationInstance:
     indices: tuple[int, ...]  # (r1, c1, r2, c2, r3) or (r1, c1, r2, c2, r3, r4)
 
 
-def _rothe_boxes(entries: tuple[int, ...]) -> list[tuple[int, int]]:
-    n = len(entries)
-    inv = [0] * (n + 1)
-    for pos, v in enumerate(entries, start=1):
-        inv[v] = pos
-    boxes = []
-    for i in range(1, n + 1):
-        wi = entries[i - 1]
-        for j in range(1, wi):
-            if inv[j] > i:
-                boxes.append((i, j))
-    return boxes
-
-
-def _prefix_counts(entries: tuple[int, ...]) -> list[list[int]]:
-    """cnt[r][c] = number of rows r' < r with w_{r'} < c (1-based r, c)."""
-    n = len(entries)
-    cnt = [[0] * (n + 2) for _ in range(n + 2)]
-    for r in range(1, n + 2):
-        prev = entries[r - 2] if r >= 2 else None
-        for c in range(1, n + 2):
-            cnt[r][c] = cnt[r - 1][c] + (1 if prev is not None and prev < c else 0)
-    return cnt
-
-
-def find_configuration(
-    w: Permutation, d=None
-) -> Optional[ConfigurationInstance]:
+def _first_configuration(entries: tuple[int, ...]) -> Optional[ConfigurationInstance]:
     """Lexicographically least configuration instance in the inversion diagram.
 
     Kinds are searched in the order A, B, B'; within a kind, index tuples
-    (r1, c1, r2, c2, r3[, r4]) are scanned in lexicographic order.
+    (r1, c1, r2, c2, r3[, r4]) are least in lexicographic order.  Rows r3, r4
+    above r1 exist iff the least (for B', the second least) of w_1..w_{r1-1}
+    is below c1 and, for B, the second least is below c2.  Within a row r1
+    the least admissible c1 leaves the most room for c2, so each kind takes
+    one look per row.
     """
-    if d is None:
-        d = rothe_diagram(w)
-    entries = w.entries
-    n = w.n
-    boxes = sorted(_rothe_boxes(entries))
-    box_set = set(boxes)
-    # A: (r1,c1),(r2,c2) boxes, r3<r1<r2, 1<c1<c2, (r1,c2) missing, w_{r3}<c1
-    for r1, c1 in boxes:
-        if c1 < 2:
-            continue
-        for r2, c2 in boxes:
-            if r2 <= r1 or c2 <= c1 or (r1, c2) in box_set:
-                continue
-            for r3 in range(1, r1):
-                if entries[r3 - 1] < c1:
-                    return ConfigurationInstance("A", (r1, c1, r2, c2, r3))
+    n = len(entries)
+    inverse = [0] * n
+    for i, v in enumerate(entries, 1):
+        inverse[v - 1] = i
+    # Bit c-1 of rows[r-1] is box (r, c): D(w) is the transpose of D(w^-1).
+    rows = rothe_masks(tuple(inverse))
+    under = [0] * (n + 1)  # under[r]: columns with a box in some row below r
+    least = [n + 1] * (n + 1)  # least[r], second[r]: the two least of w_1..w_{r-1}
+    second = [n + 1] * (n + 1)
+    for r in range(n - 1, 0, -1):
+        under[r] = under[r + 1] | rows[r]
+    for r in range(1, n):
+        v, lo, hi = entries[r - 1], least[r], second[r]
+        least[r + 1], second[r + 1] = (v, lo) if v < lo else (lo, min(v, hi))
+    low_c1 = [0] * (n + 1)  # low_c1[r]: least c1 of a box (r, c1) with least[r] < c1, or 0
+    for r in range(1, n + 1):
+        c1s = rows[r - 1] >> least[r] << least[r]
+        low_c1[r] = (c1s & -c1s).bit_length()
+
+    def first_box(r1: int, cmask: int) -> tuple[int, int]:
+        """Least box (r2, c2) with r2 > r1 and bit c2-1 set in cmask (within under[r1])."""
+        for r2 in range(r1 + 1, n + 1):
+            hit = rows[r2 - 1] & cmask
+            if hit:
+                return r2, (hit & -hit).bit_length()
+
+    def above(r1: int, c: int) -> Iterator[int]:
+        """Rows r < r1 with w_r < c, in increasing order."""
+        return (r for r in range(1, r1) if entries[r - 1] < c)
+
+    # A: (r1,c1),(r2,c2) boxes, r3<r1<r2, c1<c2, (r1,c2) missing, w_{r3}<c1
+    for r1 in range(1, n + 1):
+        c1 = low_c1[r1]
+        if c1:
+            c2s = (under[r1] & ~rows[r1 - 1]) >> c1 << c1
+            if c2s:
+                r2, c2 = first_box(r1, c2s)
+                return ConfigurationInstance("A", (r1, c1, r2, c2, next(above(r1, c1))))
     # B: (r1,c1),(r1,c2),(r2,c2) boxes, r4 != r3 both above r1 < r2,
     #    w_{r3} < c1, w_{r4} < c2
-    for r1, c1 in boxes:
-        if c1 < 2:
-            continue
-        for r2 in range(r1 + 1, n + 1):
-            for c2 in range(c1 + 1, n + 1):
-                if (r1, c2) not in box_set or (r2, c2) not in box_set:
-                    continue
-                for r3 in range(1, r1):
-                    if entries[r3 - 1] >= c1:
-                        continue
-                    for r4 in range(1, r1):
-                        if r4 != r3 and entries[r4 - 1] < c2:
-                            return ConfigurationInstance("B", (r1, c1, r2, c2, r3, r4))
-    # B': (r1,c1),(r1,c2),(r2,c1) boxes, r4<r3<r1<r2, 2<c1<c2, w_{r3}<c1, w_{r4}<c1
-    for r1, c1 in boxes:
-        if c1 < 3:
-            continue
-        for r2 in range(r1 + 1, n + 1):
-            if (r2, c1) not in box_set:
-                continue
-            for c2 in range(c1 + 1, n + 1):
-                if (r1, c2) not in box_set:
-                    continue
-                for r3 in range(2, r1):
-                    if entries[r3 - 1] >= c1:
-                        continue
-                    for r4 in range(1, r3):
-                        if entries[r4 - 1] < c1:
-                            return ConfigurationInstance("B'", (r1, c1, r2, c2, r3, r4))
+    for r1 in range(1, n + 1):
+        c1 = low_c1[r1]
+        if c1:
+            floor = max(c1, second[r1])
+            c2s = (rows[r1 - 1] & under[r1]) >> floor << floor
+            if c2s:
+                r2, c2 = first_box(r1, c2s)
+                r3 = next(above(r1, c1))
+                r4 = next(r for r in above(r1, c2) if r != r3)
+                return ConfigurationInstance("B", (r1, c1, r2, c2, r3, r4))
+    # B': (r1,c1),(r1,c2),(r2,c1) boxes, r4<r3<r1<r2, c1<c2, w_{r3}<c1, w_{r4}<c1
+    for r1 in range(1, n + 1):
+        c1s = (rows[r1 - 1] & under[r1]) >> second[r1] << second[r1]
+        if c1s:
+            c1 = (c1s & -c1s).bit_length()
+            c2s = rows[r1 - 1] >> c1
+            if c2s:
+                r2 = first_box(r1, 1 << (c1 - 1))[0]
+                rs = above(r1, c1)
+                r4, r3 = next(rs), next(rs)
+                c2 = c1 + (c2s & -c2s).bit_length()
+                return ConfigurationInstance("B'", (r1, c1, r2, c2, r3, r4))
     return None
 
 
+def find_configuration(w: Permutation) -> Optional[ConfigurationInstance]:
+    """Lexicographically least configuration instance of w, or None."""
+    return _first_configuration(w.entries)
+
+
 def has_configuration(entries: tuple[int, ...]) -> bool:
-    """Fast existence test equivalent to find_configuration(...) is not None."""
-    n = len(entries)
-    boxes = _rothe_boxes(entries)
-    if not boxes:
-        return False
-    box_set = set(boxes)
-    cnt = _prefix_counts(entries)
-    total = cnt[n + 1]
-    # columns -> rows holding a box, for "some box strictly below r1" tests
-    max_row = [0] * (n + 1)
-    for r, c in boxes:
-        if r > max_row[c]:
-            max_row[c] = r
-    rows: dict[int, list[int]] = {}
-    for r, c in boxes:
-        rows.setdefault(r, []).append(c)
-    # A
-    for r1, c1 in boxes:
-        if c1 < 2 or cnt[r1][c1] == 0:
-            continue
-        for r2, c2 in boxes:
-            if r2 > r1 and c2 > c1 and (r1, c2) not in box_set:
-                return True
-    # B
-    for r1, cs in rows.items():
-        if len(cs) < 2:
-            continue
-        cs = sorted(cs)
-        for a, c1 in enumerate(cs):
-            if c1 < 2 or cnt[r1][c1] == 0:
-                continue
-            for c2 in cs[a + 1 :]:
-                if max_row[c2] > r1 and cnt[r1][c2] >= 2:
-                    return True
-    # B'
-    for r1, cs in rows.items():
-        if len(cs) < 2:
-            continue
-        cs = sorted(cs)
-        for a, c1 in enumerate(cs):
-            if c1 < 3 or cnt[r1][c1] < 2 or max_row[c1] <= r1:
-                continue
-            if any(c2 > c1 for c2 in cs[a + 1 :]):
-                return True
-    return False
+    """True iff the inversion diagram of entries holds a configuration."""
+    return _first_configuration(entries) is not None
 
 
 def _contains_any_pattern(entries: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -311,44 +265,8 @@ def _fast_triple(
 ) -> tuple[bool, bool, bool]:
     pat = _sieve_avoids(entries, below)
     conf = not has_configuration(entries)
-    mult = _multfree_fast(entries)
+    mult = is_multiplicity_free(Permutation(entries))
     return pat, conf, mult
-
-
-def _multfree_fast(entries: tuple[int, ...]) -> bool:
-    n = len(entries)
-    inv = [0] * (n + 1)
-    for pos, v in enumerate(entries, start=1):
-        inv[v] = pos
-    masks = []
-    for j in range(1, n + 1):
-        mask = 0
-        for i in range(1, inv[j]):
-            if j < entries[i - 1]:
-                mask |= 1 << (i - 1)
-        masks.append(mask)
-    work = [0 if m != 0 and m & (m + 1) == 0 else m for m in masks]
-    seen: dict[int, tuple[int, ...]] = {}
-    while True:
-        first = next((m for m in work if m), None)
-        if first is None:
-            return True
-        teeth = ~first & (first >> 1)
-        tooth = (teeth & -teeth).bit_length()
-        imp = tuple(j for j, m in enumerate(work) if m >> tooth & 1)
-        prev = seen.get(tooth)
-        if prev is None:
-            seen[tooth] = imp
-        elif len(prev) != 1 or prev != imp:
-            return False
-        flip = 0b11 << (tooth - 1)
-        target = (1 << tooth) - 1
-        for j, m in enumerate(work):
-            lo = m >> (tooth - 1) & 1
-            hi = m >> tooth & 1
-            if lo != hi:
-                m ^= flip
-            work[j] = 0 if m == target else m
 
 
 def _block_entries(n: int, first: Optional[int]):
@@ -406,6 +324,8 @@ def survey(
         raise ValueError(f"unknown methods {methods!r}")
     if n < 0:
         raise ValueError("survey size must be nonnegative")
+    if workers < 1:
+        raise ValueError("survey workers must be positive")
     cap = limit if limit is not None else (
         SURVEY_LIMIT_FAST if methods == "fast" else SURVEY_LIMIT_ALL
     )

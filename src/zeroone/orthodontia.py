@@ -7,16 +7,18 @@ i+1 present), rows i and i+1 are swapped everywhere, and the interval
 columns [i] so created are counted (the m's) and emptied.  Columns keep
 their original index throughout; emptied columns simply become empty.
 
-Internally columns are bitmasks (bit p = row p+1 present), which makes the
-exhaustive sweeps over S_8 cheap.
+One engine, `_engine`, runs the straightening on column bitmasks (bit p =
+row p+1) taken straight from one-line entries, and yields one step at a
+time: `orthodontic_sequence` records every step, while
+`is_multiplicity_free` (which also casts the survey's vote) stops at the
+first repeated letter that breaks the condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .perms import Diagram, Permutation, rothe_diagram
+from .perms import Diagram, Permutation, mask_rows, rothe_masks
 from .poly import Polynomial, demazure
 
 __all__ = [
@@ -30,82 +32,39 @@ __all__ = [
 ]
 
 
-def _columns_to_masks(d: Diagram) -> list[int]:
-    return [reduce(lambda acc, i: acc | (1 << (i - 1)), col, 0) for col in d.columns]
+def _engine(masks: list[int]):
+    """Run the straightening on column masks, yielding one step at a time.
 
-
-def _mask_to_column(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _is_interval(mask: int) -> bool:
-    return mask != 0 and mask & (mask + 1) == 0
-
-
-def _smallest_missing_tooth(mask: int) -> int:
-    """Least i with row i absent and row i+1 present; 0 if none."""
-    teeth = ~mask & (mask >> 1)
-    if teeth == 0:
-        return 0
-    return (teeth & -teeth).bit_length()
-
-
-def _swap_rows(mask: int, i: int) -> int:
-    """Exchange rows i and i+1 (bits i-1 and i)."""
-    lo = mask >> (i - 1) & 1
-    hi = mask >> i & 1
-    if lo == hi:
-        return mask
-    return mask ^ (0b11 << (i - 1))
-
-
-def _engine(masks: list[int], n: int):
-    """Run the straightening on column masks.
-
-    Returns (k, i, m, stages, removed, impacts) where stages[r] is the mask
-    list after the first r row swaps (stage 0 is the input), removed[r]
-    lists the 1-based indices of the columns emptied right after stage r,
-    and impacts[r-1] lists the columns holding a box in row i_r + 1 at the
-    moment swap r executes.
+    Step r is (i_r, impact, stage, removed): stage holds the masks after the
+    first r row swaps, removed the 1-based indices of the interval columns
+    emptied right after it, and impact the columns holding a box in row
+    i_r + 1 when swap r executes.  Step 0 is (0, (), input, removed).
     """
-    k = [0] * n
-    stages = [tuple(masks)]
-    removed: list[tuple[int, ...]] = []
-    work = list(masks)
-    rec = []
-    for j, mask in enumerate(work):
-        if _is_interval(mask):
-            k[mask.bit_length() - 1] += 1
-            work[j] = 0
-            rec.append(j + 1)
-    removed.append(tuple(rec))
-    i_seq: list[int] = []
-    m_seq: list[int] = []
-    impacts: list[tuple[int, ...]] = []
-    while True:
-        first = next((j for j, mask in enumerate(work) if mask), None)
-        if first is None:
-            break
-        tooth = _smallest_missing_tooth(work[first])
-        if tooth == 0:
+    intervals = {(1 << j) - 1 for j in range(1, len(masks) + 1)}
+    stage = tuple(masks)
+    removed = tuple([j for j, mask in enumerate(stage, 1) if mask in intervals])
+    yield 0, (), stage, removed
+    work = [0 if mask in intervals else mask for mask in stage]
+    while any(work):
+        first = next(filter(None, work))
+        teeth = ~first & (first >> 1)
+        if teeth == 0:
             raise AssertionError("leftmost nonempty column has no missing tooth")
-        i_seq.append(tooth)
-        impacts.append(tuple(j + 1 for j, mask in enumerate(work) if mask >> tooth & 1))
-        work = [_swap_rows(mask, tooth) for mask in work]
-        stages.append(tuple(work))
+        tooth = (teeth & -teeth).bit_length()
+        impact = tuple([j for j, mask in enumerate(work, 1) if mask >> tooth & 1])
+        flip = 0b11 << (tooth - 1)
+        work = [
+            mask ^ flip if (mask >> tooth - 1 ^ mask >> tooth) & 1 else mask for mask in work
+        ]
+        stage = tuple(work)
         target = (1 << tooth) - 1
-        rec = []
-        count = 0
-        for j, mask in enumerate(work):
-            if mask == target:
-                count += 1
-                work[j] = 0
-                rec.append(j + 1)
-            elif _is_interval(mask):
-                raise AssertionError("unexpected interval column during straightening")
-        m_seq.append(count)
-        removed.append(tuple(rec))
-    return tuple(k), tuple(i_seq), tuple(m_seq), tuple(stages), tuple(removed), tuple(impacts)
+        removed = ()
+        if target in stage:
+            removed = tuple([j for j, mask in enumerate(stage, 1) if mask == target])
+            work = [0 if mask == target else mask for mask in stage]
+        if not intervals.isdisjoint(work):
+            raise AssertionError("unexpected interval column during straightening")
+        yield tooth, impact, stage, removed
 
 
 @dataclass(frozen=True)
@@ -129,7 +88,7 @@ class OrthodonticTrace:
         original column indexing (emptied columns stay at their index)."""
         if not 0 <= r <= self.length:
             raise ValueError(f"stage {r} out of range 0..{self.length}")
-        return Diagram(tuple(_mask_to_column(mask) for mask in self._stage_masks[r]))
+        return Diagram(tuple(mask_rows(mask) for mask in self._stage_masks[r]))
 
     def stage_minus(self, r: int) -> Diagram:
         """stage(r) with the interval columns recorded at step r emptied;
@@ -138,23 +97,25 @@ class OrthodonticTrace:
             raise ValueError(f"stage {r} out of range 0..{self.length}")
         gone = set(self.removed[r])
         cols = tuple(
-            () if j + 1 in gone else _mask_to_column(mask)
+            () if j + 1 in gone else mask_rows(mask)
             for j, mask in enumerate(self._stage_masks[r])
         )
         return Diagram(cols)
 
 
 def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
-    d = rothe_diagram(w)
-    k, i, m, stages, removed, impacts = _engine(_columns_to_masks(d), w.n)
+    letters, impacts, stages, removed = zip(*_engine(rothe_masks(w.entries)))
+    k = [0] * w.n
+    for j in removed[0]:
+        k[stages[0][j - 1].bit_length() - 1] += 1
     return OrthodonticTrace(
         perm=w,
-        i=i,
-        k=k,
-        m=m,
+        i=letters[1:],
+        k=tuple(k),
+        m=tuple(len(rec) for rec in removed[1:]),
         _stage_masks=stages,
         removed=removed,
-        impacts=tuple(frozenset(im) for im in impacts),
+        impacts=tuple(frozenset(im) for im in impacts[1:]),
     )
 
 
@@ -201,19 +162,20 @@ def impact(w: Permutation, j: int, trace: OrthodonticTrace | None = None) -> fro
 
 def is_multiplicity_free(w: Permutation, trace: OrthodonticTrace | None = None) -> bool:
     """Every repeated letter of i must have all its impacts equal to one
-    common singleton column."""
+    common singleton column.  Without a trace the straightening stops at
+    the first repeated letter that breaks this."""
     if trace is None:
-        trace = orthodontic_sequence(w)
-    seen: dict[int, frozenset[int]] = {}
-    repeated: set[int] = set()
-    for letter, imp in zip(trace.i, trace.impacts):
-        if letter in seen:
-            repeated.add(letter)
-            if len(imp) != 1 or imp != seen[letter]:
-                return False
-        else:
+        # step 0 carries the letter 0, which never repeats
+        steps = (step[:2] for step in _engine(rothe_masks(w.entries)))
+    else:
+        steps = zip(trace.i, trace.impacts)
+    seen = {}
+    for letter, imp in steps:
+        if letter not in seen:
             seen[letter] = imp
-    return all(len(seen[letter]) == 1 for letter in repeated)
+        elif len(imp) != 1 or imp != seen[letter]:
+            return False
+    return True
 
 
 def schubert_orthodontic(w: Permutation) -> Polynomial:

@@ -16,6 +16,8 @@ __all__ = [
     "Permutation",
     "Diagram",
     "rothe_diagram",
+    "rothe_masks",
+    "mask_rows",
     "has_northwest_property",
     "contains_pattern",
     "delete_row_col",
@@ -175,14 +177,32 @@ def parse_diagram(text: str) -> Diagram:
     return Diagram(tuple(cols))
 
 
+def rothe_masks(entries: tuple[int, ...]) -> list[int]:
+    """Columns of the inversion diagram of w = entries, as bitmasks.
+
+    Bit i-1 of mask j-1 is set iff box (i, j) is present: j < w_i and the
+    value j comes after position i.
+    """
+    masks = [0] * len(entries)
+    later = (1 << len(entries)) - 1  # bit j-1: value j not yet passed
+    for i, v in enumerate(entries):
+        later ^= 1 << (v - 1)
+        row = later & ((1 << (v - 1)) - 1)
+        while row:
+            low = row & -row
+            masks[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return masks
+
+
+def mask_rows(mask: int) -> tuple[int, ...]:
+    """The rows of a column bitmask (bit i-1 = row i), ascending."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def rothe_diagram(w: Permutation) -> Diagram:
     """Inversion diagram of w: box (i, j) present iff i < (w^-1)_j and j < w_i."""
-    inv = w.inverse().entries
-    cols = []
-    for j in range(1, w.n + 1):
-        wj_pos = inv[j - 1]
-        cols.append(tuple(i for i in range(1, wj_pos) if j < w[i]))
-    return Diagram(tuple(cols))
+    return Diagram(tuple(mask_rows(mask) for mask in rothe_masks(w.entries)))
 
 
 def has_northwest_property(d: Diagram) -> bool:

@@ -13,8 +13,6 @@ which is the exact quotient of the antisymmetrized numerator.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from itertools import permutations as it_perms
 from typing import Iterator
 
@@ -30,7 +28,6 @@ __all__ = [
     "is_zero_one",
     "max_coefficient",
     "coefficientwise_geq",
-    "configure_cache",
 ]
 
 
@@ -235,36 +232,12 @@ def demazure(i: int, f: Polynomial) -> Polynomial:
 
 # -- the classical recursion ------------------------------------------
 
-_cache_lock = threading.Lock()
-_cache: OrderedDict[tuple, Polynomial] = OrderedDict()
-_cache_maxsize = 200_000
-
-
-def configure_cache(maxsize: int) -> None:
-    """Bound (and clear) the memo used by schubert_classic."""
-    global _cache_maxsize
-    with _cache_lock:
-        _cache_maxsize = maxsize
-        _cache.clear()
-
-
-def _cache_get(key):
-    with _cache_lock:
-        value = _cache.get(key)
-        if value is not None:
-            _cache.move_to_end(key)
-        return value
-
-
-def _cache_put(key, value):
-    with _cache_lock:
-        _cache[key] = value
-        while len(_cache) > _cache_maxsize:
-            _cache.popitem(last=False)
-
-
 def _longest_monomial(n: int) -> Polynomial:
     return Polynomial.monomial(tuple(n - i for i in range(1, n + 1)))
+
+
+_memo: dict[tuple, Polynomial] = {}  # (entries, strategy) -> result, oldest use first
+_MEMO_SIZE = 256
 
 
 def schubert_classic(w: Permutation, strategy: str = "leftmost") -> Polynomial:
@@ -272,22 +245,26 @@ def schubert_classic(w: Permutation, strategy: str = "leftmost") -> Polynomial:
 
     The ascent used at each step is chosen by `strategy` ("leftmost" or
     "rightmost"); the braid relations make the result independent of the
-    choice, which the test suite exercises.  Results are memoized per
-    (one-line notation, strategy).
+    choice, which the test suite exercises.  The 256 most recently used
+    results are kept, keyed by (one-line notation, strategy), so queries
+    sharing a descent path near w_0 reuse it while memory stays bounded.
+    The memo is a plain dict rather than `functools.lru_cache`, whose C
+    wrapper would add a second interpreter recursion level per step.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     key = (w.entries, strategy)
-    hit = _cache_get(key)
-    if hit is not None:
-        return hit
-    ascents = w.ascents()
-    if not ascents:
-        result = _longest_monomial(w.n)
-    else:
-        i = ascents[0] if strategy == "leftmost" else ascents[-1]
-        result = divided_difference(i, schubert_classic(w.swap_positions(i), strategy))
-    _cache_put(key, result)
+    result = _memo.pop(key, None)
+    if result is None:
+        ascents = w.ascents()
+        if not ascents:
+            result = _longest_monomial(w.n)
+        else:
+            i = ascents[0] if strategy == "leftmost" else ascents[-1]
+            result = divided_difference(i, schubert_classic(w.swap_positions(i), strategy))
+        if len(_memo) >= _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    _memo[key] = result
     return result
 
 

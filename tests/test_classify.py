@@ -13,11 +13,10 @@ from zeroone.classify import (
     zero_one_status,
     _avoider_class,
     _block_entries,
-    _multfree_fast,
     _pool_size,
     _sieve_avoids,
 )
-from zeroone.orthodontia import is_multiplicity_free
+from zeroone.orthodontia import is_multiplicity_free, orthodontic_sequence
 from zeroone.perms import (
     Permutation,
     all_permutations,
@@ -64,16 +63,65 @@ def test_find_configuration_absent_for_identity():
     assert find_configuration(Permutation.identity(5)) is None
 
 
-def test_fast_and_witness_scans_agree():
-    for n in (4, 5, 6):
-        for w in all_permutations(n):
-            assert has_configuration(w.entries) == (find_configuration(w) is not None)
+def definitional_configuration(w):
+    """Least configuration instance by scanning the definitions index by index.
+
+    Boxes come straight from i < (w^-1)_j and j < w_i; kinds go A, B, B' and
+    index tuples in lexicographic order.
+    """
+    n = w.n
+    inv = w.inverse()
+    boxes = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j < w[i] and i < inv[j]]
+    box_set = set(boxes)
+    for r1, c1 in boxes:
+        for r2, c2 in boxes:
+            if r2 <= r1 or c2 <= c1 or (r1, c2) in box_set:
+                continue
+            for r3 in range(1, r1):
+                if w[r3] < c1:
+                    return "A", (r1, c1, r2, c2, r3)
+    for r1, c1 in boxes:
+        for r2 in range(r1 + 1, n + 1):
+            for c2 in range(c1 + 1, n + 1):
+                if (r1, c2) not in box_set or (r2, c2) not in box_set:
+                    continue
+                for r3 in range(1, r1):
+                    if w[r3] >= c1:
+                        continue
+                    for r4 in range(1, r1):
+                        if r4 != r3 and w[r4] < c2:
+                            return "B", (r1, c1, r2, c2, r3, r4)
+    for r1, c1 in boxes:
+        for r2 in range(r1 + 1, n + 1):
+            if (r2, c1) not in box_set:
+                continue
+            for c2 in range(c1 + 1, n + 1):
+                if (r1, c2) not in box_set:
+                    continue
+                for r3 in range(1, r1):
+                    if w[r3] >= c1:
+                        continue
+                    for r4 in range(1, r3):
+                        if w[r4] < c1:
+                            return "B'", (r1, c1, r2, c2, r3, r4)
+    return None
 
 
-def test_fast_multfree_matches_object_path():
-    for n in (4, 5, 6):
+def test_configuration_scanner_matches_definition():
+    for n in range(1, 8):
         for w in all_permutations(n):
-            assert _multfree_fast(w.entries) == is_multiplicity_free(w)
+            inst = find_configuration(w)
+            witness = None if inst is None else (inst.kind, inst.indices)
+            assert witness == definitional_configuration(w)
+            assert has_configuration(w.entries) == (witness is not None)
+
+
+def test_multfree_early_exit_matches_trace_and_patterns():
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            free = is_multiplicity_free(w)
+            assert free == is_multiplicity_free(w, orthodontic_sequence(w))
+            assert free == avoids_multiplicitous(w)
 
 
 def test_avoids_multiplicitous_examples():
@@ -199,6 +247,9 @@ def test_survey_limits():
         survey(8, methods="all")
     with pytest.raises(ValueError):
         survey(3, methods="bogus")
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            survey(3, workers=workers)
     assert survey(3, methods="all", limit=3).total == 6
 
 

@@ -157,6 +157,10 @@ def test_survey_output():
         code, out, err = invoke(*argv)
         assert code == 1 and out == ""
         assert err == "error: survey size must be nonnegative\n"
+    for argv in (["survey", "5", "--workers", "0"], ["survey", "5", "--workers", "-4"]):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == ""
+        assert err == "error: survey workers must be positive\n"
 
 
 def test_invalid_input_exit_codes():

@@ -7,7 +7,6 @@ from zeroone.perms import Permutation, all_permutations, parse_permutation
 from zeroone.poly import (
     Polynomial,
     coefficientwise_geq,
-    configure_cache,
     demazure,
     divided_difference,
     is_zero_one,
@@ -114,6 +113,11 @@ def test_schubert_longest_and_identity():
     assert schubert_classic(Permutation.identity(1)) == Polynomial.one(1)
 
 
+def test_schubert_deep_descent():
+    # 780 divided-difference steps from w_0: one interpreter frame per step
+    assert schubert_classic(Permutation.identity(40)) == Polynomial.one(40)
+
+
 def test_schubert_strategies_agree():
     for w in all_permutations(5):
         assert schubert_classic(w, "leftmost") == schubert_classic(w, "rightmost")
@@ -140,12 +144,11 @@ def test_schubert_all_matches_classic():
         assert f == schubert_classic(w)
 
 
-def test_cache_configuration():
-    configure_cache(2)
-    for w in all_permutations(3):
-        schubert_classic(w)
-    assert schubert_classic(parse_permutation("321")) == Polynomial.monomial((2, 1, 0))
-    configure_cache(200_000)
+def test_classic_memo_over_S6(schubert_table_6):
+    # 720 permutations per strategy, more than the memo holds
+    for strategy in ("leftmost", "rightmost"):
+        for w in all_permutations(6):
+            assert schubert_classic(w, strategy) == schubert_table_6[w.entries]
 
 
 def test_coefficient_predicates():
