@@ -9,6 +9,7 @@ input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import classify, orthodontia, perms, poly, tableaux, weyl
@@ -25,7 +26,9 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first `run` and reused for every later call."""
     parser = _Parser(prog="zeroone", description=__doc__)
     parser.add_argument("--structured", action="store_true",
                         help="emit polynomials as (exponent vector, coefficient) records")
@@ -219,6 +222,9 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=err)
+        return 1
+    except RecursionError as exc:
+        print(f"error: input too deep for the recursive descent ({exc})", file=err)
         return 1
 
 

@@ -32,8 +32,13 @@ __all__ = [
 
 DEFAULT_SIZE_LIMIT = 6
 
-# A Y-polynomial maps frozensets of ((row, col), exponent) pairs to ints.
-YPoly = dict[frozenset, int]
+# A Y-polynomial maps packed exponent keys to ints.  Variable y_ij (i <= j)
+# owns the BITS-wide field at offset (j(j-1)/2 + i - 1) * BITS of the key, an
+# index that does not depend on n, so one minor cache serves every diagram
+# size and multiplying two monomials is adding their keys.
+BITS = 8
+_FIELD = (1 << BITS) - 1
+YPoly = dict[int, int]
 
 
 class SizeLimitError(ValueError):
@@ -52,69 +57,76 @@ def diagram_leq(c: Diagram, d: Diagram) -> bool:
     return all(column_leq(cj, dj) for cj, dj in zip(c.columns, d.columns))
 
 
-@lru_cache(maxsize=65536)
 def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[tuple[frozenset, int], ...]:
     """Determinant of the upper-triangular generic matrix restricted to
-    the given rows and columns, as a tuple of (monomial, coefficient) pairs.
+    the given rows and columns, as a tuple of (monomial, coefficient) pairs,
+    each monomial a frozenset of ((row, col), exponent) pairs.
 
     The entry in position (i, j) is y_ij for i <= j and 0 otherwise, so the
     determinant vanishes unless rows <= cols elementwise sorted.
     """
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
-    rows = tuple(sorted(rows))
-    cols = tuple(sorted(cols))
-    out = _minor_expand(rows, cols)
-    return tuple(sorted(out.items(), key=lambda kv: sorted(kv[0])))
+    terms = _packed_minor(tuple(sorted(rows)), tuple(sorted(cols)))
+    decoded = [(_unpack(key), coeff) for key, coeff in terms]
+    return tuple(sorted(decoded, key=lambda kv: sorted(kv[0])))
 
 
-def _minor_expand(rows: tuple[int, ...], cols: tuple[int, ...]) -> YPoly:
+def _unpack(key: int) -> frozenset:
+    """The ((row, col), exponent) pairs of a packed monomial."""
+    pairs = []
+    i = j = 1
+    while key:
+        if key & _FIELD:
+            pairs.append(((i, j), key & _FIELD))
+        key >>= BITS
+        i, j = (1, j + 1) if i == j else (i + 1, j)
+    return frozenset(pairs)
+
+
+@lru_cache(maxsize=65536)
+def _packed_minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """det Y[rows; cols] for sorted rows and cols, as (key, coefficient) pairs.
+
+    Laplace expansion along the first row.  Distinct permutations give
+    distinct monomials, so no two terms ever combine.
+    """
     if not rows:
-        return {frozenset(): 1}
-    out: YPoly = {}
-    first = rows[0]
+        return ((0, 1),)
+    first, rest = rows[0], rows[1:]
+    terms: list[tuple[int, int]] = []
     for idx, col in enumerate(cols):
         if first > col:
             continue
-        sub = _minor_expand(rows[1:], cols[:idx] + cols[idx + 1 :])
+        var = 1 << (col * (col - 1) // 2 + first - 1) * BITS
         sign = -1 if idx % 2 else 1
-        var = (first, col)
-        for mono, coeff in sub.items():
-            bumped = dict(mono)
-            bumped[var] = bumped.get(var, 0) + 1
-            key = frozenset(bumped.items())
-            val = out.get(key, 0) + sign * coeff
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
+        sub = _packed_minor(rest, cols[:idx] + cols[idx + 1 :])
+        terms.extend((mono + var, sign * coeff) for mono, coeff in sub)
+    return tuple(terms)
 
 
-def _ypoly_mul(a: YPoly, b: YPoly) -> YPoly:
+def _ypoly_mul(a: YPoly, b: tuple[tuple[int, int], ...]) -> YPoly:
     out: YPoly = {}
+    get = out.get
     for m1, c1 in a.items():
-        d1 = dict(m1)
-        for m2, c2 in b.items():
-            merged = dict(d1)
-            for var, e in m2:
-                merged[var] = merged.get(var, 0) + e
-            key = frozenset(merged.items())
-            val = out.get(key, 0) + c1 * c2
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+        for m2, c2 in b:
+            key = m1 + m2
+            out[key] = get(key, 0) + c1 * c2
     return out
 
 
 def _det_product(columns: tuple[tuple[int, ...], ...], dcols: tuple[tuple[int, ...], ...]) -> YPoly:
-    prod: YPoly = {frozenset(): 1}
+    prod: YPoly = {0: 1}
+    shift, scale = 0, 1  # the product of the one-term minors, applied last
     for cj, dj in zip(columns, dcols):
-        if not dj:
-            continue
-        prod = _ypoly_mul(prod, dict(minor(cj, dj)))
-    return prod
+        if dj:
+            terms = _packed_minor(cj, dj)
+            if len(terms) == 1:
+                shift += terms[0][0]
+                scale *= terms[0][1]
+            else:
+                prod = _ypoly_mul(prod, terms)
+    return {mono + shift: coeff * scale for mono, coeff in prod.items() if coeff}
 
 
 def matrix_rank(rows: list[list[int]]) -> int:
@@ -182,7 +194,7 @@ def _group_rank(members: list[tuple[tuple[int, ...], ...]], dcols: tuple[tuple[i
     if len(members) == 1:
         return 1
     polys = [_det_product(choice, dcols) for choice in members]
-    basis: dict[frozenset, int] = {}
+    basis: dict[int, int] = {}
     for p in polys:
         for mono in p:
             if mono not in basis:
@@ -206,6 +218,12 @@ def dual_character(d: Diagram, limit: int = DEFAULT_SIZE_LIMIT) -> Polynomial:
     if d.n > limit:
         raise SizeLimitError(
             f"diagram size {d.n} exceeds limit {limit}; raise the limit explicitly to proceed"
+        )
+    # Minors are multilinear, so y_ab has exponent at most #{j : b in D_j} <= n
+    # in a product over the columns; a field must hold that without carrying.
+    if d.n > _FIELD:
+        raise SizeLimitError(
+            f"diagram size {d.n} exceeds {_FIELD}, the largest exponent a {BITS}-bit field holds"
         )
     dcols = d.columns
     terms = {}

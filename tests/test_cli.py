@@ -3,9 +3,12 @@
 import io
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zeroone import cli
 from zeroone.cli import run
 
 
@@ -167,6 +170,121 @@ def test_invalid_input_exit_codes():
     assert invoke("expand", "3154")[0] == 1
     assert invoke("expand", "31542", "--bogus")[0] == 1
     assert invoke("expand", "notaperm")[0] == 1
+
+
+def test_parser_reused_without_leaking_flags(tmp_path):
+    small = tmp_path / "small.txt"
+    small.write_text("1: 1\n2: 1 3 4\n3:\n4: 3\n5:\n")
+    empty7 = tmp_path / "empty7.txt"
+    empty7.write_text("".join(f"{j}:\n" for j in range(1, 8)))
+    code, out, _ = invoke("--structured", "char", str(small))
+    assert code == 0 and out.startswith("nvars 5\nterm ")
+    assert invoke("expand", "31542") == (0, EXPAND_31542, "")
+    assert invoke("--limit", "7", "char", str(empty7)) == (0, "1\n", "")
+    code, _, err = invoke("char", str(empty7))
+    assert code == 1 and "limit" in err
+    code, out, _ = invoke("dominance", str(small), "--row", "3", "--col", "5", "--show-remainder")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out, _ = invoke("dominance", str(small), "--row", "3", "--col", "5")
+    assert code == 0 and out.splitlines() == ["M x3^2", "ok true"]
+    code, out, err = invoke("expand", "31542", "--bogus")
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert invoke("expand", "31542") == (0, EXPAND_31542, "")
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_parser_built_on_first_run():
+    probe = "import zeroone.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+def test_deep_descent_ends_cleanly():
+    # identity of S_40: 780 divided-difference steps from w_0, within the limit
+    assert invoke("expand", ",".join(str(i) for i in range(1, 41))) == (0, "1\n", "")
+    code, out, err = invoke("expand", ",".join(str(i) for i in range(1, 47)))
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+# Fuzz grammar: every subcommand, well-formed and malformed arguments, sizes
+# n <= 6, --limit <= 6, survey only for n <= 5, never more than one worker.
+_perm_text = st.one_of(
+    st.integers(1, 6)
+    .flatmap(lambda n: st.tuples(st.permutations(range(1, n + 1)), st.booleans()))
+    .map(lambda t: ("," if t[1] else "").join(str(v) for v in t[0])),
+    st.text(alphabet="0123456789,-x ", max_size=6),
+)
+
+
+@st.composite
+def _diagram_text(draw):
+    n = draw(st.integers(1, 6))
+    row = st.integers(-2, n + 1).map(lambda i: "x" if i == -2 else str(i))
+    boxes = draw(st.lists(st.tuples(row, st.integers(1, n)), max_size=5))
+    rows = [[] for _ in range(n)]
+    for i, j in boxes:
+        rows[j - 1].append(i)
+    return "".join(f"{j}: {' '.join(col)}\n" for j, col in enumerate(rows, start=1))
+
+
+_stdin_text = st.one_of(
+    _diagram_text(), _diagram_text(), st.text(alphabet="0123456789: -\n", max_size=24)
+)
+_source = st.sampled_from(["-", "-", "-", "/nonexistent/diagram.txt"])
+_small = st.sampled_from([1, 1, 2, 2, 3, 3, 4, 5, 6, 0, -1, 7, 8]).map(str)
+
+
+def _flag(name, values, absent=1, present=1):
+    """[] or [name, value], in the ratio absent : present."""
+    return st.sampled_from([False] * absent + [True] * present).flatmap(
+        lambda on: values.map(lambda v: [name, v]) if on else st.just([])
+    )
+
+
+@st.composite
+def _cli_case(draw):
+    argv = draw(st.lists(st.sampled_from(["--structured", "--checked"]), unique=True))
+    argv += draw(_flag("--limit", st.integers(-2, 6).map(str), absent=3))
+    command = draw(st.sampled_from(
+        ["expand", "orthodontia", "tableaux", "char", "dominance", "zero-one", "survey"]
+    ))
+    argv.append(command)
+    if command == "expand":
+        argv.append(draw(_perm_text))
+        argv += draw(_flag("--method", st.sampled_from(
+            ["classic", "orthodontia", "tableaux", "weyl", "bogus"])))
+    elif command == "orthodontia":
+        argv.append(draw(_perm_text))
+        argv += draw(st.sampled_from([[], ["--trace"]]))
+    elif command == "tableaux":
+        argv.append(draw(_perm_text))
+        argv += draw(_flag("--stage", _small))
+        argv += draw(st.sampled_from([[], ["--check"]]))
+    elif command == "char":
+        argv.append(draw(_source))
+    elif command == "dominance":
+        argv.append(draw(_source))
+        argv += draw(_flag("--row", _small, present=5)) + draw(_flag("--col", _small, present=5))
+        argv += draw(st.sampled_from([[], ["--show-remainder"]]))
+    elif command == "zero-one":
+        argv.append(draw(_perm_text))
+        argv += draw(st.sampled_from([[], ["--all-methods"]]))
+    else:
+        argv.append(str(draw(st.integers(-2, 5))))
+        argv += draw(_flag("--methods", st.sampled_from(["fast", "all", "some"])))
+        argv += draw(_flag("--workers", st.integers(-1, 1).map(str)))
+    argv += draw(st.sampled_from([[]] * 5 + [["--bogus"], ["7"], ["--stage"], ["--row"]]))
+    return argv, draw(_stdin_text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_case())
+def test_fuzz_run_ends_with_exit_code(case):
+    argv, stdin_text = case
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)):
+        code, _, _ = invoke(*argv)
+    assert code in (0, 1, 2)
 
 
 def test_byte_identical_reruns():

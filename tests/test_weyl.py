@@ -26,7 +26,10 @@ from zeroone.weyl import (
     pattern_dominance_check,
     schubert_pattern_inequality,
     _column_choices,
+    _det_product,
+    _unpack,
 )
+import zeroone.weyl as weyl
 
 
 def test_column_leq():
@@ -115,6 +118,29 @@ def test_dual_character_size_limit():
     with pytest.raises(SizeLimitError):
         dual_character(big)
     assert dual_character(big, limit=7) == Polynomial.one(7)
+
+
+def test_exponent_fields_hold_n():
+    # every column {5}: y_{c,5} reaches exponent 5, and the character is
+    # h_5(x_1..x_5), all 126 monomials of degree 5 with coefficient 1
+    d = Diagram(tuple((5,) for _ in range(5)))
+    chi = dual_character(d)
+    expected = {e: 1 for e in product(range(6), repeat=5) if sum(e) == 5}
+    assert len(expected) == 126
+    assert chi.terms == expected
+    key, = _det_product(((1,),) * 5, d.columns)
+    assert _unpack(key) == frozenset({((1, 5), 5)})
+
+
+def test_exponent_width_guard(monkeypatch):
+    def refuse(d):
+        raise AssertionError("the width guard must act before any subdiagram is listed")
+
+    wide = weyl._FIELD + 1
+    assert dual_character(Diagram(((),) * (wide - 1)), limit=wide) == Polynomial.one(wide - 1)
+    monkeypatch.setattr(weyl, "_weight_groups", refuse)
+    with pytest.raises(SizeLimitError):
+        dual_character(Diagram(((),) * wide), limit=wide)
 
 
 def _random_northwest_diagram(rng, n=4):
