@@ -21,9 +21,17 @@ class _CliError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """`--help` was given; carries the help text for `run` to print."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliError(message)
+
+    def print_help(self, file=None):
+        # argparse would print to sys.stdout and then exit the process
+        raise _HelpRequested(self.format_help())
 
 
 @functools.cache
@@ -215,6 +223,9 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=err)
         return 1
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return 0
     try:
         return _COMMANDS[args.command](args, out)
     except (tableaux.FillingError, AssertionError) as exc:

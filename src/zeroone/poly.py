@@ -13,7 +13,9 @@ which is the exact quotient of the antisymmetrized numerator.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations as it_perms
+from operator import add, getitem
 from typing import Iterator
 
 from .perms import Permutation
@@ -47,6 +49,18 @@ class Polynomial:
                     raise ValueError(f"exponent vector {e} has wrong length (nvars={nvars})")
                 clean[e] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _adopt(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
+        """Wrap terms as they are, without validation or copying.
+
+        The caller guarantees that no coefficient is zero and every key has
+        length nvars, and hands the dict over: it must not change it later.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "nvars", nvars)
+        object.__setattr__(f, "terms", terms)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -101,15 +115,13 @@ class Polynomial:
             return Polynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check_compatible(other)
         out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return Polynomial(self.nvars, out)
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        return Polynomial._adopt(self.nvars, _drop_zeros(out))
 
     __rmul__ = __mul__
 
@@ -153,20 +165,17 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        terms = self.terms
+        keys = terms.keys()
+        return [(e, terms[e]) for _, e in sorted(zip(map(sum, keys), keys), reverse=True)]
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names = _factor_names(self.nvars)
         parts = []
         for e, c in self.sorted_terms():
-            factors = []
-            for idx, exp in enumerate(e, start=1):
-                if exp == 1:
-                    factors.append(f"x{idx}")
-                elif exp > 1:
-                    factors.append(f"x{idx}^{exp}")
-            mono = "*".join(factors)
+            mono = "*".join(filter(None, map(getitem, names, e)))
             if not mono:
                 parts.append(str(c))
             elif c == 1:
@@ -179,6 +188,32 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self.terms!r})"
+
+
+class _FactorName(dict):
+    """The printed factor of one variable by exponent: "" below 1, "x3", "x3^4"."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, idx: int):
+        super().__init__({1: f"x{idx}"})
+        self.var = f"x{idx}"
+
+    def __missing__(self, exp: int) -> str:
+        name = self[exp] = f"{self.var}^{exp}" if exp > 1 else ""
+        return name
+
+
+@cache
+def _factor_names(nvars: int) -> tuple[_FactorName, ...]:
+    return tuple(_FactorName(idx) for idx in range(1, nvars + 1))
+
+
+def _drop_zeros(terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """terms without its zero coefficients; most kernel results have none."""
+    if 0 in terms.values():
+        return {e: c for e, c in terms.items() if c}
+    return terms
 
 
 def swap_variables(i: int, f: Polynomial) -> Polynomial:
@@ -200,24 +235,23 @@ def divided_difference(i: int, f: Polynomial) -> Polynomial:
     if not 1 <= i < f.nvars:
         raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
     out: dict[tuple[int, ...], int] = {}
-    a_pos, b_pos = i - 1, i
+    get = out.get
+    a_pos = i - 1
     for e, c in f.terms.items():
-        p, q = e[a_pos], e[b_pos]
+        p, q = e[a_pos], e[i]
         if p == q:
             continue
-        lo, hi = (q, p) if p > q else (p, q)
-        sgn = c if p > q else -c
-        le = list(e)
+        if p > q:
+            lo, hi, sgn = q, p, c
+        else:
+            lo, hi, sgn = p, q, -c
+        le, top = list(e), lo + hi - 1
         for a in range(lo, hi):
             le[a_pos] = a
-            le[b_pos] = lo + hi - 1 - a
+            le[i] = top - a
             key = tuple(le)
-            s = out.get(key, 0) + sgn
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return Polynomial(f.nvars, out)
+            out[key] = get(key, 0) + sgn
+    return Polynomial._adopt(f.nvars, _drop_zeros(out))
 
 
 def demazure(i: int, f: Polynomial) -> Polynomial:
@@ -227,7 +261,7 @@ def demazure(i: int, f: Polynomial) -> Polynomial:
         le = list(e)
         le[i - 1] += 1
         shifted[tuple(le)] = c
-    return divided_difference(i, Polynomial(f.nvars, shifted))
+    return divided_difference(i, Polynomial._adopt(f.nvars, shifted))
 
 
 # -- the classical recursion ------------------------------------------

@@ -35,21 +35,30 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-def root_operator(i: int, word: Word) -> Optional[Word]:
-    """Apply f_i, or return None when no unmatched i remains.
+def _unmatched(i: int, word: Word) -> list[int]:
+    """Positions of the unmatched i's of word, left to right.
 
     Scanning left to right, an i opens a bracket and an i+1 closes the most
-    recent open one; surviving letters form i+1, ..., i+1, i, ..., i and the
-    leftmost surviving i is raised to i+1.
+    recent open one; the surviving letters form i+1, ..., i+1, i, ..., i.
     """
     if i < 1:
         raise ValueError("root operator index must be >= 1")
     stack: list[int] = []
+    closer = i + 1
     for pos, letter in enumerate(word):
         if letter == i:
             stack.append(pos)
-        elif letter == i + 1 and stack:
+        elif letter == closer and stack:
             stack.pop()
+    return stack
+
+
+def root_operator(i: int, word: Word) -> Optional[Word]:
+    """Apply f_i, or return None when no unmatched i remains.
+
+    f_i raises the leftmost unmatched i (see `_unmatched`) to i+1.
+    """
+    stack = _unmatched(i, word)
     if not stack:
         return None
     pos = stack[0]
@@ -57,13 +66,27 @@ def root_operator(i: int, word: Word) -> Optional[Word]:
 
 
 def quantized_demazure(i: int, words: Iterable[Word]) -> set[Word]:
-    """Union of the full f_i orbits {T, f_i(T), f_i^2(T), ...}."""
+    """Union of the full f_i orbits {T, f_i(T), f_i^2(T), ...}.
+
+    One bracket scan gives a word's whole orbit: no open i precedes its
+    leftmost unmatched i, so the i+1 that f_i writes there closes nothing,
+    and the other unmatched i's stay unmatched.  f_i^k(T) is therefore T with
+    its first k unmatched i's raised.  A walk stops at the first member
+    already in the set, whose orbit is in the set too.
+    """
     out: set[Word] = set()
     for word in words:
-        cur: Optional[Word] = tuple(word)
-        while cur is not None and cur not in out:
+        cur = tuple(word)
+        if cur in out:
+            continue
+        out.add(cur)
+        letters = list(cur)
+        for pos in _unmatched(i, cur):
+            letters[pos] = i + 1
+            cur = tuple(letters)
+            if cur in out:
+                break
             out.add(cur)
-            cur = root_operator(i, cur)
     return out
 
 
@@ -120,10 +143,11 @@ def schubert_from_tableaux(w: Permutation) -> Polynomial:
     """Sum of x^{wt(T)} over T_w."""
     n = w.n
     terms: dict[tuple[int, ...], int] = {}
+    get = terms.get
     for word in tableaux_set(w):
         e = word_weight(word, n)
-        terms[e] = terms.get(e, 0) + 1
-    return Polynomial(n, terms)
+        terms[e] = get(e, 0) + 1
+    return Polynomial._adopt(n, terms)
 
 
 def tau_reindexing(w: Permutation, trace: OrthodonticTrace | None = None) -> Permutation:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .perms import Diagram, Permutation, delete_row_col, one_step_pattern, rothe_diagram
 from .poly import Polynomial, coefficientwise_geq, schubert_classic
@@ -28,9 +29,14 @@ __all__ = [
     "DominanceResult",
     "SizeLimitError",
     "DEFAULT_SIZE_LIMIT",
+    "MAX_SUBDIAGRAMS",
 ]
 
 DEFAULT_SIZE_LIMIT = 6
+# The route lists every C <= D before ranking, so its cost is #{C <= D}, the
+# product of the columns' choice counts; the largest on a Rothe diagram of
+# S_7 is 2700, and 10^5 took about 8 s on a 2-core x86-64 VM.
+MAX_SUBDIAGRAMS = 10**5
 
 # A Y-polynomial maps packed exponent keys to ints.  Variable y_ij (i <= j)
 # owns the BITS-wide field at offset (j(j-1)/2 + i - 1) * BITS of the key, an
@@ -176,6 +182,19 @@ def _column_choices(col: tuple[int, ...]) -> list[tuple[int, ...]]:
     return results
 
 
+@lru_cache(maxsize=4096)
+def _choice_count(col: tuple[int, ...]) -> int:
+    """len(_column_choices(col)), counted without listing the choices."""
+    ways = {0: 1}  # ways[v]: choices of the entries so far whose last entry is v
+    for bound in sorted(col):
+        nxt, run = {}, 0
+        for v in range(1, bound + 1):
+            run += ways.get(v - 1, 0)
+            nxt[v] = run
+        ways = nxt
+    return sum(ways.values())
+
+
 def _weight_groups(d: Diagram) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]:
     """All C <= D, grouped by weight exponent vector."""
     n = d.n
@@ -224,6 +243,12 @@ def dual_character(d: Diagram, limit: int = DEFAULT_SIZE_LIMIT) -> Polynomial:
     if d.n > _FIELD:
         raise SizeLimitError(
             f"diagram size {d.n} exceeds {_FIELD}, the largest exponent a {BITS}-bit field holds"
+        )
+    count = prod(map(_choice_count, d.columns))
+    if count > MAX_SUBDIAGRAMS:
+        raise SizeLimitError(
+            f"diagram has {count} subdiagrams C <= D, more than the {MAX_SUBDIAGRAMS} "
+            "the determinant route lists"
         )
     dcols = d.columns
     terms = {}

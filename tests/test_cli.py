@@ -120,6 +120,26 @@ def test_char_limit():
         os.unlink(path)
 
 
+def test_determinant_cost_guard(tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(f"{j}: 4 5 6\n" for j in range(1, 7)))
+    code, out, err = invoke("char", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "64000000 subdiagrams" in err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: zeroone [-h]"),
+    (["expand", "--help"], "usage: zeroone expand [-h]"),
+])
+def test_help_written_to_out(argv, usage, capsys):
+    code, out, err = invoke(*argv)
+    assert code == 0 and err == ""
+    assert out.startswith(usage) and "positional arguments" in out
+    assert capsys.readouterr() == ("", "")
+    assert invoke("expand", "31542") == (0, EXPAND_31542, "")
+
+
 def test_zero_one_output():
     code, out, _ = invoke("zero-one", "31542")
     assert code == 0 and out == "true\n"

@@ -186,6 +186,74 @@ def test_format_graded_lex():
     assert str(g) == "x1*x2 + x1 + 2*x2"
 
 
+def _reference_sorted_terms(f):
+    return sorted(f.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+
+def _reference_str(f):
+    """The formatter written out factor by factor, as the definition."""
+    if not f.terms:
+        return "0"
+    parts = []
+    for e, c in _reference_sorted_terms(f):
+        factors = []
+        for idx, exp in enumerate(e, start=1):
+            if exp == 1:
+                factors.append(f"x{idx}")
+            elif exp > 1:
+                factors.append(f"x{idx}^{exp}")
+        mono = "*".join(factors)
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append("-" + mono)
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts)
+
+
+@st.composite
+def printable_polynomials(draw):
+    """Mixed degrees, exponents past 9, up to 12 variables, often a constant."""
+    n = draw(st.integers(1, 12))
+    exps = st.tuples(*([st.integers(0, 13)] * n))
+    coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(-10**6, 10**6)).filter(bool)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=12))
+    if draw(st.booleans()):
+        terms[(0,) * n] = draw(coeffs)
+    return Polynomial(n, terms)
+
+
+@given(printable_polynomials())
+@settings(max_examples=300)
+def test_format_matches_reference(f):
+    assert f.sorted_terms() == _reference_sorted_terms(f)
+    assert str(f) == _reference_str(f)
+
+
+def _reference_product(f, g):
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@given(polynomials(max_terms=8), st.data())
+def test_kernels_keep_terms_canonical(f, data):
+    # (x1 - x2) * f and d_i of it cancel terms; no zero may survive
+    g = data.draw(polynomials(min_vars=f.nvars, max_vars=f.nvars, max_terms=8))
+    assert (f * g).terms == _reference_product(f, g)
+    i = data.draw(st.integers(1, f.nvars - 1))
+    diff = x(1, f.nvars) - x(2, f.nvars)
+    for h in (f * g, f * diff, divided_difference(i, f), demazure(i, f * diff)):
+        assert 0 not in h.terms.values()
+        assert all(len(e) == f.nvars for e in h.terms)
+
+
 def test_reindex_and_substitute():
     f = x(1, 2) * x(2, 2)
     lifted = f.reindex((1, 3), 3)

@@ -63,6 +63,37 @@ def test_quantized_demazure_contains_orbit(word, i):
         assert image is None or image in orbit
 
 
+def _orbit_closure(i, words):
+    """The definition: apply root_operator to each word until it gives None."""
+    out = set()
+    for word in words:
+        cur = tuple(word)
+        while cur is not None:
+            out.add(cur)
+            cur = root_operator(i, cur)
+    return out
+
+
+@given(st.lists(words_strategy, max_size=5), st.integers(1, 4), st.data())
+def test_quantized_demazure_matches_root_operator_closure(words, i, data):
+    assert quantized_demazure(i, words) == _orbit_closure(i, words)
+    # inputs that already share orbits, in any order
+    pool = sorted(_orbit_closure(i, words))
+    if pool:
+        mixed = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        assert quantized_demazure(i, mixed) == _orbit_closure(i, mixed)
+
+
+def test_quantized_demazure_matches_closure_on_every_stage():
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            trace = orthodontic_sequence(w)
+            stages = tableaux_stages(w, trace)
+            for r in range(1, trace.length + 1):
+                i = trace.i[r - 1]
+                assert quantized_demazure(i, stages[r]) == _orbit_closure(i, stages[r])
+
+
 def test_quantized_demazure_examples():
     assert quantized_demazure(1, [(1,)]) == {(1,), (2,)}
     assert quantized_demazure(3, set()) == set()

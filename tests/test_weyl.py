@@ -25,6 +25,7 @@ from zeroone.weyl import (
     minor,
     pattern_dominance_check,
     schubert_pattern_inequality,
+    _choice_count,
     _column_choices,
     _det_product,
     _unpack,
@@ -100,6 +101,10 @@ def test_column_choices():
     assert _column_choices((3,)) == [(1,), (2,), (3,)]
     assert _column_choices((1, 2)) == [(1, 2)]
     assert set(_column_choices((2, 3))) == {(1, 2), (1, 3), (2, 3)}
+    for n in range(7):
+        for col in product(*([(False, True)] * n)):
+            rows = tuple(r for r, on in enumerate(col, 1) if on)
+            assert _choice_count(rows) == len(_column_choices(rows))
 
 
 def test_dual_character_trivial_diagrams():
@@ -141,6 +146,25 @@ def test_exponent_width_guard(monkeypatch):
     monkeypatch.setattr(weyl, "_weight_groups", refuse)
     with pytest.raises(SizeLimitError):
         dual_character(Diagram(((),) * wide), limit=wide)
+
+
+def test_subdiagram_count_guard(monkeypatch):
+    # h_5 of test_exponent_fields_hold_n has 5^5 = 3125 subdiagrams
+    h5 = Diagram(tuple((5,) for _ in range(5)))
+    monkeypatch.setattr(weyl, "MAX_SUBDIAGRAMS", 3125)
+    assert len(dual_character(h5).terms) == 126
+    monkeypatch.setattr(weyl, "MAX_SUBDIAGRAMS", 3124)
+    with pytest.raises(SizeLimitError, match="3125 subdiagrams"):
+        dual_character(h5)
+    monkeypatch.undo()
+
+    def refuse(d):
+        raise AssertionError("the count guard must act before any subdiagram is listed")
+
+    # every column {4,5,6}: C(6,3)^6 = 20^6 subdiagrams, within the size limit 6
+    monkeypatch.setattr(weyl, "_weight_groups", refuse)
+    with pytest.raises(SizeLimitError, match="64000000 subdiagrams"):
+        dual_character(Diagram(((4, 5, 6),) * 6))
 
 
 def _random_northwest_diagram(rng, n=4):
