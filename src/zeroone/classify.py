@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations as it_perms
 from typing import Iterator, Optional
 
-from .perms import Permutation, contains_pattern, rothe_masks
+from .perms import Permutation, contains_pattern, rothe_rows
 from .poly import is_zero_one, schubert_all, schubert_classic
 from .orthodontia import is_multiplicity_free
 
@@ -58,6 +58,7 @@ _PATTERNS_BY_LENGTH: dict[int, frozenset[tuple[int, ...]]] = {}
 for _p in MULTIPLICITOUS_PATTERNS:
     _PATTERNS_BY_LENGTH.setdefault(_p.n, set()).add(_p.entries)  # type: ignore[arg-type]
 _PATTERNS_BY_LENGTH = {m: frozenset(s) for m, s in _PATTERNS_BY_LENGTH.items()}
+_PATTERN_BYTES = frozenset(bytes(p.entries) for p in MULTIPLICITOUS_PATTERNS)
 
 SURVEY_LIMIT_FAST = 8
 SURVEY_LIMIT_ALL = 7
@@ -84,11 +85,7 @@ def _first_configuration(entries: tuple[int, ...]) -> Optional[ConfigurationInst
     one look per row.
     """
     n = len(entries)
-    inverse = [0] * n
-    for i, v in enumerate(entries, 1):
-        inverse[v - 1] = i
-    # Bit c-1 of rows[r-1] is box (r, c): D(w) is the transpose of D(w^-1).
-    rows = rothe_masks(tuple(inverse))
+    rows = rothe_rows(entries)  # bit c-1 of rows[r-1]: box (r, c)
     under = [0] * (n + 1)  # under[r]: columns with a box in some row below r
     least = [n + 1] * (n + 1)  # least[r], second[r]: the two least of w_1..w_{r-1}
     second = [n + 1] * (n + 1)
@@ -237,36 +234,54 @@ class SurveySummary:
     methods: str
 
 
-def _sieve_avoids(entries: tuple[int, ...], below: set[tuple[int, ...]]) -> bool:
+def _deletion_tables(n: int) -> list[tuple[bytes, bytes]]:
+    """Entry x (for x in 1..n) holds the bytes.translate arguments that delete
+    the value x and flatten: a table mapping every byte v to v - (v > x), and x."""
+    return [(bytes(v - (v > x) for v in range(256)), bytes((x,))) for x in range(n + 1)]
+
+
+def _sieve_avoids(entries: bytes, below: set[bytes], tables: list[tuple[bytes, bytes]]) -> bool:
     """Pattern vote of the survey: does entries avoid the twelve patterns?
 
-    below must be the set of avoiders in S_{n-1}.  Containment is transitive,
-    so w avoids every pattern iff w is not itself one of them and each of its
-    one-step patterns (delete one entry, flatten) avoids them all.
+    entries holds one-line values as bytes, below must be the set of avoiders
+    in S_{n-1} and tables must come from `_deletion_tables(m)` with m >= n.
+    Containment is transitive, so w avoids every pattern iff w is not itself
+    one of them and each of its one-step patterns (delete one entry, flatten)
+    avoids them all.
     """
-    if entries in _PATTERNS_BY_LENGTH.get(len(entries), ()):
+    if entries in _PATTERN_BYTES:
         return False
-    return all(tuple(v - (v > x) for v in entries if v != x) in below for x in entries)
+    for x in entries:
+        table, delete = tables[x]
+        if entries.translate(table, delete) not in below:
+            return False
+    return True
 
 
-def _avoider_class(n: int) -> set[tuple[int, ...]]:
-    """One-line entries of every permutation in S_n avoiding the twelve patterns.
-
-    Built level by level from S_0 with `_sieve_avoids`.
-    """
-    level = {()}
+def _avoider_class(n: int) -> set[bytes]:
+    """One-line entries, as bytes, of every permutation in S_n avoiding the
+    twelve patterns, built level by level from S_0 with `_sieve_avoids`."""
+    tables = _deletion_tables(n)
+    level = {b""}
     for m in range(1, n + 1):
-        level = {e for e in it_perms(range(1, m + 1)) if _sieve_avoids(e, level)}
+        perms = map(bytes, it_perms(range(1, m + 1)))
+        level = {e for e in perms if _sieve_avoids(e, level, tables)}
     return level
 
 
-def _fast_triple(
-    entries: tuple[int, ...], below: set[tuple[int, ...]]
-) -> tuple[bool, bool, bool]:
-    pat = _sieve_avoids(entries, below)
-    conf = not has_configuration(entries)
-    mult = is_multiplicity_free(Permutation(entries))
-    return pat, conf, mult
+def _fast_votes(n: int):
+    """The survey's pattern, configuration and multiplicity-free votes on S_n,
+    as one function of the one-line entries."""
+    tables = _deletion_tables(n)
+    below = _avoider_class(n - 1)
+
+    def votes(entries: tuple[int, ...]) -> tuple[bool, bool, bool]:
+        pat = _sieve_avoids(bytes(entries), below, tables)
+        conf = not has_configuration(entries)
+        mult = is_multiplicity_free(Permutation(entries))
+        return pat, conf, mult
+
+    return votes
 
 
 def _block_entries(n: int, first: Optional[int]):
@@ -284,12 +299,12 @@ def _pool_size(workers: int, blocks: int) -> int:
 
 def _survey_block(args) -> tuple[int, int, int]:
     n, first = args
-    below = _avoider_class(n - 1)
+    fast_votes = _fast_votes(n)
     zero_one = 0
     disagreements = 0
     total = 0
     for e in _block_entries(n, first):
-        pat, conf, mult = _fast_triple(e, below)
+        pat, conf, mult = fast_votes(e)
         total += 1
         if pat and conf and mult:
             zero_one += 1
@@ -316,14 +331,17 @@ def survey(
     and w in S_n avoids the twelve patterns iff w is not one of them and all
     n of its one-step patterns are avoiders.  This is exact because pattern
     containment is transitive; it assumes nothing about zero-one-ness, so
-    the vote stays independent of the other predicates.  With workers > 1,
-    S_n is split into one block per first entry, on at most as many
-    processes as there are cores and blocks.
+    the vote stays independent of the other predicates.  Permutations are
+    held as bytes, each one-step pattern is one bytes.translate, and so n
+    must be at most 255.  With workers > 1, S_n is split into one block per
+    first entry, on at most as many processes as there are cores and blocks.
     """
     if methods not in ("fast", "all"):
         raise ValueError(f"unknown methods {methods!r}")
     if n < 0:
         raise ValueError("survey size must be nonnegative")
+    if n > 255:
+        raise ValueError("survey size must be at most 255, so that values fit in a byte")
     if workers < 1:
         raise ValueError("survey workers must be positive")
     cap = limit if limit is not None else (
@@ -332,13 +350,13 @@ def survey(
     if n > cap:
         raise ValueError(f"survey size {n} exceeds limit {cap}")
     if methods == "all":
-        below = _avoider_class(n - 1)
+        fast_votes = _fast_votes(n)
         zero_one = 0
         disagreements = 0
         total = 0
         for w, f in schubert_all(n):
             expansion = is_zero_one(f)
-            pat, conf, mult = _fast_triple(w.entries, below)
+            pat, conf, mult = fast_votes(w.entries)
             total += 1
             votes = (expansion, pat, conf, mult)
             if all(votes):

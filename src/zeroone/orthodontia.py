@@ -8,10 +8,11 @@ columns [i] so created are counted (the m's) and emptied.  Columns keep
 their original index throughout; emptied columns simply become empty.
 
 One engine, `_engine`, runs the straightening on column bitmasks (bit p =
-row p+1) taken straight from one-line entries, and yields one step at a
-time: `orthodontic_sequence` records every step, while
-`is_multiplicity_free` (which also casts the survey's vote) stops at the
-first repeated letter that breaks the condition.
+row p+1) taken straight from one-line entries.  It swaps rows in place in
+one list and yields each step's letter, impact (a column bitmask) and that
+list: `orthodontic_sequence` snapshots every stage, while
+`is_multiplicity_free` (which also casts the survey's vote) compares impact
+masks only and stops at the first repeated letter that breaks the condition.
 """
 
 from __future__ import annotations
@@ -35,36 +36,38 @@ __all__ = [
 def _engine(masks: list[int]):
     """Run the straightening on column masks, yielding one step at a time.
 
-    Step r is (i_r, impact, stage, removed): stage holds the masks after the
-    first r row swaps, removed the 1-based indices of the interval columns
-    emptied right after it, and impact the columns holding a box in row
-    i_r + 1 when swap r executes.  Step 0 is (0, (), input, removed).
+    Step r is (i_r, impact, work).  work is the engine's own list of column
+    masks after the first r row swaps, before the interval columns created
+    by swap r are emptied; it changes once the next step is requested.
+    impact has bit j-1 set iff column j holds a box in row i_r + 1 when swap
+    r executes.  Step 0 is (0, 0, input).
     """
     intervals = {(1 << j) - 1 for j in range(1, len(masks) + 1)}
-    stage = tuple(masks)
-    removed = tuple([j for j, mask in enumerate(stage, 1) if mask in intervals])
-    yield 0, (), stage, removed
-    work = [0 if mask in intervals else mask for mask in stage]
+    work = list(masks)
+    yield 0, 0, work
+    work[:] = [0 if mask in intervals else mask for mask in work]
     while any(work):
         first = next(filter(None, work))
         teeth = ~first & (first >> 1)
         if teeth == 0:
             raise AssertionError("leftmost nonempty column has no missing tooth")
         tooth = (teeth & -teeth).bit_length()
-        impact = tuple([j for j, mask in enumerate(work, 1) if mask >> tooth & 1])
-        flip = 0b11 << (tooth - 1)
-        work = [
-            mask ^ flip if (mask >> tooth - 1 ^ mask >> tooth) & 1 else mask for mask in work
-        ]
-        stage = tuple(work)
+        low = tooth - 1
+        flip = 0b11 << low
+        impact = 0
+        for j, mask in enumerate(work):
+            pair = mask >> low & 3  # bit 0: row tooth, bit 1: row tooth + 1
+            if pair:
+                if pair != 3:
+                    work[j] = mask ^ flip
+                if pair & 2:
+                    impact |= 1 << j
+        yield tooth, impact, work
         target = (1 << tooth) - 1
-        removed = ()
-        if target in stage:
-            removed = tuple([j for j, mask in enumerate(stage, 1) if mask == target])
-            work = [0 if mask == target else mask for mask in stage]
+        if target in work:
+            work[:] = [0 if mask == target else mask for mask in work]
         if not intervals.isdisjoint(work):
             raise AssertionError("unexpected interval column during straightening")
-        yield tooth, impact, stage, removed
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,16 @@ class OrthodonticTrace:
 
 
 def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
-    letters, impacts, stages, removed = zip(*_engine(rothe_masks(w.entries)))
+    steps = [(letter, imp, tuple(work)) for letter, imp, work in _engine(rothe_masks(w.entries))]
+    letters, impacts, stages = zip(*steps)
+    # removed[r]: the interval columns [j] of stage r, which the engine empties
+    # next; it raises unless at every step r >= 1 they all are [i_r]
+    intervals = {(1 << j) - 1 for j in range(1, w.n + 1)}
+    removed = tuple(
+        () if intervals.isdisjoint(stage)
+        else tuple([j for j, mask in enumerate(stage, 1) if mask in intervals])
+        for stage in stages
+    )
     k = [0] * w.n
     for j in removed[0]:
         k[stages[0][j - 1].bit_length() - 1] += 1
@@ -115,7 +127,7 @@ def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
         m=tuple(len(rec) for rec in removed[1:]),
         _stage_masks=stages,
         removed=removed,
-        impacts=tuple(frozenset(im) for im in impacts[1:]),
+        impacts=tuple(frozenset(mask_rows(imp)) for imp in impacts[1:]),
     )
 
 
@@ -166,14 +178,14 @@ def is_multiplicity_free(w: Permutation, trace: OrthodonticTrace | None = None) 
     the first repeated letter that breaks this."""
     if trace is None:
         # step 0 carries the letter 0, which never repeats
-        steps = (step[:2] for step in _engine(rothe_masks(w.entries)))
+        steps = ((letter, imp) for letter, imp, _ in _engine(rothe_masks(w.entries)))
     else:
-        steps = zip(trace.i, trace.impacts)
+        steps = zip(trace.i, (sum(1 << (j - 1) for j in imp) for imp in trace.impacts))
     seen = {}
     for letter, imp in steps:
         if letter not in seen:
             seen[letter] = imp
-        elif len(imp) != 1 or imp != seen[letter]:
+        elif imp & (imp - 1) or imp != seen[letter]:
             return False
     return True
 

@@ -17,6 +17,7 @@ __all__ = [
     "Diagram",
     "rothe_diagram",
     "rothe_masks",
+    "rothe_rows",
     "mask_rows",
     "has_northwest_property",
     "contains_pattern",
@@ -177,22 +178,31 @@ def parse_diagram(text: str) -> Diagram:
     return Diagram(tuple(cols))
 
 
+def rothe_rows(entries: tuple[int, ...]) -> list[int]:
+    """Rows of the inversion diagram of w = entries, as bitmasks.
+
+    Bit j-1 of mask i-1 is set iff box (i, j) is present: j < w_i and the
+    value j comes after position i.
+    """
+    rows = []
+    later = (1 << len(entries)) - 1  # bit j-1: value j not yet passed
+    for v in entries:
+        bit = 1 << (v - 1)
+        later ^= bit
+        rows.append(later & (bit - 1))
+    return rows
+
+
 def rothe_masks(entries: tuple[int, ...]) -> list[int]:
     """Columns of the inversion diagram of w = entries, as bitmasks.
 
-    Bit i-1 of mask j-1 is set iff box (i, j) is present: j < w_i and the
-    value j comes after position i.
+    Bit i-1 of mask j-1 is set iff box (i, j) is present.  D(w) is the
+    transpose of D(w^-1), so these are the rows of the inverse's diagram.
     """
-    masks = [0] * len(entries)
-    later = (1 << len(entries)) - 1  # bit j-1: value j not yet passed
-    for i, v in enumerate(entries):
-        later ^= 1 << (v - 1)
-        row = later & ((1 << (v - 1)) - 1)
-        while row:
-            low = row & -row
-            masks[low.bit_length() - 1] |= 1 << i
-            row ^= low
-    return masks
+    inverse = [0] * len(entries)
+    for i, v in enumerate(entries, 1):
+        inverse[v - 1] = i
+    return rothe_rows(inverse)
 
 
 def mask_rows(mask: int) -> tuple[int, ...]:

@@ -48,6 +48,8 @@ class Polynomial:
                 if len(e) != nvars:
                     raise ValueError(f"exponent vector {e} has wrong length (nvars={nvars})")
                 clean[e] = c
+        if nvars and clean and min(map(min, clean)) < 0:
+            raise ValueError(f"exponent vector {min(clean, key=min)} has a negative exponent")
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -102,10 +104,10 @@ class Polynomial:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return Polynomial(self.nvars, out)
+        return Polynomial._adopt(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._adopt(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -148,7 +150,9 @@ class Polynomial:
 
     def substitute_zero(self, k: int) -> "Polynomial":
         """Set x_k := 0, dropping every term where x_k appears."""
-        return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if e[k - 1] == 0})
+        return Polynomial._adopt(
+            self.nvars, {e: c for e, c in self.terms.items() if e[k - 1] == 0}
+        )
 
     def reindex(self, positions: tuple[int, ...], nvars: int) -> "Polynomial":
         """Send variable t to x_{positions[t-1]} inside a ring with nvars variables."""
@@ -161,7 +165,7 @@ class Polynomial:
                 if exp:
                     new[positions[old] - 1] = exp
             out[tuple(new)] = c
-        return Polynomial(nvars, out)
+        return Polynomial._adopt(nvars, out)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending graded-lexicographic order."""

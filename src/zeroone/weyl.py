@@ -251,10 +251,10 @@ def dual_character(d: Diagram, limit: int = DEFAULT_SIZE_LIMIT) -> Polynomial:
             "the determinant route lists"
         )
     dcols = d.columns
-    terms = {}
-    for wt, members in _weight_groups(d).items():
-        terms[wt] = _group_rank(members, dcols)
-    return Polynomial(d.n, terms)
+    # Every rank is at least 1, as `_group_rank` already assumes for one
+    # member: a flagged minor product of C <= D is never zero.
+    terms = {wt: _group_rank(members, dcols) for wt, members in _weight_groups(d).items()}
+    return Polynomial._adopt(d.n, terms)
 
 
 @dataclass(frozen=True)

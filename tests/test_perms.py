@@ -16,6 +16,8 @@ from zeroone.perms import (
     parse_diagram,
     parse_permutation,
     rothe_diagram,
+    rothe_masks,
+    rothe_rows,
 )
 
 perm_strategy = st.integers(1, 7).flatmap(
@@ -86,6 +88,27 @@ def test_rothe_matches_inversion_oracle(w):
 @given(perm_strategy)
 def test_rothe_box_count_is_inversions(w):
     assert rothe_diagram(w).box_count() == w.inversions()
+
+
+def test_rothe_rows_match_definition():
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            winv = w.inverse()
+            rows = rothe_rows(w.entries)
+            assert len(rows) == n
+            for i in range(1, n + 1):
+                expected = sum(1 << (j - 1) for j in range(1, n + 1) if i < winv[j] and j < w[i])
+                assert rows[i - 1] == expected, (w, i)
+
+
+def test_rothe_masks_transpose_rothe_rows():
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            rows = rothe_rows(w.entries)
+            transpose = [
+                sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(n)
+            ]
+            assert rothe_masks(w.entries) == transpose, w
 
 
 def test_northwest_of_rothe_small():

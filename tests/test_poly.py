@@ -38,6 +38,16 @@ def test_polynomial_canonical():
         Polynomial(2, {(1, 0, 0): 1})
 
 
+def test_polynomial_rejects_negative_exponents():
+    # printed, x1^-1 would vanish: this once read "3 + 2"
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(2, {(-1, 0): 2, (0, 0): 3})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial.monomial((0, -2))
+    assert str(Polynomial(2, {(1, 0): 2, (0, 0): 3})) == "2*x1 + 3"
+    assert Polynomial(0, {(): 5}).coefficient(()) == 5
+
+
 def test_divided_difference_basics():
     n = 3
     assert divided_difference(1, x(1, n)) == Polynomial.one(n)
