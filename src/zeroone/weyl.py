@@ -4,19 +4,18 @@ For a diagram D inside [n] x [n], the candidate subdiagrams are all C with
 C_j <= D_j columnwise (same size, k-th least element dominated).  Grouping
 the C by weight monomial, the coefficient of a monomial in the dual
 character is the rank over Q of the span of the products of minors
-det(Y[C_j rows; D_j cols]) of the generic upper-triangular matrix Y.  Ranks
-are computed exactly by fraction-free (Bareiss) elimination on integer
-coefficient matrices.
+det(Y[C_j rows; D_j cols]) of the generic upper-triangular matrix Y.  The
+spans are built one column at a time and kept as exact echelon bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from math import prod
+from itertools import combinations, product
+from math import gcd, prod
 
-from .perms import Diagram, Permutation, delete_row_col, one_step_pattern, rothe_diagram
+from .perms import Diagram, Permutation, delete_row_col, one_step_pattern, rothe_masks, rothe_rows
 from .poly import Polynomial, coefficientwise_geq, schubert_classic
 
 __all__ = [
@@ -33,9 +32,9 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_LIMIT = 6
-# The route lists every C <= D before ranking, so its cost is #{C <= D}, the
-# product of the columns' choice counts; the largest on a Rothe diagram of
-# S_7 is 2700, and 10^5 took about 8 s on a 2-core x86-64 VM.
+# Bounds #{C <= D}, the product of the columns' choice counts (at most 2700 on
+# a Rothe diagram of S_7).  Under it, five columns {3,4,5} of S_5 took 0.3 s
+# and five columns {2,...,7} of S_7 about 8 s on a 2-core x86-64 VM.
 MAX_SUBDIAGRAMS = 10**5
 
 # A Y-polynomial maps packed exponent keys to ints.  Variable y_ij (i <= j)
@@ -111,75 +110,47 @@ def _packed_minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[tuple[i
     return tuple(terms)
 
 
-def _ypoly_mul(a: YPoly, b: tuple[tuple[int, int], ...]) -> YPoly:
-    out: YPoly = {}
-    get = out.get
-    for m1, c1 in a.items():
-        for m2, c2 in b:
-            key = m1 + m2
-            out[key] = get(key, 0) + c1 * c2
-    return out
+Span = dict[int, YPoly]  # an echelon basis: each row keyed by its largest key
 
 
-def _det_product(columns: tuple[tuple[int, ...], ...], dcols: tuple[tuple[int, ...], ...]) -> YPoly:
-    prod: YPoly = {0: 1}
-    shift, scale = 0, 1  # the product of the one-term minors, applied last
-    for cj, dj in zip(columns, dcols):
-        if dj:
-            terms = _packed_minor(cj, dj)
-            if len(terms) == 1:
-                shift += terms[0][0]
-                scale *= terms[0][1]
+def _insert(basis: Span, row: YPoly) -> None:
+    """Add row to the echelon basis unless the basis spans it already.
+
+    Fraction-free: cancel the lead against the basis row with that lead
+    until a new lead is left, then store the row with its content divided
+    out.  Leads stay distinct, so len(basis) is the rank of all rows added.
+    """
+    while row:
+        lead = max(row)
+        top = basis.get(lead)
+        if top is None:
+            g = gcd(*row.values())
+            basis[lead] = {m: c // g for m, c in row.items()} if g > 1 else row
+            return
+        g = gcd(top[lead], row[lead])
+        a, b = top[lead] // g, row[lead] // g
+        row = {m: a * c for m, c in row.items()}
+        get = row.get
+        for m, c in top.items():
+            if v := get(m, 0) - b * c:
+                row[m] = v
             else:
-                prod = _ypoly_mul(prod, terms)
-    return {mono + shift: coeff * scale for mono, coeff in prod.items() if coeff}
+                del row[m]
 
 
 def matrix_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    if nrows == 0:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot = mat[rank][col]
-        top = mat[rank]
-        for r in range(rank + 1, nrows):
-            factor = mat[r][col]
-            row = mat[r]
-            for c in range(col + 1, ncols):
-                row[c] = (row[c] * pivot - factor * top[c]) // prev
-            row[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over Q of an integer matrix, by the same elimination."""
+    basis: Span = {}
+    for row in rows:
+        _insert(basis, {c: v for c, v in enumerate(row) if v})
+    return len(basis)
 
 
 def _column_choices(col: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All sorted tuples S with S <= col, elementwise on sorted entries."""
     target = sorted(col)
-    results: list[tuple[int, ...]] = []
-
-    def rec(pos: int, prev: int, acc: list[int]):
-        if pos == len(target):
-            results.append(tuple(acc))
-            return
-        for v in range(prev + 1, target[pos] + 1):
-            acc.append(v)
-            rec(pos + 1, v, acc)
-            acc.pop()
-
-    rec(0, 0, [])
-    return results
+    pool = combinations(range(1, max(target, default=0) + 1), len(target))
+    return [s for s in pool if all(a <= b for a, b in zip(s, target))]
 
 
 @lru_cache(maxsize=4096)
@@ -195,36 +166,59 @@ def _choice_count(col: tuple[int, ...]) -> int:
     return sum(ways.values())
 
 
-def _weight_groups(d: Diagram) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]:
-    """All C <= D, grouped by weight exponent vector."""
-    n = d.n
-    per_column = [_column_choices(col) for col in d.columns]
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
-    for choice in product(*per_column):
-        wt = [0] * n
-        for col in choice:
-            for i in col:
-                wt[i - 1] += 1
-        groups.setdefault(tuple(wt), []).append(choice)
-    return groups
+@lru_cache(maxsize=4096)
+def _column_minors(col: tuple[int, ...]) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """(packed weight, leading key, det Y[S; col]) for every choice S <= col."""
+    minors = [(s, _packed_minor(s, col)) for s in _column_choices(col)]
+    return tuple((sum(1 << (i - 1) * BITS for i in s), max(t)[0], t) for s, t in minors)
 
 
-def _group_rank(members: list[tuple[tuple[int, ...], ...]], dcols: tuple[tuple[int, ...], ...]) -> int:
-    if len(members) == 1:
-        return 1
-    polys = [_det_product(choice, dcols) for choice in members]
-    basis: dict[int, int] = {}
-    for p in polys:
-        for mono in p:
-            if mono not in basis:
-                basis[mono] = len(basis)
-    mat = []
-    for p in polys:
-        row = [0] * len(basis)
-        for mono, coeff in p.items():
-            row[basis[mono]] = coeff
-        mat.append(row)
-    return matrix_rank(mat)
+def _times(row: YPoly, terms: tuple[tuple[int, int], ...]) -> YPoly:
+    """row * det, zero coefficients dropped."""
+    if len(terms) == 1:
+        ((m2, c2),) = terms
+        return {m1 + m2: c1 * c2 for m1, c1 in row.items()}
+    out: YPoly = {}
+    get, items = out.get, row.items()
+    for m2, c2 in terms:
+        for m1, c1 in items:
+            key = m1 + m2
+            out[key] = get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _extend(spans: dict[int, Span], col: tuple[int, ...], last: bool) -> dict[int, Span]:
+    """The spans after one more column, keyed by packed partial weight.
+
+    span(P*Q) = span(P)*Q for a choice's minor Q != 0, and multiplying by Q
+    adds Q's leading key to every lead, so each contribution arrives in
+    echelon form: the first is adopted and only the others are eliminated.
+    In the last column a lone contribution's size is that of its span.
+    """
+    parts: dict[int, list] = {}
+    for wkey, qlead, terms in _column_minors(col):
+        for wt, span in spans.items():
+            parts.setdefault(wt + wkey, []).append((span, qlead, terms))
+    out: dict[int, Span] = {}
+    for wt, ((span, qlead, terms), *others) in parts.items():
+        if last and not others:
+            out[wt] = span
+            continue
+        basis = out[wt] = {lead + qlead: _times(row, terms) for lead, row in span.items()}
+        for span, _, terms in others:
+            for row in span.values():
+                _insert(basis, _times(row, terms))
+    return out
+
+
+def _spans(d: Diagram) -> dict[int, Span]:
+    """Per packed weight, an echelon basis whose size is the rank of the minor
+    products of all C <= D, built column by column, fewest choices first."""
+    cols = sorted(filter(None, d.columns), key=_choice_count)
+    spans: dict[int, Span] = {0: {0: {0: 1}}}
+    for i, col in enumerate(cols, 1):
+        spans = _extend(spans, col, i == len(cols))
+    return spans
 
 
 def dual_character(d: Diagram, limit: int = DEFAULT_SIZE_LIMIT) -> Polynomial:
@@ -248,12 +242,11 @@ def dual_character(d: Diagram, limit: int = DEFAULT_SIZE_LIMIT) -> Polynomial:
     if count > MAX_SUBDIAGRAMS:
         raise SizeLimitError(
             f"diagram has {count} subdiagrams C <= D, more than the {MAX_SUBDIAGRAMS} "
-            "the determinant route lists"
+            "the determinant route accepts"
         )
-    dcols = d.columns
-    # Every rank is at least 1, as `_group_rank` already assumes for one
-    # member: a flagged minor product of C <= D is never zero.
-    terms = {wt: _group_rank(members, dcols) for wt, members in _weight_groups(d).items()}
+    # Every basis is nonempty: a flagged minor product of C <= D is never zero.
+    # BITS is 8, so the fields of a packed weight are its little-endian bytes.
+    terms = {tuple(wt.to_bytes(d.n, "little")): len(b) for wt, b in _spans(d).items()}
     return Polynomial._adopt(d.n, terms)
 
 
@@ -324,6 +317,14 @@ def _assert_augmentation(d: Diagram, dhat: Diagram, k: int, l: int):
             )
 
 
+def _rothe_hook(entries: tuple[int, ...], k: int) -> Polynomial:
+    """_hook_monomial(rothe_diagram(w), k, w_k), read off row k and column w_k's masks."""
+    col = rothe_masks(entries)[entries[k - 1] - 1]
+    e = [col >> i & 1 for i in range(len(entries))]
+    e[k - 1] = rothe_rows(entries)[k - 1].bit_count()
+    return Polynomial.monomial(tuple(e))
+
+
 def schubert_pattern_inequality(w: Permutation, k: int) -> bool:
     """schubert(w) - M * schubert(sigma) (reindexed) has no negative coefficient,
     where sigma is the one-step pattern at position k."""
@@ -331,8 +332,7 @@ def schubert_pattern_inequality(w: Permutation, k: int) -> bool:
     if not 1 <= k <= n:
         raise ValueError(f"position {k} out of range for n={n}")
     sigma = one_step_pattern(w, k)
-    d = rothe_diagram(w)
-    m_poly = _hook_monomial(d, k, w[k])
+    m_poly = _rothe_hook(w.entries, k)
     positions = tuple(p for p in range(1, n + 1) if p != k)
     lifted = schubert_classic(sigma).reindex(positions, n)
     return coefficientwise_geq(schubert_classic(w), m_poly * lifted)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from zeroone.perms import (
     Diagram,
     Permutation,
     all_permutations,
+    delete_row_col,
     has_northwest_property,
     parse_permutation,
     rothe_diagram,
@@ -27,7 +29,9 @@ from zeroone.weyl import (
     schubert_pattern_inequality,
     _choice_count,
     _column_choices,
-    _det_product,
+    _extend,
+    _insert,
+    _times,
     _unpack,
 )
 import zeroone.weyl as weyl
@@ -96,6 +100,30 @@ def test_matrix_rank_matches_fraction_oracle(rows):
     assert matrix_rank(rows) == rank_by_fractions(rows)
 
 
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 11), st.integers(-10**6, 10**6).filter(bool), max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5), max_size=4),
+)
+@settings(max_examples=200)
+def test_sparse_elimination_matches_fraction_oracle(base, mixes):
+    # sparse rows with large coefficients, plus integer combinations of them,
+    # so that leading terms cancel between rows that share no small factor
+    rows = [[row.get(c, 0) for c in range(12)] for row in base]
+    rows += [[sum(k * r[c] for k, r in zip(mix, rows)) for c in range(12)] for mix in mixes]
+    rank = rank_by_fractions(rows)
+    assert matrix_rank(rows) == rank
+    basis = {}
+    for row in rows:
+        _insert(basis, {c: v for c, v in enumerate(row) if v})
+    assert len(basis) == rank
+    for lead, row in basis.items():  # distinct leads, content divided out
+        assert lead == max(row) and gcd(*row.values()) == 1
+
+
 def test_column_choices():
     assert _column_choices(()) == [()]
     assert _column_choices((3,)) == [(1,), (2,), (3,)]
@@ -105,6 +133,62 @@ def test_column_choices():
         for col in product(*([(False, True)] * n)):
             rows = tuple(r for r, on in enumerate(col, 1) if on)
             assert _choice_count(rows) == len(_column_choices(rows))
+
+
+def test_product_drops_cancelled_terms():
+    # (y11 + y12)(y11 - y12) = y11^2 - y12^2: the cross terms cancel
+    y11, y12 = 1, 1 << weyl.BITS
+    assert _times({y11: 1, y12: 1}, ((y11, 1), (y12, -1))) == {2 * y11: 1, 2 * y12: -1}
+    assert _times({y11: 3, y12: 1}, ((y12, -1),)) == {y11 + y12: -3, 2 * y12: -1}
+
+
+def _mono_mul(a, b):
+    exps = dict(a)
+    for var, e in b:
+        exps[var] = exps.get(var, 0) + e
+    return frozenset(exps.items())
+
+
+def character_by_definition(d):
+    """List every C <= D, group by weight, and rank each group's products
+    of the decoded public minors with the Fraction oracle."""
+    groups = {}
+    for choice in product(*[_column_choices(col) for col in d.columns]):
+        wt = [0] * d.n
+        for col in choice:
+            for i in col:
+                wt[i - 1] += 1
+        groups.setdefault(tuple(wt), []).append(choice)
+    terms = {}
+    for wt, members in groups.items():
+        polys = []
+        for choice in members:
+            poly = {frozenset(): 1}
+            for cj, dj in zip(choice, d.columns):
+                out = {}
+                for m1, c1 in poly.items():
+                    for m2, c2 in minor(cj, dj):
+                        m = _mono_mul(m1, m2)
+                        out[m] = out.get(m, 0) + c1 * c2
+                poly = out
+            polys.append(poly)
+        monos = sorted({m for poly in polys for m in poly}, key=sorted)
+        terms[wt] = rank_by_fractions([[poly.get(m, 0) for m in monos] for poly in polys])
+    return Polynomial(d.n, terms)
+
+
+def test_dual_character_matches_definition():
+    diagrams = [rothe_diagram(w) for n in range(1, 6) for w in all_permutations(n)]
+    for w in all_permutations(4):
+        d = rothe_diagram(w)
+        diagrams += [delete_row_col(d, k, l, reindex=False) for k, l in product(range(1, 5), repeat=2)]
+    rng = random.Random(20261018)
+    for _ in range(200):  # up to 2n box draws keeps #{C <= D} within the Fraction oracle's reach
+        n = rng.randint(1, 5)
+        boxes = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 2 * n))}
+        diagrams.append(Diagram.from_boxes(n, boxes))
+    for d in diagrams:
+        assert dual_character(d) == character_by_definition(d), d.columns
 
 
 def test_dual_character_trivial_diagrams():
@@ -133,17 +217,22 @@ def test_exponent_fields_hold_n():
     expected = {e: 1 for e in product(range(6), repeat=5) if sum(e) == 5}
     assert len(expected) == 126
     assert chi.terms == expected
-    key, = _det_product(((1,),) * 5, d.columns)
+    spans = {0: {0: {0: 1}}}
+    for col in d.columns:
+        spans = _extend(spans, col, False)
+    assert len(spans) == 126
+    (row,) = spans[5].values()  # weight x_1^5: every column chose row 1
+    (key,) = row
     assert _unpack(key) == frozenset({((1, 5), 5)})
 
 
 def test_exponent_width_guard(monkeypatch):
     def refuse(d):
-        raise AssertionError("the width guard must act before any subdiagram is listed")
+        raise AssertionError("the width guard must act before the column pass")
 
     wide = weyl._FIELD + 1
     assert dual_character(Diagram(((),) * (wide - 1)), limit=wide) == Polynomial.one(wide - 1)
-    monkeypatch.setattr(weyl, "_weight_groups", refuse)
+    monkeypatch.setattr(weyl, "_spans", refuse)
     with pytest.raises(SizeLimitError):
         dual_character(Diagram(((),) * wide), limit=wide)
 
@@ -159,10 +248,10 @@ def test_subdiagram_count_guard(monkeypatch):
     monkeypatch.undo()
 
     def refuse(d):
-        raise AssertionError("the count guard must act before any subdiagram is listed")
+        raise AssertionError("the count guard must act before the column pass")
 
     # every column {4,5,6}: C(6,3)^6 = 20^6 subdiagrams, within the size limit 6
-    monkeypatch.setattr(weyl, "_weight_groups", refuse)
+    monkeypatch.setattr(weyl, "_spans", refuse)
     with pytest.raises(SizeLimitError, match="64000000 subdiagrams"):
         dual_character(Diagram(((4, 5, 6),) * 6))
 
@@ -243,6 +332,14 @@ def test_schubert_pattern_inequality_examples():
     for w in all_permutations(5):
         for k in range(1, 6):
             assert schubert_pattern_inequality(w, k)
+
+
+def test_rothe_hook_matches_diagram_hook():
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            d = rothe_diagram(w)
+            for k in range(1, n + 1):
+                assert weyl._rothe_hook(w.entries, k) == weyl._hook_monomial(d, k, w[k]), (w, k)
 
 
 def test_max_coefficient_monotone_under_one_step(schubert_table_5, schubert_table_6):
