@@ -278,7 +278,7 @@ def _fast_votes(n: int):
     def votes(entries: tuple[int, ...]) -> tuple[bool, bool, bool]:
         pat = _sieve_avoids(bytes(entries), below, tables)
         conf = not has_configuration(entries)
-        mult = is_multiplicity_free(Permutation(entries))
+        mult = is_multiplicity_free(Permutation._adopt(entries))
         return pat, conf, mult
 
     return votes

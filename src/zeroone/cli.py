@@ -90,7 +90,7 @@ def _print_poly(f: poly.Polynomial, out, structured: bool):
     if structured:
         print(f"nvars {f.nvars}", file=out)
         for e, c in f.sorted_terms():
-            print("term " + ",".join(str(x) for x in e) + f" {c}", file=out)
+            print("term " + ",".join(map(str, e)) + f" {c}", file=out)
     else:
         print(str(f), file=out)
 
@@ -137,10 +137,7 @@ def _cmd_orthodontia(args, out) -> int:
 
 def _cmd_tableaux(args, out) -> int:
     w = perms.parse_permutation(args.perm)
-    stages = tableaux.tableaux_stages(w)
-    if not 0 <= args.stage < len(stages):
-        raise ValueError(f"stage {args.stage} out of range 0..{len(stages) - 1}")
-    words = sorted(stages[args.stage])
+    words = sorted(tableaux.tableaux_stage(w, args.stage))
     if args.check:
         trace = orthodontia.orthodontic_sequence(w)
         for word in words:
@@ -167,7 +164,7 @@ def _cmd_dominance(args, out) -> int:
     if args.show_remainder:
         if args.structured:
             for e, c in result.remainder.sorted_terms():
-                print("F_term " + ",".join(str(x) for x in e) + f" {c}", file=out)
+                print("F_term " + ",".join(map(str, e)) + f" {c}", file=out)
         else:
             print(f"F {result.remainder}", file=out)
     return 0

@@ -44,6 +44,13 @@ class Permutation:
         if sorted(self.entries) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {self.entries}")
 
+    @classmethod
+    def _adopt(cls, entries: tuple[int, ...]) -> "Permutation":
+        """Wrap entries unvalidated: the caller guarantees a tuple permuting [n]."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "entries", entries)
+        return w
+
     @property
     def n(self) -> int:
         return len(self.entries)

@@ -169,9 +169,10 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending graded-lexicographic order."""
-        terms = self.terms
-        keys = terms.keys()
-        return [(e, terms[e]) for _, e in sorted(zip(map(sum, keys), keys), reverse=True)]
+        # lex order, then a stable sort on degree alone: no (degree, key) pairs
+        keys = sorted(self.terms, reverse=True)
+        keys.sort(key=sum, reverse=True)
+        return list(zip(keys, map(self.terms.__getitem__, keys)))
 
     def __str__(self) -> str:
         if not self.terms:

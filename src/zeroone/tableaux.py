@@ -1,14 +1,15 @@
 """Root operators on reading words and the tableau expansion.
 
-Words are plain tuples of integers in [n].  The set T_w is built from the
-orthodontic sequence by alternately prepending minimal column words
-(1, 2, ..., j) and closing under a root operator f_i, which changes the
-leftmost unmatched i to i+1 after the usual parenthesis matching of
-(i, i+1) pairs.
+Words are plain tuples of integers in [n] (bytes inside the engine, so
+n <= 255).  The set T_w is built from the orthodontic sequence by alternately
+prepending minimal column words (1, 2, ..., j) and closing under a root
+operator f_i, which changes the leftmost unmatched i to i+1 after the usual
+parenthesis matching of (i, i+1) pairs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -33,9 +34,10 @@ __all__ = [
 ]
 
 Word = tuple[int, ...]
+_BITS = 8  # a packed weight has one 8-bit field per letter
 
 
-def _unmatched(i: int, word: Word) -> list[int]:
+def _unmatched(i: int, word: Word | bytes) -> list[int]:
     """Positions of the unmatched i's of word, left to right.
 
     Scanning left to right, an i opens a bracket and an i+1 closes the most
@@ -65,29 +67,36 @@ def root_operator(i: int, word: Word) -> Optional[Word]:
     return word[:pos] + (i + 1,) + word[pos + 1 :]
 
 
-def quantized_demazure(i: int, words: Iterable[Word]) -> set[Word]:
-    """Union of the full f_i orbits {T, f_i(T), f_i^2(T), ...}.
+def _orbits(i: int, stage: dict[bytes, int]) -> dict[bytes, int]:
+    """Union of the full f_i orbits {T, f_i(T), ...} of words mapped to packed weights.
 
     One bracket scan gives a word's whole orbit: no open i precedes its
     leftmost unmatched i, so the i+1 that f_i writes there closes nothing,
     and the other unmatched i's stay unmatched.  f_i^k(T) is therefore T with
-    its first k unmatched i's raised.  A walk stops at the first member
-    already in the set, whose orbit is in the set too.
+    its first k unmatched i's raised, each raise moving one unit of weight
+    from field i-1 to field i.  A walk stops at the first member already in
+    the union, whose orbit is in the union too.
     """
-    out: set[Word] = set()
-    for word in words:
-        cur = tuple(word)
-        if cur in out:
+    out: dict[bytes, int] = {}
+    up = (255 << _BITS * i) >> _BITS  # (1 << 8i) - (1 << 8(i-1)) for i >= 1
+    for word, wt in stage.items():
+        if word in out:
             continue
-        out.add(cur)
-        letters = list(cur)
-        for pos in _unmatched(i, cur):
-            letters[pos] = i + 1
-            cur = tuple(letters)
+        out[word] = wt
+        buf = bytearray(word)
+        for pos in _unmatched(i, word):
+            buf[pos] = i + 1
+            wt += up
+            cur = bytes(buf)
             if cur in out:
                 break
-            out.add(cur)
+            out[cur] = wt
     return out
+
+
+def quantized_demazure(i: int, words: Iterable[Word]) -> set[Word]:
+    """Union of the full f_i orbits {T, f_i(T), f_i^2(T), ...}; letters must lie in 0..255."""
+    return set(map(tuple, _orbits(i, dict.fromkeys(map(bytes, words), 0))))
 
 
 def word_weight(word: Word, n: int) -> tuple[int, ...]:
@@ -97,57 +106,59 @@ def word_weight(word: Word, n: int) -> tuple[int, ...]:
     return tuple(wt)
 
 
-def _omega_word(j: int, copies: int = 1) -> Word:
-    return tuple(range(1, j + 1)) * copies
+def _column_word(j: int, copies: int) -> tuple[bytes, int]:
+    """The word (1, ..., j)^copies and its packed weight."""
+    return bytes(range(1, j + 1)) * copies, copies * (((1 << _BITS * j) - 1) // 255)
 
 
-def tableaux_stages(w: Permutation, trace: OrthodonticTrace | None = None) -> list[set[Word]]:
-    """All partial stages [T_w(0), ..., T_w(l)], index r = stage r.
+def _stages(w: Permutation, trace: OrthodonticTrace | None) -> list[dict[bytes, int]]:
+    """Every stage [T_w(0), ..., T_w(l)], as bytes words mapped to packed weights.
 
     Stage l is the single minimal word for the innermost column block;
     stage r-1 prepends the m_{r-1} block and closes under f_{i_r}; stage 0
     additionally carries the interval-column prefix recorded by the k's.
+    A packed weight holds the count of letter t in bits 8(t-1)..8t-1.  The
+    fields never carry: every stage word is a column-strict filling of a
+    diagram with n columns, so a letter occurs at most n <= 255 times.
     """
+    if w.n > 255:
+        raise ValueError("the tableaux route needs n <= 255, so that letters fit in a byte")
     if trace is None:
         trace = orthodontic_sequence(w)
+    blocks = [_column_word(j, kj) for j, kj in enumerate(trace.k, start=1)]
+    k_prefix, k_weight = b"".join(b for b, _ in blocks), sum(wt for _, wt in blocks)
     l = trace.length
-    stages: list[set[Word]] = [set() for _ in range(l + 1)]
-    k_prefix: Word = ()
-    for j, kj in enumerate(trace.k, start=1):
-        k_prefix += _omega_word(j, kj)
     if l == 0:
-        stages[0] = {k_prefix}
-        return stages
-    stages[l] = {_omega_word(trace.i[l - 1], trace.m[l - 1])}
-    for r in range(l - 1, 0, -1):
-        prefix = _omega_word(trace.i[r - 1], trace.m[r - 1])
-        closed = quantized_demazure(trace.i[r], stages[r + 1])
-        stages[r] = {prefix + word for word in closed}
-    closed = quantized_demazure(trace.i[0], stages[1])
-    stages[0] = {k_prefix + word for word in closed}
+        return [{k_prefix: k_weight}]
+    stages = [{}] * l + [dict([_column_word(trace.i[-1], trace.m[-1])])]
+    for r in range(l - 1, -1, -1):
+        prefix, pw = _column_word(trace.i[r - 1], trace.m[r - 1]) if r else (k_prefix, k_weight)
+        closed = _orbits(trace.i[r], stages[r + 1])
+        stages[r] = {prefix + word: pw + wt for word, wt in closed.items()}
     return stages
 
 
+def tableaux_stages(w: Permutation, trace: OrthodonticTrace | None = None) -> list[set[Word]]:
+    """All partial stages [T_w(0), ..., T_w(l)], index r = stage r."""
+    return [set(map(tuple, stage)) for stage in _stages(w, trace)]
+
+
 def tableaux_set(w: Permutation) -> set[Word]:
-    return tableaux_stages(w)[0]
+    return set(map(tuple, _stages(w, None)[0]))
 
 
 def tableaux_stage(w: Permutation, r: int) -> set[Word]:
-    stages = tableaux_stages(w)
+    stages = _stages(w, None)
     if not 0 <= r < len(stages):
         raise ValueError(f"stage {r} out of range 0..{len(stages) - 1}")
-    return stages[r]
+    return set(map(tuple, stages[r]))
 
 
 def schubert_from_tableaux(w: Permutation) -> Polynomial:
     """Sum of x^{wt(T)} over T_w."""
     n = w.n
-    terms: dict[tuple[int, ...], int] = {}
-    get = terms.get
-    for word in tableaux_set(w):
-        e = word_weight(word, n)
-        terms[e] = get(e, 0) + 1
-    return Polynomial._adopt(n, terms)
+    counts = Counter(_stages(w, None)[0].values())  # the fields are little-endian bytes
+    return Polynomial._adopt(n, {tuple(wt.to_bytes(n, "little")): c for wt, c in counts.items()})
 
 
 def tau_reindexing(w: Permutation, trace: OrthodonticTrace | None = None) -> Permutation:
@@ -189,21 +200,11 @@ class FillingView:
     entries: tuple[tuple[tuple[int, int], int], ...]
 
     def entry(self, i: int, j: int) -> int:
-        for (r, c), v in self.entries:
-            if (r, c) == (i, j):
-                return v
-        raise KeyError((i, j))
+        return dict(self.entries)[(i, j)]
 
     def is_column_strict(self) -> bool:
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in self.entries:
-            by_col.setdefault(c, []).append((r, v))
-        for col in by_col.values():
-            col.sort()
-            for (_, a), (_, b) in zip(col, col[1:]):
-                if a >= b:
-                    return False
-        return True
+        cells = sorted((c, r, v) for (r, c), v in self.entries)
+        return all(a[2] < b[2] for a, b in zip(cells, cells[1:]) if a[0] == b[0])
 
     def is_row_flagged(self) -> bool:
         return all(v <= r for (r, _), v in self.entries)
@@ -235,18 +236,8 @@ def read_into_diagram(
         raise FillingError(
             f"word length {len(word)} != box count {stage.box_count()} at stage {r}"
         )
-    entries = []
-    pos = 0
-    for c in order:
-        for row in stage.column(c):
-            entries.append(((row, c), word[pos]))
-            pos += 1
-    view = FillingView(
-        word=tuple(word),
-        diagram=stage,
-        column_order=tuple(order),
-        entries=tuple(entries),
-    )
+    cells = [(row, c) for c in order for row in stage.column(c)]
+    view = FillingView(tuple(word), stage, tuple(order), tuple(zip(cells, word)))
     if validate:
         if not view.is_column_strict():
             raise FillingError(f"word {word} is not column-strict in stage {r}")

@@ -95,6 +95,8 @@ def test_criterion_3_four_method_agreement(schubert_table_6):
             assert schubert_from_tableaux(w) == f
             assert dual_character(rothe_diagram(w)) == f
         for w, f in schubert_all(7):
+            assert schubert_orthodontic(w) == f
+            assert schubert_from_tableaux(w) == f
             assert dual_character(rothe_diagram(w), limit=7) == f
 
 

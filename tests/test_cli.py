@@ -84,6 +84,17 @@ def test_tableaux_stage_and_check():
     assert code == 1 and err.startswith("error:")
 
 
+def test_tableaux_route_refuses_sizes_beyond_a_byte():
+    big = ",".join(map(str, range(1, 257)))
+    for argv in (["expand", big, "--method", "tableaux"], ["tableaux", big]):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "255" in err
+    edge = ",".join(map(str, range(1, 256)))
+    assert invoke("expand", edge, "--method", "tableaux") == (0, "1\n", "")
+    assert invoke("tableaux", edge) == (0, "\n", "")
+
+
 def test_char_and_dominance(tmp_path):
     path = tmp_path / "diagram.txt"
     path.write_text("1: 1\n2: 1 3 4\n3:\n4: 3\n5:\n")

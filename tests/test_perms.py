@@ -35,6 +35,12 @@ def rothe_by_inversions(w):
     return Diagram.from_boxes(w.n, boxes)
 
 
+def test_adopted_permutation_equals_validated():
+    for w in all_permutations(4):
+        adopted = Permutation._adopt(w.entries)
+        assert adopted == w and hash(adopted) == hash(w) and adopted.n == w.n
+
+
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))

@@ -8,6 +8,7 @@ from zeroone.perms import Permutation, all_permutations, parse_permutation
 from zeroone.poly import Polynomial, schubert_classic
 from zeroone.tableaux import (
     FillingError,
+    _stages,
     format_word,
     parse_word,
     quantized_demazure,
@@ -128,6 +129,24 @@ def test_tableaux_stages_match_paper_chain():
     assert len(as_str[0]) == 8
     with pytest.raises(ValueError):
         tableaux_stage(parse_permutation("31542"), 4)
+
+
+def test_carried_weights_decode_to_word_weights():
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            for stage in _stages(w, orthodontic_sequence(w)):
+                for word, packed in stage.items():
+                    assert tuple(packed.to_bytes(n, "little")) == word_weight(word, n)
+
+
+def test_public_word_sets_hold_int_tuples():
+    w = parse_permutation("31542")
+    results = [tableaux_set(w), tableaux_stage(w, 1), quantized_demazure(1, [(1, 2)])]
+    results += tableaux_stages(w)
+    for words in results:
+        assert isinstance(words, set) and words
+        for word in words:
+            assert type(word) is tuple and all(type(letter) is int for letter in word)
 
 
 def test_tableaux_count_matches_coefficient_sum():
