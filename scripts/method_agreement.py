@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Cross-validate the expansion methods against each other, with timings.
 
-Runs the divided-difference recursion, the operator formula, and the tableau
-expansion over all of S_n, and the determinant-rank character up to the
-requested size.  Any disagreement is printed and the run exits nonzero.
+Runs the divided-difference sweep over all of S_n (`schubert_all`, timed as
+"all"), then checks against it the memoised per-query recursion that
+`expand` runs (`schubert_classic`), the operator formula, the tableau
+expansion, and the determinant-rank character up to the requested size.  Any
+disagreement is printed and the run exits nonzero.
 
 Example:
     python scripts/method_agreement.py --max-n 6 --weyl-max-n 5
@@ -15,7 +17,7 @@ import time
 
 from zeroone.orthodontia import schubert_orthodontic
 from zeroone.perms import rothe_diagram
-from zeroone.poly import schubert_all
+from zeroone.poly import schubert_all, schubert_classic
 from zeroone.tableaux import schubert_from_tableaux
 from zeroone.weyl import dual_character
 
@@ -29,32 +31,27 @@ def main():
     failures = 0
     for n in range(1, args.max_n + 1):
         with_weyl = n <= args.weyl_max_n
-        times = {"classic": 0.0, "orthodontia": 0.0, "tableaux": 0.0, "weyl": 0.0}
+        routes = {
+            "classic": schubert_classic,
+            "orthodontia": schubert_orthodontic,
+            "tableaux": schubert_from_tableaux,
+            "weyl": lambda w: dual_character(rothe_diagram(w)),
+        }
+        if not with_weyl:
+            del routes["weyl"]
+        times = dict.fromkeys(["all", *routes], 0.0)
         t0 = time.perf_counter()
         table = dict(schubert_all(n))
-        times["classic"] = time.perf_counter() - t0
+        times["all"] = time.perf_counter() - t0
         for w, f in table.items():
-            t0 = time.perf_counter()
-            g = schubert_orthodontic(w)
-            times["orthodontia"] += time.perf_counter() - t0
-            if g != f:
-                failures += 1
-                print(f"orthodontia mismatch at {w}")
-            t0 = time.perf_counter()
-            g = schubert_from_tableaux(w)
-            times["tableaux"] += time.perf_counter() - t0
-            if g != f:
-                failures += 1
-                print(f"tableaux mismatch at {w}")
-            if with_weyl:
+            for name, route in routes.items():
                 t0 = time.perf_counter()
-                g = dual_character(rothe_diagram(w))
-                times["weyl"] += time.perf_counter() - t0
+                g = route(w)
+                times[name] += time.perf_counter() - t0
                 if g != f:
                     failures += 1
-                    print(f"weyl mismatch at {w}")
-        report = "  ".join(f"{k}={v:.2f}s" for k, v in times.items()
-                           if k != "weyl" or with_weyl)
+                    print(f"{name} mismatch at {w}")
+        report = "  ".join(f"{k}={v:.2f}s" for k, v in times.items())
         print(f"n={n}: {len(table)} permutations agree  ({report})")
     if failures:
         print(f"{failures} disagreements")

@@ -17,7 +17,7 @@ from itertools import combinations, permutations as it_perms
 from typing import Iterator, Optional
 
 from .perms import Permutation, contains_pattern, rothe_rows
-from .poly import is_zero_one, schubert_all, schubert_classic
+from .poly import _all_packed, is_zero_one, schubert_classic
 from .orthodontia import is_multiplicity_free
 
 __all__ = [
@@ -297,20 +297,21 @@ def _pool_size(workers: int, blocks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, blocks))
 
 
-def _survey_block(args) -> tuple[int, int, int]:
-    n, first = args
-    fast_votes = _fast_votes(n)
-    zero_one = 0
-    disagreements = 0
-    total = 0
-    for e in _block_entries(n, first):
-        pat, conf, mult = fast_votes(e)
+def _tally(votes: Iterator[tuple[bool, ...]]) -> tuple[int, int, int]:
+    """(zero-one, disagreements, total) over the vote tuples of a survey."""
+    zero_one = disagreements = total = 0
+    for vote in votes:
         total += 1
-        if pat and conf and mult:
+        if all(vote):
             zero_one += 1
-        elif pat or conf or mult:
+        elif any(vote):
             disagreements += 1
     return zero_one, disagreements, total
+
+
+def _survey_block(args) -> tuple[int, int, int]:
+    n, first = args
+    return _tally(map(_fast_votes(n), _block_entries(n, first)))
 
 
 def survey(
@@ -349,30 +350,16 @@ def survey(
     )
     if n > cap:
         raise ValueError(f"survey size {n} exceeds limit {cap}")
-    if methods == "all":
-        fast_votes = _fast_votes(n)
-        zero_one = 0
-        disagreements = 0
-        total = 0
-        for w, f in schubert_all(n):
-            expansion = is_zero_one(f)
-            pat, conf, mult = fast_votes(w.entries)
-            total += 1
-            votes = (expansion, pat, conf, mult)
-            if all(votes):
-                zero_one += 1
-            elif any(votes):
-                disagreements += 1
-        return SurveySummary(n, total, zero_one, disagreements, methods)
     pool_size = _pool_size(workers, n)
-    if pool_size == 1:
+    if methods == "all":
+        fast_votes = _fast_votes(n)  # the expansion vote reads the packed coefficients
+        zero_one, disagreements, total = _tally(
+            (all(c == 1 for c in terms.values()), *fast_votes(e)) for e, terms in _all_packed(n)
+        )
+    elif pool_size == 1:
         zero_one, disagreements, total = _survey_block((n, None))
     else:
         blocks = [(n, first) for first in range(1, n + 1)]
-        zero_one = disagreements = total = 0
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for z, dis, t in pool.map(_survey_block, blocks):
-                zero_one += z
-                disagreements += dis
-                total += t
+            zero_one, disagreements, total = map(sum, zip(*pool.map(_survey_block, blocks)))
     return SurveySummary(n, total, zero_one, disagreements, methods)

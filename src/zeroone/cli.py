@@ -139,9 +139,7 @@ def _cmd_tableaux(args, out) -> int:
     w = perms.parse_permutation(args.perm)
     words = sorted(tableaux.tableaux_stage(w, args.stage))
     if args.check:
-        trace = orthodontia.orthodontic_sequence(w)
-        for word in words:
-            tableaux.read_into_diagram(word, w, args.stage, trace=trace)
+        list(tableaux.read_words_into_diagram(words, w, args.stage))
     for word in words:
         print(tableaux.format_word(word), file=out)
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perms import Diagram, Permutation, mask_rows, rothe_masks
-from .poly import Polynomial, demazure
+from .poly import Polynomial, _packed_dd
 
 __all__ = [
     "OrthodonticTrace",
@@ -99,11 +99,8 @@ class OrthodonticTrace:
         if not 0 <= r <= self.length:
             raise ValueError(f"stage {r} out of range 0..{self.length}")
         gone = set(self.removed[r])
-        cols = tuple(
-            () if j + 1 in gone else mask_rows(mask)
-            for j, mask in enumerate(self._stage_masks[r])
-        )
-        return Diagram(cols)
+        masks = enumerate(self._stage_masks[r], start=1)
+        return Diagram(tuple(() if j in gone else mask_rows(mask) for j, mask in masks))
 
 
 def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
@@ -193,20 +190,18 @@ def is_multiplicity_free(w: Permutation, trace: OrthodonticTrace | None = None) 
 def schubert_orthodontic(w: Permutation) -> Polynomial:
     """Evaluate the nested Demazure-operator formula
     omega_1^{k_1}...omega_n^{k_n} pi_{i_1}(omega_{i_1}^{m_1} pi_{i_2}(...)).
+
+    The chain runs on packed keys (see `poly._packed_dd`, which also says
+    why no field carries), so n must be at most 255.  omega_j^m packs to
+    m * ((1 << 8j) - 1) // 255, and pi_i(omega_i^m * f) is the kernel on f
+    with the monomial x_i * omega_i^m.
     """
-    trace = orthodontic_sequence(w)
     n = w.n
-    cur = Polynomial.one(n)
-    for r in range(trace.length, 0, -1):
-        cur = _omega_power(trace.i[r - 1], trace.m[r - 1], n) * cur
-        cur = demazure(trace.i[r - 1], cur)
-    for j in range(n, 0, -1):
-        if trace.k[j - 1]:
-            cur = _omega_power(j, trace.k[j - 1], n) * cur
-    return cur
-
-
-def _omega_power(j: int, power: int, n: int) -> Polynomial:
-    """(x_1 x_2 ... x_j)^power as a monomial."""
-    e = [power] * j + [0] * (n - j)
-    return Polynomial.monomial(tuple(e))
+    if n > 255:
+        raise ValueError("the orthodontia route needs n <= 255, so that exponents fit in a byte")
+    trace = orthodontic_sequence(w)
+    cur = {0: 1}
+    for i, m in zip(reversed(trace.i), reversed(trace.m)):
+        cur = _packed_dd(i, cur, (m * ((1 << 8 * i) - 1) // 255) + (1 << 8 * (i - 1)))
+    omega = sum(k * ((1 << 8 * j) - 1) // 255 for j, k in enumerate(trace.k, start=1))
+    return Polynomial._from_packed(n, {key + omega: c for key, c in cur.items()})

@@ -159,13 +159,8 @@ class Diagram:
         return Diagram(tuple(tuple(sorted(c)) for c in cols))
 
     def __str__(self) -> str:
-        lines = []
-        for j, col in enumerate(self.columns, start=1):
-            if col:
-                lines.append(f"{j}: " + " ".join(str(i) for i in col))
-            else:
-                lines.append(f"{j}:")
-        return "\n".join(lines)
+        cols = enumerate(self.columns, start=1)
+        return "\n".join(f"{j}:" + "".join(f" {i}" for i in col) for j, col in cols)
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -282,20 +277,14 @@ def delete_row_col(d: Diagram, k: int, l: int, reindex: bool) -> Diagram:
     if not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"row/column ({k}, {l}) out of range for n={n}")
     if reindex:
-        cols = []
-        for j in range(1, n + 1):
-            if j == l:
-                continue
-            col = tuple(i if i < k else i - 1 for i in d.column(j) if i != k)
-            cols.append(col)
-        return Diagram(tuple(cols))
-    cols = []
-    for j in range(1, n + 1):
-        if j == l:
-            cols.append(())
-        else:
-            cols.append(tuple(i for i in d.column(j) if i != k))
-    return Diagram(tuple(cols))
+        return Diagram(tuple(
+            tuple(i if i < k else i - 1 for i in col if i != k)
+            for j, col in enumerate(d.columns, start=1) if j != l
+        ))
+    return Diagram(tuple(
+        () if j == l else tuple(i for i in col if i != k)
+        for j, col in enumerate(d.columns, start=1)
+    ))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

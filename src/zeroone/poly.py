@@ -9,6 +9,10 @@ sum, never through rational functions:
         = sum_{a=q}^{p-1} x_i^a x_{i+1}^{p+q-1-a}          (p > q)
 
 which is the exact quotient of the antisymmetrized numerator.
+
+`Polynomial` keeps tuple keys; the one divided-difference kernel runs on packed
+ints (8-bit little-endian fields, x_1 lowest, as in `weyl` and `tableaux`), and
+the routes built on it decode only their results.
 """
 
 from __future__ import annotations
@@ -63,6 +67,11 @@ class Polynomial:
         object.__setattr__(f, "nvars", nvars)
         object.__setattr__(f, "terms", terms)
         return f
+
+    @classmethod
+    def _from_packed(cls, nvars: int, packed: dict[int, int]) -> "Polynomial":
+        """Decode packed keys with nonzero coefficients (8-bit fields, x_1 lowest)."""
+        return cls._adopt(nvars, {tuple(k.to_bytes(nvars, "little")): c for k, c in packed.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -145,9 +154,6 @@ class Polynomial:
     def coefficient(self, exponents: tuple[int, ...]) -> int:
         return self.terms.get(tuple(exponents), 0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def substitute_zero(self, k: int) -> "Polynomial":
         """Set x_k := 0, dropping every term where x_k appears."""
         return Polynomial._adopt(
@@ -225,58 +231,93 @@ def swap_variables(i: int, f: Polynomial) -> Polynomial:
     """The action of s_i: exchange x_i and x_{i+1}."""
     if not 1 <= i < f.nvars:
         raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
-    out = {}
-    for e, c in f.terms.items():
-        if e[i - 1] != e[i]:
-            le = list(e)
-            le[i - 1], le[i] = le[i], le[i - 1]
-            e = tuple(le)
-        out[e] = out.get(e, 0) + c
-    return Polynomial(f.nvars, out)
+    # exchanging two exponents is a bijection on exponent vectors: no term merges
+    return Polynomial._adopt(f.nvars, {e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :]: c
+                                       for e, c in f.terms.items()})
+
+
+def _packed_dd(i: int, terms: dict[int, int], times: int = 0) -> dict[int, int]:
+    """d_i(x^times * f) on packed keys, for a packed monomial x^times in x_1..x_i.
+
+    A term with exponents p of x_i and q of x_{i+1} in x^times * f (never
+    built) yields |p - q| keys, a progression of step x_i / x_{i+1} whose two
+    fields stay below max(p, q).  So for d_i (times 0) and pi_i (times
+    x_i * omega_i^m) no result field exceeds the largest exponent of f, or of
+    omega_i^m * f, and no field carries while those are at most 255.  The
+    classic descent starts from the staircase, with exponents at most n - 1,
+    and d_i never raises them; in the orthodontic chain omega_i^m * f is the
+    character of a diagram with at most n columns, one of them empty, so its
+    exponents are at most n - 1 too.  Both routes refuse n > 255 up front.
+    """
+    at = 8 * (i - 1)
+    nxt = at + 8
+    unit = 1 << at
+    step = unit - (1 << nxt)
+    shift = times - unit
+    lift = times >> at & 255
+    out: dict[int, int] = {}
+    get = out.get
+    for k, c in terms.items():
+        s = (k >> at & 255) - (k >> nxt & 255) + lift
+        if s == 1:  # the commonest single-term case
+            key = k + shift
+            out[key] = get(key, 0) + c
+        elif s > 1:
+            base = k + shift
+            for key in range(base, base - s * step, -step):
+                out[key] = get(key, 0) + c
+        elif s:
+            base = k + shift
+            for key in range(base + step, base + (1 - s) * step, step):
+                out[key] = get(key, 0) - c
+    return _drop_zeros(out)
+
+
+def _through_kernel(i: int, f: Polynomial, times: int) -> Polynomial:
+    if not 1 <= i < f.nvars:
+        raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
+    if f.terms and max(map(max, f.terms)) > 255:
+        raise ValueError("divided differences need every exponent at most 255")
+    packed = {int.from_bytes(bytes(e), "little"): c for e, c in f.terms.items()}
+    return Polynomial._from_packed(f.nvars, _packed_dd(i, packed, times))
 
 
 def divided_difference(i: int, f: Polynomial) -> Polynomial:
     """(f - s_i f) / (x_i - x_{i+1}), exactly."""
-    if not 1 <= i < f.nvars:
-        raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    a_pos = i - 1
-    for e, c in f.terms.items():
-        p, q = e[a_pos], e[i]
-        if p == q:
-            continue
-        if p > q:
-            lo, hi, sgn = q, p, c
-        else:
-            lo, hi, sgn = p, q, -c
-        le, top = list(e), lo + hi - 1
-        for a in range(lo, hi):
-            le[a_pos] = a
-            le[i] = top - a
-            key = tuple(le)
-            out[key] = get(key, 0) + sgn
-    return Polynomial._adopt(f.nvars, _drop_zeros(out))
+    return _through_kernel(i, f, 0)
 
 
 def demazure(i: int, f: Polynomial) -> Polynomial:
     """pi_i(f) = d_i(x_i * f)."""
-    shifted = {}
-    for e, c in f.terms.items():
-        le = list(e)
-        le[i - 1] += 1
-        shifted[tuple(le)] = c
-    return divided_difference(i, Polynomial._adopt(f.nvars, shifted))
+    return _through_kernel(i, f, 1 << 8 * (i - 1))
 
 
 # -- the classical recursion ------------------------------------------
 
-def _longest_monomial(n: int) -> Polynomial:
-    return Polynomial.monomial(tuple(n - i for i in range(1, n + 1)))
+def _staircase(n: int) -> int:
+    """x_1^{n-1} x_2^{n-2} ... x_{n-1}, packed."""
+    return int.from_bytes(bytes(range(n - 1, -1, -1)), "little")
 
 
-_memo: dict[tuple, Polynomial] = {}  # (entries, strategy) -> result, oldest use first
+_memo: dict[tuple, list] = {}  # (entries, strategy) -> [packed, decoded or None], oldest use first
 _MEMO_SIZE = 256
+
+
+def _classic(w: Permutation, strategy: str) -> list:
+    """The memo entry of w: one interpreter frame per divided-difference step."""
+    key = (w.entries, strategy)
+    entry = _memo.pop(key, None)
+    if entry is None:
+        ascents = w.ascents()
+        if not ascents:
+            entry = [{_staircase(w.n): 1}, None]
+        else:
+            i = ascents[0] if strategy == "leftmost" else ascents[-1]
+            entry = [_packed_dd(i, _classic(w.swap_positions(i), strategy)[0]), None]
+        if len(_memo) >= _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    _memo[key] = entry
+    return entry
 
 
 def schubert_classic(w: Permutation, strategy: str = "leftmost") -> Polynomial:
@@ -285,26 +326,37 @@ def schubert_classic(w: Permutation, strategy: str = "leftmost") -> Polynomial:
     The ascent used at each step is chosen by `strategy` ("leftmost" or
     "rightmost"); the braid relations make the result independent of the
     choice, which the test suite exercises.  The 256 most recently used
-    results are kept, keyed by (one-line notation, strategy), so queries
-    sharing a descent path near w_0 reuse it while memory stays bounded.
+    results are kept packed, keyed by (one-line notation, strategy), so
+    queries sharing a descent path near w_0 reuse it while memory stays
+    bounded.  An entry is decoded once; later hits return that Polynomial.
     The memo is a plain dict rather than `functools.lru_cache`, whose C
     wrapper would add a second interpreter recursion level per step.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    key = (w.entries, strategy)
-    result = _memo.pop(key, None)
-    if result is None:
-        ascents = w.ascents()
-        if not ascents:
-            result = _longest_monomial(w.n)
-        else:
-            i = ascents[0] if strategy == "leftmost" else ascents[-1]
-            result = divided_difference(i, schubert_classic(w.swap_positions(i), strategy))
-        if len(_memo) >= _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-    _memo[key] = result
-    return result
+    if w.n > 255:
+        raise ValueError("the classic route needs n <= 255, so that exponents fit in a byte")
+    entry = _classic(w, strategy)
+    if entry[1] is None:
+        entry[1] = Polynomial._from_packed(w.n, entry[0])
+    return entry[1]
+
+
+def _all_packed(n: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """(one-line entries, packed schubert(w)) for every w in S_n, as `schubert_all` orders them."""
+    by_inv: dict[int, list[tuple[int, ...]]] = {}
+    for e in it_perms(range(1, n + 1)):
+        by_inv.setdefault(Permutation._adopt(e).inversions(), []).append(e)
+    top = n * (n - 1) // 2
+    level = dict.fromkeys(by_inv[top], {_staircase(n): 1})
+    yield from level.items()
+    for inv in range(top - 1, -1, -1):
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for e in by_inv[inv]:
+            i = next(i for i in range(1, n) if e[i - 1] < e[i])
+            nxt[e] = terms = _packed_dd(i, level[e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :]])
+            yield e, terms
+        level = nxt
 
 
 def schubert_all(n: int) -> Iterator[tuple[Permutation, Polynomial]]:
@@ -313,24 +365,8 @@ def schubert_all(n: int) -> Iterator[tuple[Permutation, Polynomial]]:
     Keeps only two adjacent inversion levels in memory, so full sweeps over
     S_7 stay small.  Within a level the order is lexicographic.
     """
-    by_inv: dict[int, list[tuple[int, ...]]] = {}
-    for e in it_perms(range(1, n + 1)):
-        w = Permutation(e)
-        by_inv.setdefault(w.inversions(), []).append(e)
-    top = n * (n - 1) // 2
-    level: dict[tuple[int, ...], Polynomial] = {
-        Permutation.longest(n).entries: _longest_monomial(n)
-    }
-    yield Permutation.longest(n), level[Permutation.longest(n).entries]
-    for inv in range(top - 1, -1, -1):
-        nxt: dict[tuple[int, ...], Polynomial] = {}
-        for e in by_inv.get(inv, []):
-            w = Permutation(e)
-            i = w.ascents()[0]
-            parent = w.swap_positions(i)
-            nxt[e] = divided_difference(i, level[parent.entries])
-            yield w, nxt[e]
-        level = nxt
+    for e, terms in _all_packed(n):
+        yield Permutation._adopt(e), Polynomial._from_packed(n, terms)
 
 
 # -- coefficient predicates -------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "schubert_from_tableaux",
     "tau_reindexing",
     "read_into_diagram",
+    "read_words_into_diagram",
     "FillingView",
     "FillingError",
     "word_weight",
@@ -156,9 +157,7 @@ def tableaux_stage(w: Permutation, r: int) -> set[Word]:
 
 def schubert_from_tableaux(w: Permutation) -> Polynomial:
     """Sum of x^{wt(T)} over T_w."""
-    n = w.n
-    counts = Counter(_stages(w, None)[0].values())  # the fields are little-endian bytes
-    return Polynomial._adopt(n, {tuple(wt.to_bytes(n, "little")): c for wt, c in counts.items()})
+    return Polynomial._from_packed(w.n, Counter(_stages(w, None)[0].values()))
 
 
 def tau_reindexing(w: Permutation, trace: OrthodonticTrace | None = None) -> Permutation:
@@ -169,20 +168,13 @@ def tau_reindexing(w: Permutation, trace: OrthodonticTrace | None = None) -> Per
     """
     if trace is None:
         trace = orthodontic_sequence(w)
-    d = rothe_diagram(w)
-    rebuilt = build_D_im(trace, w.n)
     slots: dict[tuple[int, ...], list[int]] = {}
-    for p, col in enumerate(rebuilt.columns, start=1):
+    for p, col in enumerate(build_D_im(trace, w.n).columns, start=1):
         slots.setdefault(col, []).append(p)
-    used: dict[tuple[int, ...], int] = {}
-    tau = []
-    for col in d.columns:
-        idx = used.get(col, 0)
-        positions = slots.get(col)
-        if positions is None or idx >= len(positions):
-            raise AssertionError("rebuilt diagram is not column-equivalent to the original")
-        tau.append(positions[idx])
-        used[col] = idx + 1
+    try:  # each column of D(w) takes the leftmost free position of its equals
+        tau = [slots[col].pop(0) for col in rothe_diagram(w).columns]
+    except (KeyError, IndexError):
+        raise AssertionError("rebuilt diagram is not column-equivalent to the original") from None
     return Permutation(tuple(tau))
 
 
@@ -227,23 +219,27 @@ def read_into_diagram(
     consumed left to right.  With validate=True a violation of
     column-strictness or row-flagging raises FillingError.
     """
+    return next(read_words_into_diagram([word], w, r, trace, validate))
+
+
+def read_words_into_diagram(words: Iterable[Word], w: Permutation, r: int,
+                            trace: OrthodonticTrace | None = None, validate: bool = True):
+    """Yield `read_into_diagram` of every word, building the stage-r reading order once."""
     if trace is None:
         trace = orthodontic_sequence(w)
     stage = trace.stage(r)
     tau = tau_reindexing(w, trace)
-    order = sorted(stage.nonempty_columns(), key=lambda c: tau[c])
-    if len(word) != stage.box_count():
-        raise FillingError(
-            f"word length {len(word)} != box count {stage.box_count()} at stage {r}"
-        )
+    order = tuple(sorted(stage.nonempty_columns(), key=lambda c: tau[c]))
     cells = [(row, c) for c in order for row in stage.column(c)]
-    view = FillingView(tuple(word), stage, tuple(order), tuple(zip(cells, word)))
-    if validate:
-        if not view.is_column_strict():
+    for word in words:
+        if len(word) != len(cells):
+            raise FillingError(f"word length {len(word)} != box count {len(cells)} at stage {r}")
+        view = FillingView(tuple(word), stage, order, tuple(zip(cells, word)))
+        if validate and not view.is_column_strict():
             raise FillingError(f"word {word} is not column-strict in stage {r}")
-        if not view.is_row_flagged():
+        if validate and not view.is_row_flagged():
             raise FillingError(f"word {word} is not row-flagged in stage {r}")
-    return view
+        yield view
 
 
 def format_word(word: Word) -> str:

@@ -246,8 +246,7 @@ def dual_character(d: Diagram, limit: int = DEFAULT_SIZE_LIMIT) -> Polynomial:
         )
     # Every basis is nonempty: a flagged minor product of C <= D is never zero.
     # BITS is 8, so the fields of a packed weight are its little-endian bytes.
-    terms = {tuple(wt.to_bytes(d.n, "little")): len(b) for wt, b in _spans(d).items()}
-    return Polynomial._adopt(d.n, terms)
+    return Polynomial._from_packed(d.n, {wt: len(b) for wt, b in _spans(d).items()})
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,20 @@ def test_tableaux_route_refuses_sizes_beyond_a_byte():
     assert invoke("tableaux", edge) == (0, "\n", "")
 
 
+def test_divided_difference_routes_refuse_sizes_beyond_a_byte():
+    w0 = ",".join(map(str, range(255, 0, -1)))
+    classic, ortho = (invoke("expand", w0, "--method", m) for m in ("classic", "orthodontia"))
+    assert classic == ortho
+    assert classic[0] == 0 and classic[1].startswith("x1^254*x2^253*") and classic[2] == ""
+    big = ",".join(map(str, range(256, 0, -1)))
+    for argv in (["expand", big, "--method", "classic"],
+                 ["expand", big, "--method", "orthodontia"],
+                 ["--checked", "zero-one", big, "--all-methods"]):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "255" in err
+
+
 def test_char_and_dominance(tmp_path):
     path = tmp_path / "diagram.txt"
     path.write_text("1: 1\n2: 1 3 4\n3:\n4: 3\n5:\n")

@@ -1,8 +1,11 @@
 """Polynomial arithmetic and the divided-difference operators."""
 
+from operator import add
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zeroone.orthodontia import orthodontic_sequence
 from zeroone.perms import Permutation, all_permutations, parse_permutation
 from zeroone.poly import (
     Polynomial,
@@ -87,6 +90,82 @@ def test_demazure_idempotent(f, data):
     assert demazure(i, once) == once
 
 
+def _reference_divided_difference(i, terms):
+    """d_i on tuple-keyed terms, term by term: the definition the packed kernel must meet."""
+    out = {}
+    for e, c in terms.items():
+        p, q = e[i - 1], e[i]
+        if p == q:
+            continue
+        lo, hi, sgn = (q, p, c) if p > q else (p, q, -c)
+        le = list(e)
+        for a in range(lo, hi):
+            le[i - 1], le[i] = a, lo + hi - 1 - a
+            key = tuple(le)
+            out[key] = out.get(key, 0) + sgn
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_demazure(i, terms):
+    """pi_i = d_i(x_i * f), with x_i * f built as tuples."""
+    shifted = {e[: i - 1] + (e[i - 1] + 1,) + e[i:]: c for e, c in terms.items()}
+    return _reference_divided_difference(i, shifted)
+
+
+# exponents up to 255, the largest a packed field holds, with the ends drawn often
+_byte_exponents = st.one_of(st.integers(0, 4), st.integers(250, 255), st.integers(0, 255))
+
+
+@st.composite
+def byte_polynomials(draw):
+    n = draw(st.integers(2, 5))
+    exps = st.tuples(*([_byte_exponents] * n))
+    terms = draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool), max_size=5))
+    return Polynomial(n, terms)
+
+
+@given(byte_polynomials(), st.data())
+def test_kernel_matches_tuple_definition(f, data):
+    i = data.draw(st.integers(1, f.nvars - 1))
+    assert divided_difference(i, f).terms == _reference_divided_difference(i, f.terms)
+    assert demazure(i, f).terms == _reference_demazure(i, f.terms)
+
+
+def test_kernel_refuses_exponents_beyond_a_byte():
+    for op in (divided_difference, demazure):
+        with pytest.raises(ValueError, match="255"):
+            op(2, Polynomial.monomial((0, 1, 256)))
+    top = Polynomial.monomial((255, 0))  # pi_1 multiplies by x_1 and still fits
+    assert demazure(1, top).terms == _reference_demazure(1, top.terms)
+    assert len(demazure(1, top).terms) == 256
+
+
+def _omega_times(j, m, terms):
+    """(x_1 ... x_j)^m times tuple-keyed terms."""
+    if not m:
+        return terms
+    lift = (m,) * j + (0,) * (len(next(iter(terms))) - j)
+    return {tuple(map(add, e, lift)): c for e, c in terms.items()}
+
+
+def test_demazure_chain_exponents_stay_below_n():
+    # The packed orthodontic route relies on this: every product omega_i^m * f
+    # and every pi_i result of the chain has all its exponents at most n - 1.
+    for n in range(1, 8):
+        for w, f in schubert_all(n):
+            trace = orthodontic_sequence(w)
+            cur = {(0,) * n: 1}
+            for i, m in zip(reversed(trace.i), reversed(trace.m)):
+                cur = _omega_times(i, m, cur)
+                assert max(map(max, cur)) <= n - 1, (w, i)
+                cur = _reference_demazure(i, cur)
+                assert max(map(max, cur)) <= n - 1, (w, i)
+            for j, k in enumerate(trace.k, start=1):
+                cur = _omega_times(j, k, cur)
+            assert max(map(max, cur)) <= n - 1, w
+            assert cur == f.terms, w
+
+
 def test_demazure_examples():
     n = 2
     assert demazure(1, Polynomial.one(n)) == Polynomial.one(n)
@@ -126,6 +205,13 @@ def test_schubert_longest_and_identity():
 def test_schubert_deep_descent():
     # 780 divided-difference steps from w_0: one interpreter frame per step
     assert schubert_classic(Permutation.identity(40)) == Polynomial.one(40)
+
+
+def test_classic_memo_hit_returns_the_stored_polynomial():
+    w = parse_permutation("31542")
+    first = schubert_classic(w)
+    assert schubert_classic(w) is first
+    assert schubert_classic(w, "rightmost") == first
 
 
 def test_schubert_strategies_agree():

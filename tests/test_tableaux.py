@@ -13,6 +13,7 @@ from zeroone.tableaux import (
     parse_word,
     quantized_demazure,
     read_into_diagram,
+    read_words_into_diagram,
     root_operator,
     schubert_from_tableaux,
     tableaux_set,
@@ -204,8 +205,10 @@ def test_filling_lemmas_exhaustive_S4():
         tr = orthodontic_sequence(w)
         stages = tableaux_stages(w, tr)
         for r, stage_words in enumerate(stages):
-            for word in stage_words:
-                read_into_diagram(word, w, r, trace=tr)
+            words = sorted(stage_words)
+            views = [read_into_diagram(word, w, r, trace=tr) for word in words]
+            # one reading order for the whole stage gives the same fillings
+            assert list(read_words_into_diagram(words, w, r)) == views
 
 
 def test_root_operators_touch_only_the_impact_column():
