@@ -1,15 +1,24 @@
 #!/usr/bin/env python3
 """Sweep S_n for a range of n and tabulate the zero-one counts.
 
+Every count is checked against the known zero-one counts of S_1..S_10; the
+script exits 1 on a mismatch or on any disagreement between the voters.
+
 Example:
     python scripts/survey_zero_one.py --max-n 7
     python scripts/survey_zero_one.py --max-n 7 --methods all
+    python scripts/survey_zero_one.py --max-n 10 --workers 2 --limit 10
 """
 
 import argparse
+import sys
 import time
 
 from zeroone.classify import survey
+
+# Zero-one counts of S_1..S_10 (Fink-Meszaros-St. Dizier give S_7 and S_8).
+KNOWN_ZERO_ONE = {1: 1, 2: 2, 3: 6, 4: 24, 5: 115, 6: 605, 7: 3343, 8: 19038,
+                  9: 110809, 10: 656200}
 
 
 def main():
@@ -22,13 +31,22 @@ def main():
     args = parser.parse_args()
 
     print(f"{'n':>3} {'total':>9} {'zero-one':>9} {'disagree':>9} {'seconds':>8}")
+    failed = False
     for n in range(args.min_n, args.max_n + 1):
         t0 = time.perf_counter()
         summary = survey(n, methods=args.methods, workers=args.workers, limit=args.limit)
         dt = time.perf_counter() - t0
         print(f"{n:>3} {summary.total:>9} {summary.zero_one:>9} "
-              f"{summary.disagreements:>9} {dt:>8.2f}")
+              f"{summary.disagreements:>9} {dt:>8.2f}", flush=True)
+        known = KNOWN_ZERO_ONE.get(n)
+        if known is not None and summary.zero_one != known:
+            print(f"n={n}: zero-one count {summary.zero_one}, known {known}", file=sys.stderr)
+            failed = True
+        if summary.disagreements:
+            print(f"n={n}: {summary.disagreements} disagreements", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,10 +13,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, permutations as it_perms
+from itertools import permutations as it_perms
 from typing import Iterator, Optional
 
-from .perms import Permutation, contains_pattern, rothe_rows
+from .perms import Permutation, first_pattern, rothe_rows
 from .poly import _all_packed, is_zero_one, schubert_classic
 from .orthodontia import is_multiplicity_free
 
@@ -54,10 +54,6 @@ MULTIPLICITOUS_PATTERNS: tuple[Permutation, ...] = tuple(
     )
 )
 
-_PATTERNS_BY_LENGTH: dict[int, frozenset[tuple[int, ...]]] = {}
-for _p in MULTIPLICITOUS_PATTERNS:
-    _PATTERNS_BY_LENGTH.setdefault(_p.n, set()).add(_p.entries)  # type: ignore[arg-type]
-_PATTERNS_BY_LENGTH = {m: frozenset(s) for m, s in _PATTERNS_BY_LENGTH.items()}
 _PATTERN_BYTES = frozenset(bytes(p.entries) for p in MULTIPLICITOUS_PATTERNS)
 
 SURVEY_LIMIT_FAST = 8
@@ -155,33 +151,14 @@ def has_configuration(entries: tuple[int, ...]) -> bool:
     return _first_configuration(entries) is not None
 
 
-def _contains_any_pattern(entries: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """First multiplicitous pattern contained in entries, scanning lengths 5, 6."""
-    n = len(entries)
-    for m in sorted(_PATTERNS_BY_LENGTH):
-        if m > n:
-            break
-        targets = _PATTERNS_BY_LENGTH[m]
-        for idxs in combinations(range(n), m):
-            vals = [entries[i] for i in idxs]
-            ranks = tuple(sum(1 for u in vals if u <= v) for v in vals)
-            if ranks in targets:
-                return ranks
-    return None
-
-
 def avoids_multiplicitous(w: Permutation) -> bool:
     """True iff w avoids all twelve multiplicitous patterns."""
-    return _contains_any_pattern(w.entries) is None
+    return witness_pattern(w) is None
 
 
 def witness_pattern(w: Permutation) -> Optional[tuple[Permutation, tuple[int, ...]]]:
-    """A contained multiplicitous pattern and its least realization, if any."""
-    for p in MULTIPLICITOUS_PATTERNS:
-        realization = contains_pattern(w, p)
-        if realization is not None:
-            return p, realization
-    return None
+    """The first of the twelve patterns, in list order, held by w, with its least realization."""
+    return first_pattern(w, MULTIPLICITOUS_PATTERNS)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ matrix (i grows downward, j rightward).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations, permutations
 from typing import Iterator, Optional
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "mask_rows",
     "has_northwest_property",
     "contains_pattern",
+    "first_pattern",
     "delete_row_col",
     "one_step_pattern",
     "parse_permutation",
@@ -97,17 +99,15 @@ class Permutation:
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse one-line notation: digits for n <= 9, comma-separated otherwise."""
+    """Parse one-line notation: digits for n <= 9, comma-separated otherwise;
+    every field, stripped of spaces, must be nonempty ASCII digits."""
     text = text.strip()
     if not text:
         raise ValueError("empty permutation")
-    if "," in text:
-        values = tuple(int(part) for part in text.split(","))
-    else:
-        if not text.isdigit():
-            raise ValueError(f"bad permutation text: {text!r}")
-        values = tuple(int(ch) for ch in text)
-    return Permutation(values)
+    fields = [f.strip() for f in text.split(",")] if "," in text else list(text)
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        raise ValueError(f"bad permutation text: {text!r}")
+    return Permutation(tuple(map(int, fields)))
 
 
 @dataclass(frozen=True)
@@ -232,6 +232,18 @@ def has_northwest_property(d: Diagram) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def _depth_bounds(s: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per depth k <= m = len(s), the depths of the nearest earlier entries of s
+    below and above s_k; m and m + 1 stand for none (depth m has neither)."""
+    m = len(s)
+    lo_of = [max((d for d in range(k) if s[d] < v), key=s.__getitem__, default=m)
+             for k, v in enumerate(s)]
+    hi_of = [min((d for d in range(k) if s[d] > v), key=s.__getitem__, default=m + 1)
+             for k, v in enumerate(s)]
+    return (*lo_of, m), (*hi_of, m + 1)
+
+
 def contains_pattern(w: Permutation, sigma: Permutation) -> Optional[tuple[int, ...]]:
     """Lexicographically least realization of sigma in w, or None.
 
@@ -239,20 +251,52 @@ def contains_pattern(w: Permutation, sigma: Permutation) -> Optional[tuple[int, 
     w_{j_1}, ..., w_{j_m} are in the same relative order as sigma.  Patterns
     of different lengths are never identified: sigma must occur with its
     exact length.
+
+    Indices j_1 < j_2 < ... grow left to right, each as small as possible,
+    and a prefix is kept only while its values are ordered like sigma's: at
+    depth k the value lies strictly between those placed at the nearest
+    earlier entries of sigma below and above sigma_k.  A candidate is also
+    skipped when, by the suffix minima and maxima of w, no later value can
+    fill the interval of depth k + 1.  Both tests drop only prefixes that
+    cannot be completed, and prefixes come in lexicographic order, so the
+    first full match is the least realization.  On the identity of S_n each
+    multiplicitous pattern takes at most about n^3 / 6 candidate tests.
     """
-    m, n = sigma.n, w.n
-    if m > n:
-        return None
-    target = sigma.entries
-    e = w.entries
-    for idxs in combinations(range(n), m):
-        vals = [e[i] for i in idxs]
-        order = sorted(range(m), key=vals.__getitem__)
-        ranks = [0] * m
-        for rank, pos in enumerate(order, start=1):
-            ranks[pos] = rank
-        if tuple(ranks) == target:
-            return tuple(i + 1 for i in idxs)
+    hit = first_pattern(w, (sigma,))
+    return None if hit is None else hit[1]
+
+
+def first_pattern(w: Permutation, patterns) -> Optional[tuple[Permutation, tuple[int, ...]]]:
+    """The first of patterns (Permutations) in w, with its least realization, or
+    None: the search of `contains_pattern`, with one pair of suffix arrays."""
+    e, n = w.entries, w.n
+    suf_min = [*accumulate(reversed(e), min, initial=n + 1)][::-1]  # suf_min[j]: min of e[j:]
+    suf_max = [*accumulate(reversed(e), max, initial=0)][::-1]
+    suf_min[n], suf_max[n] = 0, n + 1  # read only by the last depth, whose look-ahead passes
+    for sigma in patterns:
+        m = sigma.n
+        lo_of, hi_of = _depth_bounds(sigma.entries)
+        vals = [0] * m + [0, n + 1]  # vals[d]: the value placed at depth d
+        pos = [0] * m
+        k = j = 0
+        while 0 <= k < m:  # k = -1: no realization
+            lo, hi = vals[lo_of[k]], vals[hi_of[k]]
+            nlo, nhi = lo_of[k + 1], hi_of[k + 1]
+            for j in range(j, n - m + k + 1):
+                v = e[j]
+                if lo < v < hi:
+                    vals[k] = v
+                    if suf_max[j + 1] > vals[nlo] and suf_min[j + 1] < vals[nhi]:
+                        break
+            else:
+                k -= 1
+                j = pos[k] + 1
+                continue
+            pos[k] = j
+            k += 1
+            j += 1
+        if k == m:
+            return sigma, tuple(p + 1 for p in pos)
     return None
 
 
@@ -289,7 +333,4 @@ def delete_row_col(d: Diagram, k: int, l: int, reindex: bool) -> Diagram:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order."""
-    from itertools import permutations as it_perms
-
-    for e in it_perms(range(1, n + 1)):
-        yield Permutation(e)
+    return map(Permutation._adopt, permutations(range(1, n + 1)))

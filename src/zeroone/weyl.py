@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, prod
 
 from .perms import Diagram, Permutation, delete_row_col, one_step_pattern, rothe_masks, rothe_rows
@@ -277,8 +277,7 @@ def pattern_dominance_check(
     D-hat keeps the [n] x [n] frame and drops the boxes in row k or column
     l; M is the weight of the dropped boxes.  Also asserts, group by group,
     that the coefficient of M*m in chi_D dominates the coefficient of m in
-    chi_{D-hat}, and (for n <= 4) that augmenting any row-k-free C <= D-hat
-    by the dropped boxes lands below D.
+    chi_{D-hat}.
     """
     n = d.n
     if not (1 <= k <= n and 1 <= l <= n):
@@ -296,24 +295,7 @@ def pattern_dominance_check(
         shifted = tuple(a + b for a, b in zip(e, m_exp))
         if chi.coefficient(shifted) < coeff:
             ok = False
-
-    if n <= 4:
-        _assert_augmentation(d, dhat, k, l)
     return DominanceResult(monomial=m_poly, remainder=remainder, ok=ok)
-
-
-def _assert_augmentation(d: Diagram, dhat: Diagram, k: int, l: int):
-    row_boxes = [(k, j) for j in range(1, d.n + 1) if k in d.column(j)]
-    col_boxes = [(i, l) for i in d.column(l)]
-    for choice in product(*[_column_choices(col) for col in dhat.columns]):
-        if any(k in col for col in choice):
-            continue
-        boxes = [(i, j) for j, col in enumerate(choice, start=1) for i in col]
-        aug = Diagram.from_boxes(d.n, boxes + row_boxes + col_boxes)
-        if not diagram_leq(aug, d):
-            raise AssertionError(
-                f"augmented subdiagram escapes the ambient diagram: {choice}"
-            )
 
 
 def _rothe_hook(entries: tuple[int, ...], k: int) -> Polynomial:

@@ -26,6 +26,8 @@ from zeroone.perms import (
     rothe_diagram,
 )
 
+from pattern_scan import scan_table
+
 
 def test_twelve_patterns_listed():
     assert len(MULTIPLICITOUS_PATTERNS) == 12
@@ -119,11 +121,14 @@ def test_configuration_scanner_matches_definition():
 
 def test_multfree_early_exit_matches_trace_and_patterns():
     for n in range(1, 9):
+        # the twelve patterns by their definition; on S_8, criterion 4's survey
+        # compares the sieve's pattern vote with multiplicity-freeness
+        witnesses = scan_table(n, MULTIPLICITOUS_PATTERNS) if n <= 7 else None
         for w in all_permutations(n):
             free = is_multiplicity_free(w)
             assert free == is_multiplicity_free(w, orthodontic_sequence(w)), w
-            if n <= 7:  # the subsequence scan is the slow reference
-                assert free == avoids_multiplicitous(w), w
+            if witnesses is not None:
+                assert free == (witnesses[w] is None), w
 
 
 def test_avoids_multiplicitous_examples():
@@ -131,6 +136,14 @@ def test_avoids_multiplicitous_examples():
     assert avoids_multiplicitous(parse_permutation("457812693"))
     for w in all_permutations(4):
         assert avoids_multiplicitous(w)
+
+
+def test_witness_and_avoidance_match_the_scan():
+    # the matcher against the definition: first pattern in list order, least realization
+    for n in range(1, 8):
+        for w, expected in scan_table(n, MULTIPLICITOUS_PATTERNS).items():
+            assert witness_pattern(w) == expected, w
+            assert avoids_multiplicitous(w) == (expected is None), w
 
 
 def test_witness_pattern():
@@ -190,7 +203,8 @@ def test_survey_counts():
 
 def test_sieve_matches_pattern_scan():
     for n in range(1, 8):
-        brute = {w.entries for w in all_permutations(n) if avoids_multiplicitous(w)}
+        table = scan_table(n, MULTIPLICITOUS_PATTERNS)
+        brute = {w.entries for w, witness in table.items() if witness is None}
         assert {tuple(b) for b in _avoider_class(n)} == brute
     for p in MULTIPLICITOUS_PATTERNS:
         below = _avoider_class(p.n - 1)

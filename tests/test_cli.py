@@ -217,6 +217,20 @@ def test_invalid_input_exit_codes():
     assert invoke("expand", "notaperm")[0] == 1
 
 
+@pytest.mark.parametrize("text", [
+    "1,,2", "\u00b21", "+2,1", "2,1_0,3,4,5,6,7,8,9,10", "1,2,", "1,-2", "1,\u0662", "3 1",
+])
+def test_bad_permutation_text_refused(text):
+    # every field, stripped of spaces, must be nonempty ASCII digits
+    stripped = text.strip()
+    assert invoke("expand", text) == (1, "", f"error: bad permutation text: {stripped!r}\n")
+
+
+def test_spaced_permutation_text_accepted():
+    assert invoke("expand", " 2, 1") == invoke("expand", "21") == (0, "x1\n", "")
+    assert invoke("zero-one", "1, 2,5 ,4,3 ")[1] == "false\nwitness 12543\n"
+
+
 def test_parser_reused_without_leaking_flags(tmp_path):
     small = tmp_path / "small.txt"
     small.write_text("1: 1\n2: 1 3 4\n3:\n4: 3\n5:\n")
@@ -250,6 +264,13 @@ def test_deep_descent_ends_cleanly():
     code, out, err = invoke("expand", ",".join(str(i) for i in range(1, 47)))
     assert code == 1 and out == ""
     assert err.startswith("error:")
+
+
+def test_zero_one_on_a_long_increasing_run():
+    # 12 * C(46, 5 or 6) subsequences would take about a minute to rank one by one;
+    # the matcher drops prefixes that cannot be completed and ends well under a second
+    identity = ",".join(str(i) for i in range(1, 47))
+    assert invoke("zero-one", identity) == (0, "true\n", "")
 
 
 # Fuzz grammar: every subcommand, well-formed and malformed arguments, sizes

@@ -20,6 +20,8 @@ from zeroone.perms import (
     rothe_rows,
 )
 
+from pattern_scan import scan_realization
+
 perm_strategy = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(lambda e: Permutation(tuple(e)))
 )
@@ -144,6 +146,24 @@ def test_contains_pattern_reflexive():
 def test_contains_pattern_least_realization():
     # both (1,2) and (1,3) realize 21 in 312; lexicographic minimum wins
     assert contains_pattern(parse_permutation("312"), parse_permutation("21")) == (1, 2)
+
+
+def test_contains_pattern_matches_the_scan_exhaustively():
+    sigmas = [sigma for m in range(4) for sigma in all_permutations(m)]
+    for w in (w for n in range(6) for w in all_permutations(n)):
+        for sigma in sigmas:
+            assert contains_pattern(w, sigma) == scan_realization(w.entries, sigma.entries)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_contains_pattern_matches_the_scan(data):
+    # w in S_8..S_12, and in S_1..S_5 so that sigma may be longer than w
+    n = data.draw(st.one_of(st.integers(8, 12), st.integers(1, 5)))
+    m = data.draw(st.integers(1, 6))
+    w = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    sigma = Permutation(tuple(data.draw(st.permutations(range(1, m + 1)))))
+    assert contains_pattern(w, sigma) == scan_realization(w.entries, sigma.entries)
 
 
 @given(st.data())

@@ -1,8 +1,10 @@
 """The route-agreement and survey scripts run end to end."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,3 +24,19 @@ def test_script_exits_zero(argv, last_line):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1].startswith(last_line)
+
+
+def test_survey_script_fails_on_a_wrong_count(monkeypatch, capsys):
+    path = ROOT / "scripts" / "survey_zero_one.py"
+    spec = importlib.util.spec_from_file_location("survey_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["survey_zero_one.py", "--max-n", "4"])
+    assert script.main() == 0
+    real = script.survey
+    monkeypatch.setattr(script, "survey", lambda n, **kw: replace(real(n, **kw), zero_one=n))
+    assert script.main() == 1
+    assert "n=3: zero-one count 3, known 6" in capsys.readouterr().err
+    monkeypatch.setattr(script, "survey", lambda n, **kw: replace(real(n, **kw), disagreements=1))
+    assert script.main() == 1
+    assert "n=1: 1 disagreements" in capsys.readouterr().err

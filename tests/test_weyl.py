@@ -289,6 +289,19 @@ def test_dual_character_support_and_coefficient_bounds():
             assert 1 <= c <= group_sizes[e]
 
 
+def assert_augmentation(d, k, l):
+    """Every row-k-free C <= D-hat, augmented by the boxes of D in row k and
+    column l, lands below D (D-hat drops those boxes and keeps the frame)."""
+    dhat = delete_row_col(d, k, l, reindex=False)
+    row_boxes = [(k, j) for j in range(1, d.n + 1) if k in d.column(j)]
+    col_boxes = [(i, l) for i in d.column(l)]
+    for choice in product(*[_column_choices(col) for col in dhat.columns]):
+        if any(k in col for col in choice):
+            continue
+        boxes = [(i, j) for j, col in enumerate(choice, start=1) for i in col]
+        assert diagram_leq(Diagram.from_boxes(d.n, boxes + row_boxes + col_boxes), d), choice
+
+
 def test_pattern_dominance_check_empty_hook():
     d = rothe_diagram(parse_permutation("31542"))
     result = pattern_dominance_check(d, 5, 3)  # row 5 and column 3 hold no boxes
@@ -304,6 +317,7 @@ def test_pattern_dominance_check_rothe_matches_theorem():
     for k in range(1, 5):
         result = pattern_dominance_check(d, k, w[k])
         assert result.ok
+        assert_augmentation(d, k, w[k])
     with pytest.raises(ValueError):
         pattern_dominance_check(d, 0, 1)
 
@@ -314,6 +328,7 @@ def test_pattern_dominance_check_all_S4():
         for k in range(1, 5):
             for l in range(1, 5):
                 assert pattern_dominance_check(d, k, l).ok
+                assert_augmentation(d, k, l)
 
 
 def test_pattern_dominance_check_general_diagrams():
@@ -325,6 +340,7 @@ def test_pattern_dominance_check_general_diagrams():
         d = Diagram.from_boxes(n, boxes)
         for k, l in product(range(1, n + 1), repeat=2):
             assert pattern_dominance_check(d, k, l).ok, (d.columns, k, l)
+            assert_augmentation(d, k, l)
 
 
 def test_schubert_pattern_inequality_examples():
