@@ -167,6 +167,7 @@ class ZeroOneStatus:
     by_patterns: bool
     by_configurations: bool
     by_multiplicity_free: bool
+    witness: Optional[tuple[Permutation, tuple[int, ...]]]  # `witness_pattern(w)`
 
     def computed(self) -> list[bool]:
         out = [self.by_patterns, self.by_configurations, self.by_multiplicity_free]
@@ -191,11 +192,13 @@ def zero_one_status(
     disagreement raises InternalCheckError: the predicates are theorems of
     each other, so disagreement means an implementation bug.
     """
+    witness = witness_pattern(w)
     status = ZeroOneStatus(
         by_expansion=is_zero_one(schubert_classic(w)) if include_expansion else None,
-        by_patterns=avoids_multiplicitous(w),
+        by_patterns=witness is None,
         by_configurations=find_configuration(w) is None,
         by_multiplicity_free=is_multiplicity_free(w),
+        witness=witness,
     )
     if checked and not status.agree():
         raise InternalCheckError(f"zero-one predicates disagree for {w}: {status}")

@@ -175,10 +175,8 @@ def _cmd_zero_one(args, out) -> int:
     )
     verdict = status.verdict()
     print("true" if verdict else "false", file=out)
-    if not verdict:
-        witness = classify.witness_pattern(w)
-        if witness is not None:
-            print(f"witness {witness[0]}", file=out)
+    if not verdict and status.witness is not None:
+        print(f"witness {status.witness[0]}", file=out)
     if args.all_methods:
         print(f"by_patterns {'true' if status.by_patterns else 'false'}", file=out)
         print(f"by_configurations {'true' if status.by_configurations else 'false'}", file=out)

@@ -233,34 +233,37 @@ def has_northwest_property(d: Diagram) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _depth_bounds(s: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per depth k <= m = len(s), the depths of the nearest earlier entries of s
-    below and above s_k; m and m + 1 stand for none (depth m has neither)."""
+def _depth_plan(s: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Per depth k of s (m = len(s)): the depths of the nearest earlier entries
+    below and above s_k (m and m + 1 for none); whether s_k bounds no later
+    entry from above, and from below; and (below, above, offset) for every
+    later depth whose bounds are placed by depth k."""
     m = len(s)
     lo_of = [max((d for d in range(k) if s[d] < v), key=s.__getitem__, default=m)
              for k, v in enumerate(s)]
     hi_of = [min((d for d in range(k) if s[d] > v), key=s.__getitem__, default=m + 1)
              for k, v in enumerate(s)]
-    return (*lo_of, m), (*hi_of, m + 1)
+    return (lo_of, hi_of,
+            tuple(k not in hi_of[k + 1:] for k in range(m)),
+            tuple(k not in lo_of[k + 1:] for k in range(m)),
+            tuple(tuple((lo_of[t], hi_of[t], t - k - 1) for t in range(k + 1, m)
+                        if {lo_of[t], hi_of[t]} <= {*range(k + 1), m, m + 1})
+                  for k in range(m)))
 
 
 def contains_pattern(w: Permutation, sigma: Permutation) -> Optional[tuple[int, ...]]:
-    """Lexicographically least realization of sigma in w, or None.
+    """Lexicographically least realization of sigma in w, or None: indices
+    j_1 < ... < j_m whose values are ordered like sigma, of its exact length.
 
-    A realization is an index sequence j_1 < ... < j_m such that the values
-    w_{j_1}, ..., w_{j_m} are in the same relative order as sigma.  Patterns
-    of different lengths are never identified: sigma must occur with its
-    exact length.
-
-    Indices j_1 < j_2 < ... grow left to right, each as small as possible,
-    and a prefix is kept only while its values are ordered like sigma's: at
-    depth k the value lies strictly between those placed at the nearest
-    earlier entries of sigma below and above sigma_k.  A candidate is also
-    skipped when, by the suffix minima and maxima of w, no later value can
-    fill the interval of depth k + 1.  Both tests drop only prefixes that
-    cannot be completed, and prefixes come in lexicographic order, so the
-    first full match is the least realization.  On the identity of S_n each
-    multiplicitous pattern takes at most about n^3 / 6 candidate tests.
+    Indices grow left to right in lexicographic order, keeping a prefix only
+    while depth k's value lies between those placed at sigma's nearest
+    earlier entries below and above sigma_k.  A candidate is skipped when a
+    later depth whose bounds are placed has no value of w in its interval far
+    enough right, or when an earlier candidate at the same depth and prefix
+    failed with a value that serves every later depth at least as well (if
+    sigma_k bounds no later entry from above, a failure at v rules out all
+    later values above v; symmetrically from below).  Only prefixes that
+    cannot be completed are dropped, so the first full match is the least.
     """
     hit = first_pattern(w, (sigma,))
     return None if hit is None else hit[1]
@@ -268,33 +271,41 @@ def contains_pattern(w: Permutation, sigma: Permutation) -> Optional[tuple[int, 
 
 def first_pattern(w: Permutation, patterns) -> Optional[tuple[Permutation, tuple[int, ...]]]:
     """The first of patterns (Permutations) in w, with its least realization, or
-    None: the search of `contains_pattern`, with one pair of suffix arrays."""
+    None: the search of `contains_pattern`, with one suffix table."""
     e, n = w.entries, w.n
-    suf_min = [*accumulate(reversed(e), min, initial=n + 1)][::-1]  # suf_min[j]: min of e[j:]
-    suf_max = [*accumulate(reversed(e), max, initial=0)][::-1]
-    suf_min[n], suf_max[n] = 0, n + 1  # read only by the last depth, whose look-ahead passes
+    # bit v of later[j]: v is among e[j + 1:]
+    later = [*accumulate(reversed(e[1:]), lambda bits, v: bits | 1 << v, initial=0)][::-1]
     for sigma in patterns:
         m = sigma.n
-        lo_of, hi_of = _depth_bounds(sigma.entries)
+        lo_of, hi_of, cut_hi, cut_lo, ahead = _depth_plan(sigma.entries)
         vals = [0] * m + [0, n + 1]  # vals[d]: the value placed at depth d
         pos = [0] * m
+        lo_at, hi_at = [0] * m, [0] * m  # the interval left at a depth that is resumed
         k = j = 0
+        failed = -1  # a position whose candidate is known to fail
         while 0 <= k < m:  # k = -1: no realization
-            lo, hi = vals[lo_of[k]], vals[hi_of[k]]
-            nlo, nhi = lo_of[k + 1], hi_of[k + 1]
+            far = ahead[k]
+            lo, hi = (lo_at[k], hi_at[k]) if j == failed else (vals[lo_of[k]], vals[hi_of[k]])
             for j in range(j, n - m + k + 1):
                 v = e[j]
                 if lo < v < hi:
                     vals[k] = v
-                    if suf_max[j + 1] > vals[nlo] and suf_min[j + 1] < vals[nhi]:
-                        break
-            else:
+                    if j != failed:
+                        for a, b, t in far:  # a later depth finds no value of w to fill it
+                            if not later[j + t] & (1 << vals[b]) - (2 << vals[a]):
+                                break
+                        else:
+                            break
+                    if cut_hi[k]:
+                        hi = v
+                    if cut_lo[k]:
+                        lo = v
+            else:  # depth k is exhausted, so the candidate at depth k - 1 failed
                 k -= 1
-                j = pos[k] + 1
+                j = failed = pos[k]
                 continue
-            pos[k] = j
-            k += 1
-            j += 1
+            lo_at[k], hi_at[k], pos[k] = lo, hi, j
+            k, j = k + 1, j + 1
         if k == m:
             return sigma, tuple(p + 1 for p in pos)
     return None

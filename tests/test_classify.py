@@ -163,6 +163,7 @@ def test_zero_one_status_examples():
     bad = zero_one_status(parse_permutation("12543"), include_expansion=True, checked=True)
     assert not bad.verdict() and bad.agree()
     assert bad.computed() == [False, False, False, False]
+    assert good.witness is None and bad.witness == (parse_permutation("12543"), (1, 2, 3, 4, 5))
 
     fast = zero_one_status(parse_permutation("12543"))
     assert fast.by_expansion is None
@@ -172,7 +173,8 @@ def test_zero_one_status_examples():
 def test_zero_one_status_checked_raises_on_disagreement(monkeypatch):
     import zeroone.classify as classify_mod
 
-    monkeypatch.setattr(classify_mod, "avoids_multiplicitous", lambda w: False)
+    # a forged witness makes the pattern vote "not zero-one"
+    monkeypatch.setattr(classify_mod, "witness_pattern", lambda w: (w, (1, 2, 3, 4, 5)))
     with pytest.raises(InternalCheckError):
         zero_one_status(Permutation.identity(5), checked=True)
     # unchecked mode reports the (forced) disagreement without raising

@@ -189,7 +189,8 @@ def test_zero_one_checked_mode_passes():
 def test_checked_disagreement_exits_2(monkeypatch):
     import zeroone.classify as classify_mod
 
-    monkeypatch.setattr(classify_mod, "avoids_multiplicitous", lambda w: False)
+    # a forged witness makes the pattern vote "not zero-one"
+    monkeypatch.setattr(classify_mod, "witness_pattern", lambda w: (w, (1, 2, 3, 4)))
     code, _, err = invoke("--checked", "zero-one", "1234")
     assert code == 2
     assert err.startswith("internal-error:")
@@ -271,6 +272,18 @@ def test_zero_one_on_a_long_increasing_run():
     # the matcher drops prefixes that cannot be completed and ends well under a second
     identity = ",".join(str(i) for i in range(1, 47))
     assert invoke("zero-one", identity) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize("blocks", [
+    [range(51, 101), range(1, 51)],  # 21[id, id]
+    [range(50, 0, -1), range(51, 101)],  # 12[w_0, id]
+    [range(75, 50, -1), range(25, 0, -1), range(26, 51), range(76, 101)],  # 3124[w_0, w_0, id, id]
+])
+def test_zero_one_on_layered_avoiders_of_S_100(blocks):
+    # avoiders whose dead-end prefixes grow like n^4 or n^5 unless the matcher looks ahead
+    # at every placed interval and learns from failed siblings
+    text = ",".join(str(v) for block in blocks for v in block)
+    assert invoke("zero-one", text) == (0, "true\n", "")
 
 
 # Fuzz grammar: every subcommand, well-formed and malformed arguments, sizes
