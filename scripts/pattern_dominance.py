@@ -1,0 +1,48 @@
+#!/usr/bin/env python3
+"""Check the pattern theorem on every occurrence of every pattern in S_1..S_N.
+
+For each w in S_n and each increasing set of positions P (the empty and the
+full set included, n! * 2^n pairs in all), asserts that S_w - M * S_sigma,
+with sigma the pattern of w at P reindexed to the variables x_P and M the
+weight of the boxes of D(w) outside rows P or columns w(P), has no negative
+coefficient.  Prints one line per n with the pair count; every failing pair
+is printed to stderr and the script exits 1.
+
+Example:
+    python scripts/pattern_dominance.py --max-n 6
+    python scripts/pattern_dominance.py --max-n 7    # 645120 pairs at n = 7
+"""
+
+import argparse
+import sys
+import time
+from itertools import combinations
+
+from zeroone.perms import all_permutations
+from zeroone.weyl import schubert_pattern_inequality
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--max-n", type=int, default=6)
+    args = parser.parse_args()
+
+    failed = False
+    for n in range(1, args.max_n + 1):
+        t0 = time.perf_counter()
+        pairs = failures = 0
+        for w in all_permutations(n):
+            for m in range(n + 1):
+                for positions in combinations(range(1, n + 1), m):
+                    pairs += 1
+                    if not schubert_pattern_inequality(w, positions):
+                        failures += 1
+                        print(f"n={n}: fails at w={w} positions={positions}", file=sys.stderr)
+        dt = time.perf_counter() - t0
+        print(f"n={n}: {pairs} occurrences, {failures} failures  ({dt:.2f}s)", flush=True)
+        failed = failed or failures > 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

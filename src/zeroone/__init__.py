@@ -9,6 +9,7 @@ from .perms import (
     one_step_pattern,
     parse_diagram,
     parse_permutation,
+    pattern_at,
     rothe_diagram,
 )
 from .poly import (

@@ -25,6 +25,7 @@ __all__ = [
     "first_pattern",
     "delete_row_col",
     "one_step_pattern",
+    "pattern_at",
     "parse_permutation",
     "parse_diagram",
 ]
@@ -252,26 +253,27 @@ def _depth_plan(s: tuple[int, ...]) -> tuple[tuple, ...]:
 
 
 def contains_pattern(w: Permutation, sigma: Permutation) -> Optional[tuple[int, ...]]:
-    """Lexicographically least realization of sigma in w, or None: indices
-    j_1 < ... < j_m whose values are ordered like sigma, of its exact length.
-
-    Indices grow left to right in lexicographic order, keeping a prefix only
-    while depth k's value lies between those placed at sigma's nearest
-    earlier entries below and above sigma_k.  A candidate is skipped when a
-    later depth whose bounds are placed has no value of w in its interval far
-    enough right, or when an earlier candidate at the same depth and prefix
-    failed with a value that serves every later depth at least as well (if
-    sigma_k bounds no later entry from above, a failure at v rules out all
-    later values above v; symmetrically from below).  Only prefixes that
-    cannot be completed are dropped, so the first full match is the least.
-    """
+    """Lexicographically least realization of sigma in w, or None."""
     hit = first_pattern(w, (sigma,))
     return None if hit is None else hit[1]
 
 
 def first_pattern(w: Permutation, patterns) -> Optional[tuple[Permutation, tuple[int, ...]]]:
     """The first of patterns (Permutations) in w, with its least realization, or
-    None: the search of `contains_pattern`, with one suffix table."""
+    None.  A realization of sigma is indices j_1 < ... < j_m whose values are
+    ordered like sigma, of its exact length.
+
+    Indices grow left to right in lexicographic order, keeping a prefix only
+    while depth k's value lies between those placed at sigma's nearest
+    earlier entries below and above sigma_k.  A candidate is skipped when a
+    later depth whose bounds are placed has no value of w in its interval far
+    enough right (one suffix table serves every pattern), or when an earlier
+    candidate at the same depth and prefix failed with a value that serves
+    every later depth at least as well (if sigma_k bounds no later entry from
+    above, a failure at v rules out all later values above v; symmetrically
+    from below).  Only prefixes that cannot be completed are dropped, so the
+    first full match is the least.
+    """
     e, n = w.entries, w.n
     # bit v of later[j]: v is among e[j + 1:]
     later = [*accumulate(reversed(e[1:]), lambda bits, v: bits | 1 << v, initial=0)][::-1]
@@ -311,31 +313,27 @@ def first_pattern(w: Permutation, patterns) -> Optional[tuple[Permutation, tuple
     return None
 
 
+def pattern_at(w: Permutation, positions: tuple[int, ...]) -> Permutation:
+    """The pattern of w at increasing 1-based positions: their values, flattened."""
+    if not all(a < b for a, b in zip((0, *positions), (*positions, w.n + 1))):
+        raise ValueError(f"positions {positions} are not increasing inside [1, {w.n}]")
+    values = [w[p] for p in positions]
+    rank = {v: r for r, v in enumerate(sorted(values), 1)}
+    return Permutation._adopt(tuple(map(rank.__getitem__, values)))
+
+
 def one_step_pattern(w: Permutation, k: int) -> Permutation:
     """The pattern in S_{n-1} obtained by deleting entry w_k and flattening."""
     if not 1 <= k <= w.n:
         raise ValueError(f"position {k} out of range for n={w.n}")
-    removed = w[k]
-    rest = [v if v < removed else v - 1 for i, v in enumerate(w.entries, start=1) if i != k]
-    return Permutation(tuple(rest))
+    return pattern_at(w, tuple(p for p in range(1, w.n + 1) if p != k))
 
 
-def delete_row_col(d: Diagram, k: int, l: int, reindex: bool) -> Diagram:
-    """Remove the boxes in row k and column l.
-
-    With reindex=True the row and column are removed entirely and the
-    remaining indices are relabeled order-preservingly into [n-1] (the
-    diagram of a one-step pattern).  With reindex=False only the boxes are
-    dropped and the [n] x [n] frame is kept.
-    """
+def delete_row_col(d: Diagram, k: int, l: int) -> Diagram:
+    """Drop the boxes in row k and column l, keeping the [n] x [n] frame."""
     n = d.n
     if not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"row/column ({k}, {l}) out of range for n={n}")
-    if reindex:
-        return Diagram(tuple(
-            tuple(i if i < k else i - 1 for i in col if i != k)
-            for j, col in enumerate(d.columns, start=1) if j != l
-        ))
     return Diagram(tuple(
         () if j == l else tuple(i for i in col if i != k)
         for j, col in enumerate(d.columns, start=1)

@@ -15,11 +15,13 @@ from zeroone.perms import (
     one_step_pattern,
     parse_diagram,
     parse_permutation,
+    pattern_at,
     rothe_diagram,
     rothe_masks,
     rothe_rows,
 )
 
+from diagram_lemma import delete_and_flatten
 from pattern_scan import scan_realization
 
 perm_strategy = st.integers(1, 7).flatmap(
@@ -186,30 +188,39 @@ def test_one_step_pattern_examples():
         one_step_pattern(parse_permutation("21"), 3)
 
 
+def test_pattern_at_flattens_and_checks_positions():
+    w = parse_permutation("31542")
+    assert pattern_at(w, (1, 3, 5)).entries == (2, 3, 1)
+    assert pattern_at(w, ()) == Permutation(())
+    assert pattern_at(w, (1, 2, 3, 4, 5)) == w
+    for bad in [(0,), (6,), (2, 1), (3, 3)]:
+        with pytest.raises(ValueError):
+            pattern_at(w, bad)
+
+
 def test_delete_row_col_reindex_matches_pattern():
     w = parse_permutation("31542")
     d = rothe_diagram(w)
-    assert delete_row_col(d, 3, w[3], reindex=True) == rothe_diagram(parse_permutation("3142"))
+    assert delete_and_flatten(d, 3, w[3]) == rothe_diagram(parse_permutation("3142"))
+    assert one_step_pattern(w, 3) == parse_permutation("3142")
 
 
 def test_delete_row_col_keep_frame():
     d = rothe_diagram(parse_permutation("31542"))
     # no boxes in row 5 or column 3: unchanged
-    assert delete_row_col(d, 5, 3, reindex=False) == d
-    trimmed = delete_row_col(d, 3, 2, reindex=False)
+    assert delete_row_col(d, 5, 3) == d
+    trimmed = delete_row_col(d, 3, 2)
     assert trimmed.n == d.n
     assert set(trimmed.boxes()) == {(i, j) for (i, j) in d.boxes() if i != 3 and j != 2}
     with pytest.raises(ValueError):
-        delete_row_col(d, 0, 1, reindex=False)
+        delete_row_col(d, 0, 1)
 
 
 def test_one_step_pattern_diagram_lemma_exhaustive():
     for w in all_permutations(5):
         d = rothe_diagram(w)
         for k in range(1, 6):
-            assert rothe_diagram(one_step_pattern(w, k)) == delete_row_col(
-                d, k, w[k], reindex=True
-            )
+            assert rothe_diagram(one_step_pattern(w, k)) == delete_and_flatten(d, k, w[k])
 
 
 def test_pattern_diagram_lemma_any_realization():
@@ -221,9 +232,10 @@ def test_pattern_diagram_lemma_any_realization():
                 current = w
                 diagram = rothe_diagram(w)
                 for k in sorted(set(range(1, 6)) - set(kept), reverse=True):
-                    diagram = delete_row_col(diagram, k, current[k], reindex=True)
+                    diagram = delete_and_flatten(diagram, k, current[k])
                     current = one_step_pattern(current, k)
                 assert diagram == rothe_diagram(current)
+                assert pattern_at(w, kept) == current
                 ranks = sorted(w[j] for j in kept)
                 assert current.entries == tuple(ranks.index(w[j]) + 1 for j in kept)
 

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
     (["scripts/method_agreement.py", "--max-n", "5", "--weyl-max-n", "4"],
      "n=5: 120 permutations agree"),
     (["scripts/survey_zero_one.py", "--max-n", "5"], "  5       120       115         0"),
+    (["scripts/pattern_dominance.py", "--max-n", "4"], "n=4: 384 occurrences, 0 failures"),
 ])
 def test_script_exits_zero(argv, last_line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -40,3 +41,17 @@ def test_survey_script_fails_on_a_wrong_count(monkeypatch, capsys):
     monkeypatch.setattr(script, "survey", lambda n, **kw: replace(real(n, **kw), disagreements=1))
     assert script.main() == 1
     assert "n=1: 1 disagreements" in capsys.readouterr().err
+
+
+def test_pattern_dominance_script_fails_on_a_failure(monkeypatch, capsys):
+    path = ROOT / "scripts" / "pattern_dominance.py"
+    spec = importlib.util.spec_from_file_location("dominance_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["pattern_dominance.py", "--max-n", "3"])
+    assert script.main() == 0
+    monkeypatch.setattr(script, "schubert_pattern_inequality", lambda w, positions: positions != (1,))
+    assert script.main() == 1
+    out, err = capsys.readouterr()
+    assert "n=2: 8 occurrences, 2 failures" in out
+    assert "n=2: fails at w=12 positions=(1,)" in err

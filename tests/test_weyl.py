@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -181,7 +181,7 @@ def test_dual_character_matches_definition():
     diagrams = [rothe_diagram(w) for n in range(1, 6) for w in all_permutations(n)]
     for w in all_permutations(4):
         d = rothe_diagram(w)
-        diagrams += [delete_row_col(d, k, l, reindex=False) for k, l in product(range(1, 5), repeat=2)]
+        diagrams += [delete_row_col(d, k, l) for k, l in product(range(1, 5), repeat=2)]
     rng = random.Random(20261018)
     for _ in range(200):  # up to 2n box draws keeps #{C <= D} within the Fraction oracle's reach
         n = rng.randint(1, 5)
@@ -292,7 +292,7 @@ def test_dual_character_support_and_coefficient_bounds():
 def assert_augmentation(d, k, l):
     """Every row-k-free C <= D-hat, augmented by the boxes of D in row k and
     column l, lands below D (D-hat drops those boxes and keeps the frame)."""
-    dhat = delete_row_col(d, k, l, reindex=False)
+    dhat = delete_row_col(d, k, l)
     row_boxes = [(k, j) for j in range(1, d.n + 1) if k in d.column(j)]
     col_boxes = [(i, l) for i in d.column(l)]
     for choice in product(*[_column_choices(col) for col in dhat.columns]):
@@ -344,18 +344,45 @@ def test_pattern_dominance_check_general_diagrams():
 
 
 def test_schubert_pattern_inequality_examples():
-    assert schubert_pattern_inequality(Permutation.identity(4), 2)
+    assert schubert_pattern_inequality(Permutation.identity(4), (1, 3, 4))
     for w in all_permutations(5):
         for k in range(1, 6):
-            assert schubert_pattern_inequality(w, k)
+            assert schubert_pattern_inequality(w, tuple(p for p in range(1, 6) if p != k))
+    w = parse_permutation("31542")
+    assert schubert_pattern_inequality(w, ())
+    assert schubert_pattern_inequality(w, (1, 2, 3, 4, 5))
+    for bad in [(0, 2), (2, 6), (3, 1), (2, 2)]:
+        with pytest.raises(ValueError):
+            schubert_pattern_inequality(w, bad)
 
 
-def test_rothe_hook_matches_diagram_hook():
+def test_deleted_weight_degree_is_the_length_drop():
+    # D(sigma) is D(w) restricted to rows P and columns w(P), so the deleted
+    # boxes number l(w) - l(sigma), read off the inversions of w inside P
     for n in range(1, 7):
+        every = set(range(1, n + 1))
         for w in all_permutations(n):
             d = rothe_diagram(w)
-            for k in range(1, n + 1):
-                assert weyl._rothe_hook(w.entries, k) == weyl._hook_monomial(d, k, w[k]), (w, k)
+            for m in range(n + 1):
+                for kept in combinations(range(1, n + 1), m):
+                    m_poly = weyl._deleted_weight(d, every - set(kept), every - {w[p] for p in kept})
+                    ((e, c),) = m_poly.terms.items()
+                    inside = sum(w[p] > w[q] for p, q in combinations(kept, 2))
+                    assert (sum(e), c) == (w.inversions() - inside, 1), (w, kept)
+
+
+def test_deleted_weight_counts_the_hook():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        boxes = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 3 * n))}
+        d = Diagram.from_boxes(n, boxes)
+        for k, l in product(range(1, n + 1), repeat=2):
+            e = [0] * n
+            for i, j in boxes:
+                if i == k or j == l:
+                    e[i - 1] += 1
+            assert weyl._deleted_weight(d, {k}, {l}) == Polynomial.monomial(tuple(e)), (boxes, k, l)
 
 
 def test_max_coefficient_monotone_under_one_step(schubert_table_5, schubert_table_6):
