@@ -26,7 +26,6 @@ from .orthodontia import (
     OrthodonticTrace,
     build_D_im,
     column_equivalent,
-    impact,
     is_multiplicity_free,
     orthodontic_sequence,
     schubert_orthodontic,
@@ -34,11 +33,12 @@ from .orthodontia import (
 from .tableaux import (
     FillingView,
     quantized_demazure,
-    read_into_diagram,
+    read_words_into_diagram,
     root_operator,
     schubert_from_tableaux,
     tableaux_set,
-    tableaux_stage,
+    tableaux_stages,
+    tableaux_trace,
     tau_reindexing,
 )
 from .weyl import (

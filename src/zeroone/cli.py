@@ -136,10 +136,13 @@ def _cmd_orthodontia(args, out) -> int:
 
 
 def _cmd_tableaux(args, out) -> int:
-    w = perms.parse_permutation(args.perm)
-    words = sorted(tableaux.tableaux_stage(w, args.stage))
+    trace = tableaux.tableaux_trace(perms.parse_permutation(args.perm))
+    stages = tableaux.tableaux_stages(trace)
+    if not 0 <= args.stage < len(stages):
+        raise ValueError(f"stage {args.stage} out of range 0..{trace.length}")
+    words = sorted(stages[args.stage])
     if args.check:
-        list(tableaux.read_words_into_diagram(words, w, args.stage))
+        list(tableaux.read_words_into_diagram(words, trace, args.stage))
     for word in words:
         print(tableaux.format_word(word), file=out)
     return 0

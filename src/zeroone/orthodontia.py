@@ -28,7 +28,6 @@ __all__ = [
     "build_D_im",
     "column_equivalent",
     "schubert_orthodontic",
-    "impact",
     "is_multiplicity_free",
 ]
 
@@ -93,15 +92,6 @@ class OrthodonticTrace:
             raise ValueError(f"stage {r} out of range 0..{self.length}")
         return Diagram(tuple(mask_rows(mask) for mask in self._stage_masks[r]))
 
-    def stage_minus(self, r: int) -> Diagram:
-        """stage(r) with the interval columns recorded at step r emptied;
-        this is the working diagram the next row swap acts on."""
-        if not 0 <= r <= self.length:
-            raise ValueError(f"stage {r} out of range 0..{self.length}")
-        gone = set(self.removed[r])
-        masks = enumerate(self._stage_masks[r], start=1)
-        return Diagram(tuple(() if j in gone else mask_rows(mask) for j, mask in masks))
-
 
 def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
     steps = [(letter, imp, tuple(work)) for letter, imp, work in _engine(rothe_masks(w.entries))]
@@ -128,14 +118,13 @@ def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
     )
 
 
-def build_D_im(trace: OrthodonticTrace, n: int | None = None) -> Diagram:
+def build_D_im(trace: OrthodonticTrace) -> Diagram:
     """Rebuild the diagram k_1*[1] + ... + k_n*[n] + sum_j m_j * s_{i_1}...s_{i_j}[i_j].
 
     Zero multiplicities contribute no column; the result is column-equivalent
-    to the inversion diagram the trace came from.
+    to the inversion diagram the trace came from, padded to its n columns.
     """
-    if n is None:
-        n = len(trace.k)
+    n = len(trace.k)
     cols: list[tuple[int, ...]] = []
     for j, kj in enumerate(trace.k, start=1):
         cols.extend([tuple(range(1, j + 1))] * kj)
@@ -160,26 +149,13 @@ def column_equivalent(d1: Diagram, d2: Diagram) -> bool:
     return left == right
 
 
-def impact(w: Permutation, j: int, trace: OrthodonticTrace | None = None) -> frozenset[int]:
-    """Columns receiving a box in row i_j + 1 when swap j executes."""
-    if trace is None:
-        trace = orthodontic_sequence(w)
-    if not 1 <= j <= trace.length:
-        raise ValueError(f"step {j} out of range 1..{trace.length}")
-    return trace.impacts[j - 1]
-
-
-def is_multiplicity_free(w: Permutation, trace: OrthodonticTrace | None = None) -> bool:
+def is_multiplicity_free(w: Permutation) -> bool:
     """Every repeated letter of i must have all its impacts equal to one
-    common singleton column.  Without a trace the straightening stops at
-    the first repeated letter that breaks this."""
-    if trace is None:
-        # step 0 carries the letter 0, which never repeats
-        steps = ((letter, imp) for letter, imp, _ in _engine(rothe_masks(w.entries)))
-    else:
-        steps = zip(trace.i, (sum(1 << (j - 1) for j in imp) for imp in trace.impacts))
+    common singleton column.  The straightening stops at the first repeated
+    letter that breaks this."""
     seen = {}
-    for letter, imp in steps:
+    # step 0 carries the letter 0, which never repeats
+    for letter, imp, _ in _engine(rothe_masks(w.entries)):
         if letter not in seen:
             seen[letter] = imp
         elif imp & (imp - 1) or imp != seen[letter]:

@@ -99,6 +99,11 @@ class Permutation:
         return ",".join(str(v) for v in self.entries)
 
 
+def _is_numeral(field: str) -> bool:
+    """Nonempty ASCII digits: str.isdigit alone admits other scripts' digits."""
+    return field.isascii() and field.isdigit()
+
+
 def parse_permutation(text: str) -> Permutation:
     """Parse one-line notation: digits for n <= 9, comma-separated otherwise;
     every field, stripped of spaces, must be nonempty ASCII digits."""
@@ -106,7 +111,7 @@ def parse_permutation(text: str) -> Permutation:
     if not text:
         raise ValueError("empty permutation")
     fields = [f.strip() for f in text.split(",")] if "," in text else list(text)
-    if not all(f.isascii() and f.isdigit() for f in fields):
+    if not all(map(_is_numeral, fields)):
         raise ValueError(f"bad permutation text: {text!r}")
     return Permutation(tuple(map(int, fields)))
 
@@ -172,10 +177,10 @@ def parse_diagram(text: str) -> Diagram:
     cols = []
     for expected_j, line in enumerate(lines, start=1):
         head, _, tail = line.partition(":")
-        if not head.strip().isdigit() or int(head) != expected_j:
+        if not _is_numeral(head.strip()) or int(head) != expected_j:
             raise ValueError(f"expected column label {expected_j} in line {line!r}")
         rows = tail.split()
-        if not all(r.isdigit() for r in rows):
+        if not all(map(_is_numeral, rows)):
             raise ValueError(f"bad row indices in line {line!r}")
         cols.append(tuple(int(r) for r in rows))
     return Diagram(tuple(cols))

@@ -299,44 +299,42 @@ def _staircase(n: int) -> int:
     return int.from_bytes(bytes(range(n - 1, -1, -1)), "little")
 
 
-_memo: dict[tuple, list] = {}  # (entries, strategy) -> [packed, decoded or None], oldest use first
+_memo: dict[tuple[int, ...], list] = {}  # entries -> [packed, decoded or None], oldest use first
 _MEMO_SIZE = 256
 
 
-def _classic(w: Permutation, strategy: str) -> list:
+def _classic(w: Permutation) -> list:
     """The memo entry of w: one interpreter frame per divided-difference step."""
-    key = (w.entries, strategy)
+    key = w.entries
     entry = _memo.pop(key, None)
     if entry is None:
         ascents = w.ascents()
         if not ascents:
             entry = [{_staircase(w.n): 1}, None]
         else:
-            i = ascents[0] if strategy == "leftmost" else ascents[-1]
-            entry = [_packed_dd(i, _classic(w.swap_positions(i), strategy)[0]), None]
+            i = ascents[0]
+            entry = [_packed_dd(i, _classic(w.swap_positions(i))[0]), None]
         if len(_memo) >= _MEMO_SIZE:
             del _memo[next(iter(_memo))]
     _memo[key] = entry
     return entry
 
 
-def schubert_classic(w: Permutation, strategy: str = "leftmost") -> Polynomial:
+def schubert_classic(w: Permutation) -> Polynomial:
     """Schubert polynomial via divided differences, descending from w_0.
 
-    The ascent used at each step is chosen by `strategy` ("leftmost" or
-    "rightmost"); the braid relations make the result independent of the
-    choice, which the test suite exercises.  The 256 most recently used
-    results are kept packed, keyed by (one-line notation, strategy), so
-    queries sharing a descent path near w_0 reuse it while memory stays
-    bounded.  An entry is decoded once; later hits return that Polynomial.
-    The memo is a plain dict rather than `functools.lru_cache`, whose C
-    wrapper would add a second interpreter recursion level per step.
+    Each step uses the leftmost ascent; the braid relations make the result
+    independent of the choice, which the test suite checks against a descent
+    by rightmost ascents.  The 256 most recently used results are kept
+    packed, keyed by one-line notation, so queries sharing a descent path
+    near w_0 reuse it while memory stays bounded.  An entry is decoded once;
+    later hits return that Polynomial.  The memo is a plain dict rather than
+    `functools.lru_cache`, whose C wrapper would add a second interpreter
+    recursion level per step.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if w.n > 255:
         raise ValueError("the classic route needs n <= 255, so that exponents fit in a byte")
-    entry = _classic(w, strategy)
+    entry = _classic(w)
     if entry[1] is None:
         entry[1] = Polynomial._from_packed(w.n, entry[0])
     return entry[1]

@@ -1,10 +1,12 @@
 """Root operators on reading words and the tableau expansion.
 
 Words are plain tuples of integers in [n] (bytes inside the engine, so
-n <= 255).  The set T_w is built from the orthodontic sequence by alternately
+n <= 255).  The set T_w is built from one orthodontic trace by alternately
 prepending minimal column words (1, 2, ..., j) and closing under a root
 operator f_i, which changes the leftmost unmatched i to i+1 after the usual
-parenthesis matching of (i, i+1) pairs.
+parenthesis matching of (i, i+1) pairs.  A function that reads the stages
+takes that trace and nothing else (`trace.perm` is w); one that starts from
+w straightens it itself, through `tableaux_trace`.
 """
 
 from __future__ import annotations
@@ -13,19 +15,18 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .perms import Diagram, Permutation, rothe_diagram
+from .perms import Permutation, rothe_diagram
 from .poly import Polynomial
 from .orthodontia import OrthodonticTrace, build_D_im, orthodontic_sequence
 
 __all__ = [
     "root_operator",
     "quantized_demazure",
+    "tableaux_trace",
     "tableaux_set",
-    "tableaux_stage",
     "tableaux_stages",
     "schubert_from_tableaux",
     "tau_reindexing",
-    "read_into_diagram",
     "read_words_into_diagram",
     "FillingView",
     "FillingError",
@@ -112,7 +113,14 @@ def _column_word(j: int, copies: int) -> tuple[bytes, int]:
     return bytes(range(1, j + 1)) * copies, copies * (((1 << _BITS * j) - 1) // 255)
 
 
-def _stages(w: Permutation, trace: OrthodonticTrace | None) -> list[dict[bytes, int]]:
+def tableaux_trace(w: Permutation) -> OrthodonticTrace:
+    """The orthodontic trace of w, refused before straightening when n > 255."""
+    if w.n > 255:
+        raise ValueError("the tableaux route needs n <= 255, so that letters fit in a byte")
+    return orthodontic_sequence(w)
+
+
+def _stages(trace: OrthodonticTrace) -> list[dict[bytes, int]]:
     """Every stage [T_w(0), ..., T_w(l)], as bytes words mapped to packed weights.
 
     Stage l is the single minimal word for the innermost column block;
@@ -120,12 +128,9 @@ def _stages(w: Permutation, trace: OrthodonticTrace | None) -> list[dict[bytes, 
     additionally carries the interval-column prefix recorded by the k's.
     A packed weight holds the count of letter t in bits 8(t-1)..8t-1.  The
     fields never carry: every stage word is a column-strict filling of a
-    diagram with n columns, so a letter occurs at most n <= 255 times.
+    diagram with n columns, so a letter occurs at most n times, and n <= 255
+    (for larger n the word of column [256] does not fit in bytes and raises).
     """
-    if w.n > 255:
-        raise ValueError("the tableaux route needs n <= 255, so that letters fit in a byte")
-    if trace is None:
-        trace = orthodontic_sequence(w)
     blocks = [_column_word(j, kj) for j, kj in enumerate(trace.k, start=1)]
     k_prefix, k_weight = b"".join(b for b, _ in blocks), sum(wt for _, wt in blocks)
     l = trace.length
@@ -139,40 +144,31 @@ def _stages(w: Permutation, trace: OrthodonticTrace | None) -> list[dict[bytes, 
     return stages
 
 
-def tableaux_stages(w: Permutation, trace: OrthodonticTrace | None = None) -> list[set[Word]]:
+def tableaux_stages(trace: OrthodonticTrace) -> list[set[Word]]:
     """All partial stages [T_w(0), ..., T_w(l)], index r = stage r."""
-    return [set(map(tuple, stage)) for stage in _stages(w, trace)]
+    return [set(map(tuple, stage)) for stage in _stages(trace)]
 
 
 def tableaux_set(w: Permutation) -> set[Word]:
-    return set(map(tuple, _stages(w, None)[0]))
-
-
-def tableaux_stage(w: Permutation, r: int) -> set[Word]:
-    stages = _stages(w, None)
-    if not 0 <= r < len(stages):
-        raise ValueError(f"stage {r} out of range 0..{len(stages) - 1}")
-    return set(map(tuple, stages[r]))
+    return set(map(tuple, _stages(tableaux_trace(w))[0]))
 
 
 def schubert_from_tableaux(w: Permutation) -> Polynomial:
     """Sum of x^{wt(T)} over T_w."""
-    return Polynomial._from_packed(w.n, Counter(_stages(w, None)[0].values()))
+    return Polynomial._from_packed(w.n, Counter(_stages(tableaux_trace(w))[0].values()))
 
 
-def tau_reindexing(w: Permutation, trace: OrthodonticTrace | None = None) -> Permutation:
+def tau_reindexing(trace: OrthodonticTrace) -> Permutation:
     """The unique stable matching of columns of D(w) onto the rebuilt diagram.
 
     tau(c) = p means column c of D(w) equals column p of the rebuilt diagram
     (padded with empty columns); equal columns keep their relative order.
     """
-    if trace is None:
-        trace = orthodontic_sequence(w)
     slots: dict[tuple[int, ...], list[int]] = {}
-    for p, col in enumerate(build_D_im(trace, w.n).columns, start=1):
+    for p, col in enumerate(build_D_im(trace).columns, start=1):
         slots.setdefault(col, []).append(p)
     try:  # each column of D(w) takes the leftmost free position of its equals
-        tau = [slots[col].pop(0) for col in rothe_diagram(w).columns]
+        tau = [slots[col].pop(0) for col in rothe_diagram(trace.perm).columns]
     except (KeyError, IndexError):
         raise AssertionError("rebuilt diagram is not column-equivalent to the original") from None
     return Permutation(tuple(tau))
@@ -187,7 +183,6 @@ class FillingView:
     """A word placed into an intermediate diagram under the tau fill order."""
 
     word: Word
-    diagram: Diagram
     column_order: tuple[int, ...]
     entries: tuple[tuple[tuple[int, int], int], ...]
 
@@ -201,43 +196,27 @@ class FillingView:
     def is_row_flagged(self) -> bool:
         return all(v <= r for (r, _), v in self.entries)
 
-    def weight(self, n: int) -> tuple[int, ...]:
-        return word_weight(self.word, n)
 
-
-def read_into_diagram(
-    word: Word,
-    w: Permutation,
-    r: int,
-    trace: OrthodonticTrace | None = None,
-    validate: bool = True,
-) -> FillingView:
-    """Place a stage-r word into the stage-r diagram.
+def read_words_into_diagram(words: Iterable[Word], trace: OrthodonticTrace, r: int):
+    """Place each stage-r word into the stage-r diagram of the trace.
 
     Columns are filled top to bottom, taken in the order their rebuilt
-    counterparts were laid down (increasing tau position); the word is
-    consumed left to right.  With validate=True a violation of
-    column-strictness or row-flagging raises FillingError.
+    counterparts were laid down (increasing tau position); a word is
+    consumed left to right.  The reading order is built once for all the
+    words.  A word of the wrong length, or one that violates
+    column-strictness or row-flagging, raises FillingError.
     """
-    return next(read_words_into_diagram([word], w, r, trace, validate))
-
-
-def read_words_into_diagram(words: Iterable[Word], w: Permutation, r: int,
-                            trace: OrthodonticTrace | None = None, validate: bool = True):
-    """Yield `read_into_diagram` of every word, building the stage-r reading order once."""
-    if trace is None:
-        trace = orthodontic_sequence(w)
     stage = trace.stage(r)
-    tau = tau_reindexing(w, trace)
+    tau = tau_reindexing(trace)
     order = tuple(sorted(stage.nonempty_columns(), key=lambda c: tau[c]))
     cells = [(row, c) for c in order for row in stage.column(c)]
     for word in words:
         if len(word) != len(cells):
             raise FillingError(f"word length {len(word)} != box count {len(cells)} at stage {r}")
-        view = FillingView(tuple(word), stage, order, tuple(zip(cells, word)))
-        if validate and not view.is_column_strict():
+        view = FillingView(tuple(word), order, tuple(zip(cells, word)))
+        if not view.is_column_strict():
             raise FillingError(f"word {word} is not column-strict in stage {r}")
-        if validate and not view.is_row_flagged():
+        if not view.is_row_flagged():
             raise FillingError(f"word {word} is not row-flagged in stage {r}")
         yield view
 

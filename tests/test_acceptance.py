@@ -31,9 +31,9 @@ from zeroone.perms import (
     one_step_pattern,
     rothe_diagram,
 )
-from zeroone.poly import is_zero_one, max_coefficient, schubert_all, schubert_classic
+from zeroone.poly import is_zero_one, max_coefficient, schubert_classic
 from zeroone.tableaux import (
-    read_into_diagram,
+    read_words_into_diagram,
     root_operator,
     schubert_from_tableaux,
     tableaux_stages,
@@ -87,23 +87,25 @@ def test_criterion_2_root_operator():
         assert root_operator(1, twice) is None
 
 
-def test_criterion_3_four_method_agreement(schubert_table_6):
+def test_criterion_3_four_method_agreement(schubert_table_6, schubert_table_7):
     with criterion(3, "four-method agreement"):
         for entries, f in schubert_table_6.items():
             w = Permutation(entries)
             assert schubert_orthodontic(w) == f
             assert schubert_from_tableaux(w) == f
             assert dual_character(rothe_diagram(w)) == f
-        for w, f in schubert_all(7):
+        for entries, f in schubert_table_7.items():
+            w = Permutation(entries)
             assert schubert_orthodontic(w) == f
             assert schubert_from_tableaux(w) == f
             assert dual_character(rothe_diagram(w), limit=7) == f
 
 
-def test_criterion_4_equivalence_sweeps():
+def test_criterion_4_equivalence_sweeps(schubert_table_7):
     with criterion(4, "zero-one equivalence sweeps"):
         # S_7 with expansion: the four public predicates per permutation
-        for w, f in schubert_all(7):
+        for entries, f in schubert_table_7.items():
+            w = Permutation(entries)
             votes = (
                 is_zero_one(f),
                 avoids_multiplicitous(w),
@@ -158,11 +160,9 @@ def test_criterion_8_filling_lemmas():
         total = 0
         for w in all_permutations(5):
             trace = orthodontic_sequence(w)
-            stages = tableaux_stages(w, trace)
-            for r, words in enumerate(stages):
+            for r, words in enumerate(tableaux_stages(trace)):
                 assert has_northwest_property(trace.stage(r)), (w, r)
-                for word in words:
-                    view = read_into_diagram(word, w, r, trace=trace)
+                for view in read_words_into_diagram(words, trace, r):
                     assert view.is_column_strict() and view.is_row_flagged()
                     total += 1
         assert total >= 120  # every permutation contributes at least stage 0

@@ -82,6 +82,13 @@ def test_tableaux_stage_and_check():
     assert out.splitlines() == ["1231", "1232"]
     code, _, err = invoke("tableaux", "31542", "--stage", "9")
     assert code == 1 and err.startswith("error:")
+    # 31542 has stages 0..3; the bounds on both sides are refused alike
+    for stage in ("4", "-1"):
+        for check in ([], ["--check"]):
+            assert invoke("tableaux", "31542", "--stage", stage, *check) == (
+                1, "", f"error: stage {stage} out of range 0..3\n"
+            )
+    assert invoke("tableaux", "31542", "--stage", "3", "--check") == (0, "1\n", "")
 
 
 def test_tableaux_route_refuses_sizes_beyond_a_byte():
@@ -122,6 +129,14 @@ def test_char_and_dominance(tmp_path):
     assert lines[0] == "M x3^2"
     assert lines[1] == "ok true"
     assert lines[2].startswith("F ")
+
+
+def test_char_refuses_non_ascii_digits(tmp_path):
+    path = tmp_path / "diagram.txt"
+    path.write_text("\u0661: \u0661\n", encoding="utf-8")  # Arabic-Indic one
+    code, out, err = invoke("char", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
 
 
 def test_char_missing_file():
@@ -308,7 +323,9 @@ def _diagram_text(draw):
 
 
 _stdin_text = st.one_of(
-    _diagram_text(), _diagram_text(), st.text(alphabet="0123456789: -\n", max_size=24)
+    _diagram_text(),
+    _diagram_text(),
+    st.text(alphabet="0123456789: -\n\u0661\u00b2", max_size=24),
 )
 _source = st.sampled_from(["-", "-", "-", "/nonexistent/diagram.txt"])
 _small = st.sampled_from([1, 1, 2, 2, 3, 3, 4, 5, 6, 0, -1, 7, 8]).map(str)

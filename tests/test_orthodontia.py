@@ -5,7 +5,6 @@ import pytest
 from zeroone.orthodontia import (
     build_D_im,
     column_equivalent,
-    impact,
     is_multiplicity_free,
     orthodontic_sequence,
     schubert_orthodontic,
@@ -49,7 +48,6 @@ def test_stages_keep_original_indexing():
     assert tr.stage(2).columns == ((), (1, 2, 3), (), (2,), ())
     assert tr.stage(3).columns == ((), (), (), (1,), ())
     assert tr.removed[0] == (1,)  # the k-step empties column 1
-    assert tr.stage_minus(0).columns == ((), (1, 3, 4), (), (3,), ())
     with pytest.raises(ValueError):
         tr.stage(4)
 
@@ -89,15 +87,12 @@ def test_column_equivalent_basics():
 
 
 def test_impact_paper_examples():
-    w = parse_permutation("457812693")
-    assert impact(w, 1) == frozenset({3})
-    assert impact(w, 4) == frozenset({3})
-    assert impact(w, 5) == frozenset({6})
-    assert impact(w, 8) == frozenset({6})
-    with pytest.raises(ValueError):
-        impact(w, 0)
-    with pytest.raises(ValueError):
-        impact(w, 9)
+    impacts = orthodontic_sequence(parse_permutation("457812693")).impacts
+    assert len(impacts) == 8
+    assert impacts[0] == frozenset({3})
+    assert impacts[3] == frozenset({3})
+    assert impacts[4] == frozenset({6})
+    assert impacts[7] == frozenset({6})
 
 
 def test_impacts_nonempty():

@@ -248,5 +248,9 @@ def test_diagram_text_round_trip():
         parse_diagram("")
     with pytest.raises(ValueError):
         parse_diagram("2: 1")
+    # labels and rows are ASCII digits: not the Arabic-Indic one, nor a superscript
+    for text in ("\u0661: 1", "1: \u0661", "1: \u00b2", "1: 1\n\u0662: 1"):
+        with pytest.raises(ValueError, match="expected column label|bad row indices"):
+            parse_diagram(text)
     with pytest.raises(ValueError):
         Diagram(((5,), ()))

@@ -211,14 +211,22 @@ def test_classic_memo_hit_returns_the_stored_polynomial():
     w = parse_permutation("31542")
     first = schubert_classic(w)
     assert schubert_classic(w) is first
-    assert schubert_classic(w, "rightmost") == first
+
+
+def rightmost_descent(w):
+    """S_w by divided differences from the staircase, at the rightmost ascent each step."""
+    ascents = w.ascents()
+    if not ascents:
+        return Polynomial.monomial(tuple(range(w.n - 1, -1, -1)))
+    i = ascents[-1]
+    return divided_difference(i, rightmost_descent(w.swap_positions(i)))
 
 
 def test_schubert_strategies_agree():
+    # schubert_classic descends by leftmost ascents; the braid relations make
+    # the chain irrelevant
     for w in all_permutations(5):
-        assert schubert_classic(w, "leftmost") == schubert_classic(w, "rightmost")
-    with pytest.raises(ValueError):
-        schubert_classic(Permutation.identity(2), "middle")
+        assert schubert_classic(w) == rightmost_descent(w)
 
 
 def test_schubert_contains_code_monomial():
@@ -241,10 +249,9 @@ def test_schubert_all_matches_classic():
 
 
 def test_classic_memo_over_S6(schubert_table_6):
-    # 720 permutations per strategy, more than the memo holds
-    for strategy in ("leftmost", "rightmost"):
-        for w in all_permutations(6):
-            assert schubert_classic(w, strategy) == schubert_table_6[w.entries]
+    # 720 permutations, more than the memo holds
+    for w in all_permutations(6):
+        assert schubert_classic(w) == schubert_table_6[w.entries]
 
 
 def test_coefficient_predicates():

@@ -1,4 +1,4 @@
-"""The route-agreement and survey scripts run end to end."""
+"""The route-agreement, survey, dominance and digest scripts run end to end."""
 
 import importlib.util
 import os
@@ -17,6 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
      "n=5: 120 permutations agree"),
     (["scripts/survey_zero_one.py", "--max-n", "5"], "  5       120       115         0"),
     (["scripts/pattern_dominance.py", "--max-n", "4"], "n=4: 384 occurrences, 0 failures"),
+    # a change to any output on the grid moves the digest
+    (["scripts/cli_digest.py", "--max-n", "3"],
+     "calls 187 sha256 1bdf3030d8831abf6594c731a131203e85ea5f6422d5be4a02b3463b17da4476"),
 ])
 def test_script_exits_zero(argv, last_line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

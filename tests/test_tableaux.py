@@ -12,12 +12,10 @@ from zeroone.tableaux import (
     format_word,
     parse_word,
     quantized_demazure,
-    read_into_diagram,
     read_words_into_diagram,
     root_operator,
     schubert_from_tableaux,
     tableaux_set,
-    tableaux_stage,
     tableaux_stages,
     tau_reindexing,
     word_weight,
@@ -90,7 +88,7 @@ def test_quantized_demazure_matches_closure_on_every_stage():
     for n in range(1, 7):
         for w in all_permutations(n):
             trace = orthodontic_sequence(w)
-            stages = tableaux_stages(w, trace)
+            stages = tableaux_stages(trace)
             for r in range(1, trace.length + 1):
                 i = trace.i[r - 1]
                 assert quantized_demazure(i, stages[r]) == _orbit_closure(i, stages[r])
@@ -122,28 +120,27 @@ def test_tableaux_identity():
 
 
 def test_tableaux_stages_match_paper_chain():
-    stages = tableaux_stages(parse_permutation("31542"))
+    stages = tableaux_stages(orthodontic_sequence(parse_permutation("31542")))
     as_str = [sorted(format_word(t) for t in s) for s in stages]
+    assert len(as_str) == 4
     assert as_str[3] == ["1"]
     assert as_str[2] == ["1231", "1232"]
     assert as_str[1] == ["1231", "1232", "1241", "1242"]
     assert len(as_str[0]) == 8
-    with pytest.raises(ValueError):
-        tableaux_stage(parse_permutation("31542"), 4)
 
 
 def test_carried_weights_decode_to_word_weights():
     for n in range(1, 7):
         for w in all_permutations(n):
-            for stage in _stages(w, orthodontic_sequence(w)):
+            for stage in _stages(orthodontic_sequence(w)):
                 for word, packed in stage.items():
                     assert tuple(packed.to_bytes(n, "little")) == word_weight(word, n)
 
 
 def test_public_word_sets_hold_int_tuples():
     w = parse_permutation("31542")
-    results = [tableaux_set(w), tableaux_stage(w, 1), quantized_demazure(1, [(1, 2)])]
-    results += tableaux_stages(w)
+    results = [tableaux_set(w), quantized_demazure(1, [(1, 2)])]
+    results += tableaux_stages(orthodontic_sequence(w))
     for words in results:
         assert isinstance(words, set) and words
         for word in words:
@@ -165,50 +162,46 @@ def test_schubert_from_tableaux():
 
 
 def test_tau_paper_example():
-    assert tau_reindexing(parse_permutation("31542")).entries == (1, 2, 4, 3, 5)
-    assert tau_reindexing(Permutation.identity(4)) == Permutation.identity(4)
+    tau = tau_reindexing(orthodontic_sequence(parse_permutation("31542")))
+    assert tau.entries == (1, 2, 4, 3, 5)
+    identity = Permutation.identity(4)
+    assert tau_reindexing(orthodontic_sequence(identity)) == identity
 
 
 def test_tau_stability_for_equal_columns():
     # D(321) has columns {1,2}, {1}, {}; the rebuilt diagram lists [1] before [2]
-    assert tau_reindexing(parse_permutation("321")).entries == (2, 1, 3)
+    assert tau_reindexing(orthodontic_sequence(parse_permutation("321"))).entries == (2, 1, 3)
+
+
+def read_one(word, w, r):
+    (view,) = read_words_into_diagram([word], orthodontic_sequence(w), r)
+    return view
 
 
 def test_read_into_diagram_paper_elements():
     w = parse_permutation("31542")
     for r, text in [(3, "1"), (2, "1232"), (1, "1242"), (0, "11342")]:
-        view = read_into_diagram(parse_word(text), w, r)
+        view = read_one(parse_word(text), w, r)
         assert view.is_column_strict()
         assert view.is_row_flagged()
     # stage 2 fills column 2 before column 4
-    view = read_into_diagram(parse_word("1232"), w, 2)
+    view = read_one(parse_word("1232"), w, 2)
     assert view.column_order == (2, 4)
     assert view.entry(2, 4) == 2
     assert view.entry(1, 2) == 1
 
 
 def test_read_into_diagram_empty():
-    view = read_into_diagram((), Permutation.identity(3), 0)
+    view = read_one((), Permutation.identity(3), 0)
     assert view.entries == ()
 
 
 def test_read_into_diagram_rejects_bad_input():
     w = parse_permutation("31542")
     with pytest.raises(FillingError):
-        read_into_diagram((1, 2), w, 0)
+        read_one((1, 2), w, 0)
     with pytest.raises(FillingError):
-        read_into_diagram((1, 1, 1, 1, 1), w, 0)  # not column-strict
-
-
-def test_filling_lemmas_exhaustive_S4():
-    for w in all_permutations(4):
-        tr = orthodontic_sequence(w)
-        stages = tableaux_stages(w, tr)
-        for r, stage_words in enumerate(stages):
-            words = sorted(stage_words)
-            views = [read_into_diagram(word, w, r, trace=tr) for word in words]
-            # one reading order for the whole stage gives the same fillings
-            assert list(read_words_into_diagram(words, w, r)) == views
+        read_one((1, 1, 1, 1, 1), w, 0)  # not column-strict
 
 
 def test_root_operators_touch_only_the_impact_column():
@@ -217,7 +210,7 @@ def test_root_operators_touch_only_the_impact_column():
     checked = 0
     for w in all_permutations(6):
         tr = orthodontic_sequence(w)
-        if not is_multiplicity_free(w, tr):
+        if not is_multiplicity_free(w):
             continue
         letters = tr.i
         pairs = [
@@ -228,17 +221,17 @@ def test_root_operators_touch_only_the_impact_column():
         ]
         if not pairs:
             continue
-        stages = tableaux_stages(w, tr)
+        stages = tableaux_stages(tr)
         for r, s in pairs:
             (c,) = tuple(tr.impacts[r - 1])
             for j in range(r, s + 1):
                 assert tr.impacts[j - 1] == frozenset({c})
-                for word in stages[j]:
+                for view in read_words_into_diagram(stages[j], tr, j):
+                    word = view.word
                     image = root_operator(letters[j - 1], word)
                     if image is None:
                         continue
                     pos = next(p for p in range(len(word)) if word[p] != image[p])
-                    view = read_into_diagram(word, w, j, trace=tr)
                     (box, _) = view.entries[pos]
                     assert box[1] == c
                     checked += 1
@@ -261,7 +254,7 @@ def test_tau_uniqueness_by_enumeration():
     for w in all_permutations(5):
         tr = orthodontic_sequence(w)
         d = rothe_diagram(w)
-        rebuilt = build_D_im(tr, 5)
+        rebuilt = build_D_im(tr)
         matches = []
         for cand in it_perms(range(1, 6)):
             if any(d.column(c) != rebuilt.column(cand[c - 1]) for c in range(1, 6)):
@@ -274,7 +267,7 @@ def test_tau_uniqueness_by_enumeration():
             )
             if stable:
                 matches.append(cand)
-        assert matches == [tau_reindexing(w, tr).entries]
+        assert matches == [tau_reindexing(tr).entries]
 
 
 def test_word_text_round_trip():
