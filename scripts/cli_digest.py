@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Digest the command line's output over a fixed grid of calls.
 
-Runs `zeroone.cli.run` in process on every permutation W of S_1..S_max-n
+Runs `zeroone.cli.run` in process on a fixed grid of calls over S_0..S_max-n
 and hashes the argument list, exit code, stdout and stderr of each call
 into one SHA-256.  Two source trees whose digests match print the same bytes
-on the whole grid.  The grid, per W:
+on the whole grid.  The grid, per n from 0 to max-n:
+
+* `survey n`, `survey n --methods all` and `--checked survey n`;
+
+and per W:
 
 * `tableaux W --stage R`, with and without `--check`, for every R from -1 to
   n*n // 2 + 1 (so every stage and the refusals on both sides);
@@ -31,6 +35,10 @@ from zeroone.perms import all_permutations, rothe_diagram
 
 def grid(max_n):
     """Yield (argv, stdin text) for every call of the grid."""
+    for n in range(0, max_n + 1):
+        yield ["survey", str(n)], ""
+        yield ["survey", str(n), "--methods", "all"], ""
+        yield ["--checked", "survey", str(n)], ""
     for n in range(1, max_n + 1):
         for w in all_permutations(n):
             text = str(w)

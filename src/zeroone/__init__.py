@@ -38,7 +38,6 @@ from .tableaux import (
     schubert_from_tableaux,
     tableaux_set,
     tableaux_stages,
-    tableaux_trace,
     tau_reindexing,
 )
 from .weyl import (

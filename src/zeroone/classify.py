@@ -13,7 +13,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations as it_perms
+from functools import reduce
+from itertools import accumulate, islice, permutations as it_perms
+from operator import or_
 from typing import Iterator, Optional
 
 from .perms import Permutation, first_pattern, rothe_rows
@@ -70,85 +72,97 @@ class ConfigurationInstance:
     indices: tuple[int, ...]  # (r1, c1, r2, c2, r3) or (r1, c1, r2, c2, r3, r4)
 
 
-def _first_configuration(entries: tuple[int, ...]) -> Optional[ConfigurationInstance]:
-    """Lexicographically least configuration instance in the inversion diagram.
+def _configuration_rows(entries: tuple[int, ...]) -> Iterator[tuple[int, str]]:
+    """(r1, kind) for every row r1 holding the (r1, c1) box of some instance
+    of kind A, B or B', in row order (kinds in that order within a row).
 
-    Kinds are searched in the order A, B, B'; within a kind, index tuples
-    (r1, c1, r2, c2, r3[, r4]) are least in lexicographic order.  Rows r3, r4
-    above r1 exist iff the least (for B', the second least) of w_1..w_{r1-1}
-    is below c1 and, for B, the second least is below c2.  Within a row r1
-    the least admissible c1 leaves the most room for c2, so each kind takes
-    one look per row.
+    One scan over the rows of the inversion diagram.  Rows r3, r4 above r1
+    exist iff the least (for B', the second least) of w_1..w_{r1-1} is below
+    c1 and, for B, the second least is below c2.  The least admissible c1 of
+    a row leaves the most room for c2, so each kind takes one mask test.
     """
-    n = len(entries)
     rows = rothe_rows(entries)  # bit c-1 of rows[r-1]: box (r, c)
-    under = [0] * (n + 1)  # under[r]: columns with a box in some row below r
-    least = [n + 1] * (n + 1)  # least[r], second[r]: the two least of w_1..w_{r-1}
-    second = [n + 1] * (n + 1)
-    for r in range(n - 1, 0, -1):
-        under[r] = under[r + 1] | rows[r]
-    for r in range(1, n):
-        v, lo, hi = entries[r - 1], least[r], second[r]
-        least[r + 1], second[r + 1] = (v, lo) if v < lo else (lo, min(v, hi))
-    low_c1 = [0] * (n + 1)  # low_c1[r]: least c1 of a box (r, c1) with least[r] < c1, or 0
-    for r in range(1, n + 1):
-        c1s = rows[r - 1] >> least[r] << least[r]
-        low_c1[r] = (c1s & -c1s).bit_length()
+    unders = list(accumulate(rows[:0:-1], or_, initial=0))  # columns with a box below
+    least = second = len(entries) + 1  # the two least of w_1..w_{r1-1}
+    for r1, (v, row, under) in enumerate(zip(entries, rows, reversed(unders)), 1):
+        if row:
+            c1s = row >> least << least
+            if c1s:
+                c1 = (c1s & -c1s).bit_length()
+                # A: (r1,c1),(r2,c2) boxes, r3<r1<r2, c1<c2, (r1,c2) missing, w_{r3}<c1
+                if (under & ~row) >> c1:
+                    yield r1, "A"
+                # B: (r1,c1),(r1,c2),(r2,c2) boxes, r4 != r3 both above r1 < r2,
+                #    w_{r3} < c1, w_{r4} < c2
+                if (row & under) >> max(c1, second):
+                    yield r1, "B"
+            # B': (r1,c1),(r1,c2),(r2,c1) boxes, r4<r3<r1<r2, c1<c2, w_{r3}<c1, w_{r4}<c1
+            c1s = (row & under) >> second << second
+            if c1s and row >> (c1s & -c1s).bit_length():
+                yield r1, "B'"
+        if v < second:
+            least, second = (v, least) if v < least else (least, v)
 
-    def first_box(r1: int, cmask: int) -> tuple[int, int]:
-        """Least box (r2, c2) with r2 > r1 and bit c2-1 set in cmask (within under[r1])."""
+
+def _instance(entries: tuple[int, ...], r1: int, kind: str) -> ConfigurationInstance:
+    """The least instance of kind whose (r1, c1) box lies in row r1, which
+    `_configuration_rows` must have yielded."""
+    n = len(entries)
+    rows = rothe_rows(entries)
+    row, under = rows[r1 - 1], reduce(or_, rows[r1:], 0)
+    least, second = sorted(entries[: r1 - 1] + (n + 1, n + 1))[:2]
+
+    def first_box(cmask: int) -> tuple[int, int]:
+        """Least box (r2, c2) with r2 > r1 and bit c2-1 set in cmask (within under)."""
         for r2 in range(r1 + 1, n + 1):
             hit = rows[r2 - 1] & cmask
             if hit:
                 return r2, (hit & -hit).bit_length()
 
-    def above(r1: int, c: int) -> Iterator[int]:
+    def above(c: int) -> Iterator[int]:
         """Rows r < r1 with w_r < c, in increasing order."""
         return (r for r in range(1, r1) if entries[r - 1] < c)
 
-    # A: (r1,c1),(r2,c2) boxes, r3<r1<r2, c1<c2, (r1,c2) missing, w_{r3}<c1
-    for r1 in range(1, n + 1):
-        c1 = low_c1[r1]
-        if c1:
-            c2s = (under[r1] & ~rows[r1 - 1]) >> c1 << c1
-            if c2s:
-                r2, c2 = first_box(r1, c2s)
-                return ConfigurationInstance("A", (r1, c1, r2, c2, next(above(r1, c1))))
-    # B: (r1,c1),(r1,c2),(r2,c2) boxes, r4 != r3 both above r1 < r2,
-    #    w_{r3} < c1, w_{r4} < c2
-    for r1 in range(1, n + 1):
-        c1 = low_c1[r1]
-        if c1:
-            floor = max(c1, second[r1])
-            c2s = (rows[r1 - 1] & under[r1]) >> floor << floor
-            if c2s:
-                r2, c2 = first_box(r1, c2s)
-                r3 = next(above(r1, c1))
-                r4 = next(r for r in above(r1, c2) if r != r3)
-                return ConfigurationInstance("B", (r1, c1, r2, c2, r3, r4))
-    # B': (r1,c1),(r1,c2),(r2,c1) boxes, r4<r3<r1<r2, c1<c2, w_{r3}<c1, w_{r4}<c1
-    for r1 in range(1, n + 1):
-        c1s = (rows[r1 - 1] & under[r1]) >> second[r1] << second[r1]
-        if c1s:
-            c1 = (c1s & -c1s).bit_length()
-            c2s = rows[r1 - 1] >> c1
-            if c2s:
-                r2 = first_box(r1, 1 << (c1 - 1))[0]
-                rs = above(r1, c1)
-                r4, r3 = next(rs), next(rs)
-                c2 = c1 + (c2s & -c2s).bit_length()
-                return ConfigurationInstance("B'", (r1, c1, r2, c2, r3, r4))
-    return None
+    if kind == "B'":
+        c1s = (row & under) >> second << second
+        c1 = (c1s & -c1s).bit_length()
+        c2s = row >> c1
+        r2 = first_box(1 << (c1 - 1))[0]
+        rs = above(c1)
+        r4, r3 = next(rs), next(rs)
+        return ConfigurationInstance(kind, (r1, c1, r2, c1 + (c2s & -c2s).bit_length(), r3, r4))
+    c1s = row >> least << least
+    c1 = (c1s & -c1s).bit_length()
+    r3 = next(above(c1))
+    if kind == "A":
+        r2, c2 = first_box((under & ~row) >> c1 << c1)
+        return ConfigurationInstance(kind, (r1, c1, r2, c2, r3))
+    floor = max(c1, second)
+    r2, c2 = first_box((row & under) >> floor << floor)
+    r4 = next(r for r in above(c2) if r != r3)
+    return ConfigurationInstance(kind, (r1, c1, r2, c2, r3, r4))
 
 
 def find_configuration(w: Permutation) -> Optional[ConfigurationInstance]:
-    """Lexicographically least configuration instance of w, or None."""
-    return _first_configuration(w.entries)
+    """Lexicographically least configuration instance of w, or None.
+
+    Kinds are searched in the order A, B, B'; within a kind, index tuples
+    (r1, c1, r2, c2, r3[, r4]) are least in lexicographic order.
+    """
+    first_row = {}
+    for r1, kind in _configuration_rows(w.entries):
+        first_row.setdefault(kind, r1)
+        if kind == "A":
+            break
+    for kind in ("A", "B", "B'"):
+        if kind in first_row:
+            return _instance(w.entries, first_row[kind], kind)
+    return None
 
 
 def has_configuration(entries: tuple[int, ...]) -> bool:
     """True iff the inversion diagram of entries holds a configuration."""
-    return _first_configuration(entries) is not None
+    return next(_configuration_rows(entries), None) is not None
 
 
 def avoids_multiplicitous(w: Permutation) -> bool:
@@ -196,7 +210,7 @@ def zero_one_status(
     status = ZeroOneStatus(
         by_expansion=is_zero_one(schubert_classic(w)) if include_expansion else None,
         by_patterns=witness is None,
-        by_configurations=find_configuration(w) is None,
+        by_configurations=not has_configuration(w.entries),
         by_multiplicity_free=is_multiplicity_free(w),
         witness=witness,
     )
@@ -212,6 +226,7 @@ class SurveySummary:
     zero_one: int
     disagreements: int
     methods: str
+    disagreement: Optional[Permutation] = None  # the first one, in the survey's order
 
 
 def _deletion_tables(n: int) -> list[tuple[bytes, bytes]]:
@@ -240,12 +255,19 @@ def _sieve_avoids(entries: bytes, below: set[bytes], tables: list[tuple[bytes, b
 
 def _avoider_class(n: int) -> set[bytes]:
     """One-line entries, as bytes, of every permutation in S_n avoiding the
-    twelve patterns, built level by level from S_0 with `_sieve_avoids`."""
+    twelve patterns, built level by level from S_0 with `_sieve_avoids`.
+
+    Level m tests only the children of level m-1, the value m put into every
+    position of each member: deleting the maximum of an avoider leaves an
+    avoider, so no avoider is missed, and distinct members have distinct
+    children.
+    """
     tables = _deletion_tables(n)
     level = {b""}
     for m in range(1, n + 1):
-        perms = map(bytes, it_perms(range(1, m + 1)))
-        level = {e for e in perms if _sieve_avoids(e, level, tables)}
+        top = bytes((m,))
+        children = (e[:k] + top + e[k:] for e in level for k in range(m))
+        level = {e for e in children if _sieve_avoids(e, level, tables)}
     return level
 
 
@@ -277,21 +299,32 @@ def _pool_size(workers: int, blocks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, blocks))
 
 
-def _tally(votes: Iterator[tuple[bool, ...]]) -> tuple[int, int, int]:
-    """(zero-one, disagreements, total) over the vote tuples of a survey."""
+def _tally(votes: Iterator[tuple[bool, ...]], entries: Iterator[tuple[int, ...]]):
+    """(zero-one, disagreements, total, first disagreeing entries or None)
+    over the vote tuples of a survey.
+
+    entries must yield the surveyed one-line entries in the order of votes.
+    The vote loop only notes the index of the first disagreement; entries
+    is read afterwards, and only when there is one.
+    """
     zero_one = disagreements = total = 0
+    first = None
     for vote in votes:
-        total += 1
         if all(vote):
             zero_one += 1
         elif any(vote):
+            if not disagreements:
+                first = total
             disagreements += 1
-    return zero_one, disagreements, total
+        total += 1
+    if first is not None:
+        first = next(islice(entries, first, None))
+    return zero_one, disagreements, total, first
 
 
-def _survey_block(args) -> tuple[int, int, int]:
+def _survey_block(args):
     n, first = args
-    return _tally(map(_fast_votes(n), _block_entries(n, first)))
+    return _tally(map(_fast_votes(n), _block_entries(n, first)), _block_entries(n, first))
 
 
 def survey(
@@ -299,6 +332,7 @@ def survey(
     methods: str = "fast",
     workers: int = 1,
     limit: int | None = None,
+    checked: bool = False,
 ) -> SurveySummary:
     """Exhaustively classify S_n and summarize.
 
@@ -316,6 +350,10 @@ def survey(
     held as bytes, each one-step pattern is one bytes.translate, and so n
     must be at most 255.  With workers > 1, S_n is split into one block per
     first entry, on at most as many processes as there are cores and blocks.
+
+    The summary names the first permutation on which the votes disagree (in
+    lexicographic order, or in `schubert_all`'s order for methods="all").
+    In checked mode any disagreement raises InternalCheckError naming it.
     """
     if methods not in ("fast", "all"):
         raise ValueError(f"unknown methods {methods!r}")
@@ -333,13 +371,22 @@ def survey(
     pool_size = _pool_size(workers, n)
     if methods == "all":
         fast_votes = _fast_votes(n)  # the expansion vote reads the packed coefficients
-        zero_one, disagreements, total = _tally(
-            (all(c == 1 for c in terms.values()), *fast_votes(e)) for e, terms in _all_packed(n)
+        zero_one, disagreements, total, first = _tally(
+            ((all(c == 1 for c in terms.values()), *fast_votes(e)) for e, terms in _all_packed(n)),
+            (e for e, _ in _all_packed(n)),
         )
     elif pool_size == 1:
-        zero_one, disagreements, total = _survey_block((n, None))
+        zero_one, disagreements, total, first = _survey_block((n, None))
     else:
         blocks = [(n, first) for first in range(1, n + 1)]
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            zero_one, disagreements, total = map(sum, zip(*pool.map(_survey_block, blocks)))
-    return SurveySummary(n, total, zero_one, disagreements, methods)
+            zero_ones, counts, totals, firsts = zip(*pool.map(_survey_block, blocks))
+        zero_one, disagreements, total = sum(zero_ones), sum(counts), sum(totals)
+        first = min((e for e in firsts if e is not None), default=None)
+    disagreement = None if first is None else Permutation(first)
+    if checked and disagreements:
+        raise InternalCheckError(
+            f"survey of S_{n}: the votes disagree on {disagreements} permutations,"
+            f" first on {disagreement}"
+        )
+    return SurveySummary(n, total, zero_one, disagreements, methods, disagreement)

@@ -136,7 +136,7 @@ def _cmd_orthodontia(args, out) -> int:
 
 
 def _cmd_tableaux(args, out) -> int:
-    trace = tableaux.tableaux_trace(perms.parse_permutation(args.perm))
+    trace = orthodontia.orthodontic_sequence(perms.parse_permutation(args.perm))
     stages = tableaux.tableaux_stages(trace)
     if not 0 <= args.stage < len(stages):
         raise ValueError(f"stage {args.stage} out of range 0..{trace.length}")
@@ -191,12 +191,15 @@ def _cmd_zero_one(args, out) -> int:
 
 def _cmd_survey(args, out) -> int:
     summary = classify.survey(
-        args.n, methods=args.methods, workers=args.workers, limit=args.limit
+        args.n, methods=args.methods, workers=args.workers, limit=args.limit,
+        checked=args.checked,
     )
     print(f"n {summary.n}", file=out)
     print(f"total {summary.total}", file=out)
     print(f"zero_one {summary.zero_one}", file=out)
     print(f"disagreements {summary.disagreements}", file=out)
+    if summary.disagreements:
+        print(f"disagreement {summary.disagreement}", file=out)
     return 0
 
 

@@ -18,6 +18,7 @@ masks only and stops at the first repeated letter that breaks the condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .perms import Diagram, Permutation, mask_rows, rothe_masks
 from .poly import Polynomial, _packed_dd
@@ -32,6 +33,12 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
+def _intervals(n: int) -> frozenset[int]:
+    """The masks of the interval columns [1], ..., [n] (rows 1..j)."""
+    return frozenset((1 << j) - 1 for j in range(1, n + 1))
+
+
 def _engine(masks: list[int]):
     """Run the straightening on column masks, yielding one step at a time.
 
@@ -41,32 +48,30 @@ def _engine(masks: list[int]):
     impact has bit j-1 set iff column j holds a box in row i_r + 1 when swap
     r executes.  Step 0 is (0, 0, input).
     """
-    intervals = {(1 << j) - 1 for j in range(1, len(masks) + 1)}
+    intervals = _intervals(len(masks))
     work = list(masks)
     yield 0, 0, work
     work[:] = [0 if mask in intervals else mask for mask in work]
-    while any(work):
-        first = next(filter(None, work))
+    while first := next(filter(None, work), 0):
         teeth = ~first & (first >> 1)
         if teeth == 0:
             raise AssertionError("leftmost nonempty column has no missing tooth")
-        tooth = (teeth & -teeth).bit_length()
-        low = tooth - 1
-        flip = 0b11 << low
+        low = teeth & -teeth  # the bit of row i_r, the smallest missing tooth
+        flip, high = 3 * low, 2 * low
         impact = 0
-        for j, mask in enumerate(work):
-            pair = mask >> low & 3  # bit 0: row tooth, bit 1: row tooth + 1
+        for j in range(work.index(first), len(work)):  # the columns left of first are empty
+            pair = work[j] & flip
             if pair:
-                if pair != 3:
-                    work[j] = mask ^ flip
-                if pair & 2:
+                if pair != flip:
+                    work[j] ^= flip
+                if pair & high:
                     impact |= 1 << j
-        yield tooth, impact, work
-        target = (1 << tooth) - 1
-        if target in work:
+        yield low.bit_length(), impact, work
+        if not intervals.isdisjoint(work):  # empty the interval columns [i_r]
+            target = 2 * low - 1
             work[:] = [0 if mask == target else mask for mask in work]
-        if not intervals.isdisjoint(work):
-            raise AssertionError("unexpected interval column during straightening")
+            if not intervals.isdisjoint(work):
+                raise AssertionError("unexpected interval column during straightening")
 
 
 @dataclass(frozen=True)
@@ -94,11 +99,19 @@ class OrthodonticTrace:
 
 
 def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
+    """The orthodontic sequence of w with every stage of its straightening.
+
+    The trace keeps up to n(n-1)/2 stages of n columns each, so it is
+    refused before straightening when n > 255, the bound every route that
+    reads it needs for its bytes and packed fields.
+    """
+    if w.n > 255:
+        raise ValueError("the orthodontic trace needs n <= 255, since it keeps every stage")
     steps = [(letter, imp, tuple(work)) for letter, imp, work in _engine(rothe_masks(w.entries))]
     letters, impacts, stages = zip(*steps)
     # removed[r]: the interval columns [j] of stage r, which the engine empties
     # next; it raises unless at every step r >= 1 they all are [i_r]
-    intervals = {(1 << j) - 1 for j in range(1, w.n + 1)}
+    intervals = _intervals(w.n)
     removed = tuple(
         () if intervals.isdisjoint(stage)
         else tuple([j for j, mask in enumerate(stage, 1) if mask in intervals])
@@ -168,13 +181,11 @@ def schubert_orthodontic(w: Permutation) -> Polynomial:
     omega_1^{k_1}...omega_n^{k_n} pi_{i_1}(omega_{i_1}^{m_1} pi_{i_2}(...)).
 
     The chain runs on packed keys (see `poly._packed_dd`, which also says
-    why no field carries), so n must be at most 255.  omega_j^m packs to
-    m * ((1 << 8j) - 1) // 255, and pi_i(omega_i^m * f) is the kernel on f
-    with the monomial x_i * omega_i^m.
+    why no field carries), so n must be at most 255, as `orthodontic_sequence`
+    demands before any work.  omega_j^m packs to m * ((1 << 8j) - 1) // 255,
+    and pi_i(omega_i^m * f) is the kernel on f with the monomial x_i * omega_i^m.
     """
     n = w.n
-    if n > 255:
-        raise ValueError("the orthodontia route needs n <= 255, so that exponents fit in a byte")
     trace = orthodontic_sequence(w)
     cur = {0: 1}
     for i, m in zip(reversed(trace.i), reversed(trace.m)):

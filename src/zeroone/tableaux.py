@@ -1,12 +1,13 @@
 """Root operators on reading words and the tableau expansion.
 
 Words are plain tuples of integers in [n] (bytes inside the engine, so
-n <= 255).  The set T_w is built from one orthodontic trace by alternately
-prepending minimal column words (1, 2, ..., j) and closing under a root
-operator f_i, which changes the leftmost unmatched i to i+1 after the usual
-parenthesis matching of (i, i+1) pairs.  A function that reads the stages
+n <= 255, which `orthodontic_sequence` demands).  The set T_w is built
+from one orthodontic trace by alternately prepending minimal column words
+(1, 2, ..., j) and closing under a root operator f_i, which changes the
+leftmost unmatched i to i+1 after the usual parenthesis matching of
+(i, i+1) pairs.  A function that reads the stages
 takes that trace and nothing else (`trace.perm` is w); one that starts from
-w straightens it itself, through `tableaux_trace`.
+w straightens it itself, through `orthodontic_sequence`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .orthodontia import OrthodonticTrace, build_D_im, orthodontic_sequence
 __all__ = [
     "root_operator",
     "quantized_demazure",
-    "tableaux_trace",
     "tableaux_set",
     "tableaux_stages",
     "schubert_from_tableaux",
@@ -113,13 +113,6 @@ def _column_word(j: int, copies: int) -> tuple[bytes, int]:
     return bytes(range(1, j + 1)) * copies, copies * (((1 << _BITS * j) - 1) // 255)
 
 
-def tableaux_trace(w: Permutation) -> OrthodonticTrace:
-    """The orthodontic trace of w, refused before straightening when n > 255."""
-    if w.n > 255:
-        raise ValueError("the tableaux route needs n <= 255, so that letters fit in a byte")
-    return orthodontic_sequence(w)
-
-
 def _stages(trace: OrthodonticTrace) -> list[dict[bytes, int]]:
     """Every stage [T_w(0), ..., T_w(l)], as bytes words mapped to packed weights.
 
@@ -150,12 +143,12 @@ def tableaux_stages(trace: OrthodonticTrace) -> list[set[Word]]:
 
 
 def tableaux_set(w: Permutation) -> set[Word]:
-    return set(map(tuple, _stages(tableaux_trace(w))[0]))
+    return set(map(tuple, _stages(orthodontic_sequence(w))[0]))
 
 
 def schubert_from_tableaux(w: Permutation) -> Polynomial:
     """Sum of x^{wt(T)} over T_w."""
-    return Polynomial._from_packed(w.n, Counter(_stages(tableaux_trace(w))[0].values()))
+    return Polynomial._from_packed(w.n, Counter(_stages(orthodontic_sequence(w))[0].values()))
 
 
 def tau_reindexing(trace: OrthodonticTrace) -> Permutation:

@@ -1,5 +1,7 @@
 """Configurations, the twelve patterns, and the zero-one predicates."""
 
+import random
+
 import pytest
 
 from zeroone.classify import (
@@ -117,6 +119,25 @@ def test_configuration_scanner_matches_definition():
             witness = None if inst is None else (inst.kind, inst.indices)
             assert witness == definitional_configuration(w)
             assert has_configuration(w.entries) == (witness is not None)
+
+
+def test_configuration_scanner_matches_definition_beyond_S7():
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(9, 14)
+        entries = rng.sample(range(1, n + 1), n)
+        # sorting a random window mixes avoiders and every kind into the sample
+        a = rng.randrange(n)
+        b = rng.randrange(a, n + 1)
+        entries[a:b] = sorted(entries[a:b])
+        w = Permutation(tuple(entries))
+        inst = find_configuration(w)
+        witness = None if inst is None else (inst.kind, inst.indices)
+        assert witness == definitional_configuration(w), w
+        assert has_configuration(w.entries) == (witness is not None)
+        kinds.add(witness and witness[0])
+    assert kinds == {"A", "B", "B'", None}
 
 
 def multiplicity_free_by_definition(trace):
@@ -259,6 +280,52 @@ def test_survey_pool_clamped(monkeypatch):
     monkeypatch.setattr(classify_mod, "ProcessPoolExecutor", InProcessPool)
     assert survey(5, workers=10**6) == survey(5)
     assert started == [3]
+
+
+def flip_configuration_vote(monkeypatch, flipped):
+    """Make the survey's configuration vote wrong on the entries in flipped."""
+    import zeroone.classify as classify_mod
+
+    real = classify_mod.has_configuration
+    monkeypatch.setattr(classify_mod, "has_configuration", lambda e: real(e) != (e in flipped))
+
+
+def test_survey_names_its_first_disagreement(monkeypatch):
+    flip_configuration_vote(monkeypatch, {(2, 1, 5, 4, 3), (1, 3, 2, 5, 4)})
+    for methods in ("fast", "all"):
+        s = survey(5, methods=methods)
+        assert (s.total, s.zero_one, s.disagreements) == (120, 115, 2)
+        # lexicographic order for fast; `schubert_all` lists 21543 (4 inversions) before 13254 (2)
+        assert str(s.disagreement) == ("13254" if methods == "fast" else "21543")
+        with pytest.raises(InternalCheckError, match=str(s.disagreement)):
+            survey(5, methods=methods, checked=True)
+    assert survey(4, checked=True).disagreement is None
+
+
+def test_survey_blocks_merge_to_the_least_disagreement(monkeypatch):
+    import zeroone.classify as classify_mod
+
+    class BackwardsPool:
+        """Runs the blocks in process and hands their results back last first."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            return reversed(list(map(fn, blocks)))
+
+    monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(classify_mod, "ProcessPoolExecutor", BackwardsPool)
+    flip_configuration_vote(monkeypatch, {(4, 1, 2, 3, 5), (2, 1, 5, 4, 3), (2, 5, 1, 3, 4)})
+    s = survey(5, workers=2)
+    assert s == survey(5)
+    assert s.disagreements == 3 and str(s.disagreement) == "21543"
 
 
 def test_survey_all_methods_small():

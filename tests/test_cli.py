@@ -91,6 +91,16 @@ def test_tableaux_stage_and_check():
     assert invoke("tableaux", "31542", "--stage", "3", "--check") == (0, "1\n", "")
 
 
+def test_orthodontia_refuses_sizes_beyond_a_byte():
+    # the trace keeps every stage, so its size grows like n^3
+    code, out, err = invoke("orthodontia", ",".join(map(str, range(1, 257))))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "255" in err
+    k = ",".join(["0"] * 255)
+    identity = ",".join(map(str, range(1, 256)))
+    assert invoke("orthodontia", identity) == (0, f"i ()\nk ({k})\nm ()\n", "")
+
+
 def test_tableaux_route_refuses_sizes_beyond_a_byte():
     big = ",".join(map(str, range(1, 257)))
     for argv in (["expand", big, "--method", "tableaux"], ["tableaux", big]):
@@ -225,6 +235,20 @@ def test_survey_output():
         code, out, err = invoke(*argv)
         assert code == 1 and out == ""
         assert err == "error: survey workers must be positive\n"
+
+
+@pytest.mark.parametrize("methods", ["fast", "all"])
+def test_survey_names_a_disagreement(methods, monkeypatch):
+    import zeroone.classify as classify_mod
+
+    real = classify_mod.has_configuration
+    flip = lambda e: real(e) != (e == (1, 3, 2, 5, 4))  # a wrong vote on 13254 only
+    monkeypatch.setattr(classify_mod, "has_configuration", flip)
+    report = "n 5\ntotal 120\nzero_one 115\ndisagreements 1\ndisagreement 13254\n"
+    assert invoke("survey", "5", "--methods", methods) == (0, report, "")
+    code, out, err = invoke("--checked", "survey", "5", "--methods", methods)
+    assert code == 2 and out == ""
+    assert err.startswith("internal-error:") and "13254" in err
 
 
 def test_invalid_input_exit_codes():

@@ -1,8 +1,11 @@
 """Orthodontic sequences, reconstruction, impacts, multiplicity-freeness."""
 
+import random
+
 import pytest
 
 from zeroone.orthodontia import (
+    _engine,
     build_D_im,
     column_equivalent,
     is_multiplicity_free,
@@ -14,10 +17,14 @@ from zeroone.perms import (
     Permutation,
     all_permutations,
     has_northwest_property,
+    mask_rows,
     parse_permutation,
     rothe_diagram,
+    rothe_masks,
 )
 from zeroone.poly import Polynomial, is_zero_one, schubert_classic
+
+from straightening import straighten
 
 
 def test_sequence_paper_example():
@@ -57,6 +64,33 @@ def test_stage_northwest_property():
         tr = orthodontic_sequence(w)
         for r in range(tr.length + 1):
             assert has_northwest_property(tr.stage(r))
+
+
+def engine_steps(w):
+    """The engine's steps on w, with impacts and stages as sets of indices."""
+    return [
+        (letter, frozenset(mask_rows(imp)), tuple(frozenset(mask_rows(mask)) for mask in work))
+        for letter, imp, work in _engine(rothe_masks(w.entries))
+    ]
+
+
+def test_engine_matches_reference_straightening():
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            assert engine_steps(w) == straighten(w), w
+    # one seeded permutation of each size 10, 13, ..., 40 (lengths up to about 400)
+    rng = random.Random(13)
+    for n in range(10, 41, 3):
+        w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+        assert engine_steps(w) == straighten(w), w
+
+
+def test_orthodontic_trace_refuses_sizes_beyond_a_byte():
+    # the trace keeps every stage, n columns each, so its size grows like n^3
+    with pytest.raises(ValueError, match="255"):
+        orthodontic_sequence(Permutation.identity(256))
+    # the multiplicity-free test keeps no stages and stays unguarded
+    assert is_multiplicity_free(Permutation.identity(256))
 
 
 def test_build_D_im_paper_example():
