@@ -13,11 +13,11 @@ and per W:
 * `tableaux W --stage R`, with and without `--check`, for every R from -1 to
   n*n // 2 + 1 (so every stage and the refusals on both sides);
 * `orthodontia W --trace`;
-* `expand W --method M` for each packed route (classic, orthodontia,
-  tableaux);
+* `expand W --method M` and `--structured expand W --method M` for each
+  packed route (classic, orthodontia, tableaux);
 * `--checked zero-one W --all-methods`;
-* `char -` and `dominance - --row K --col W(K) --show-remainder` for every K,
-  fed the inversion diagram of W on stdin.
+* `char -`, `--structured char -` and `dominance - --row K --col W(K)
+  --show-remainder` for every K, fed the inversion diagram of W on stdin.
 
 The package is imported from the import path, so any tree can be digested:
 
@@ -48,9 +48,11 @@ def grid(max_n):
             yield ["orthodontia", text, "--trace"], ""
             for method in ("classic", "orthodontia", "tableaux"):
                 yield ["expand", text, "--method", method], ""
+                yield ["--structured", "expand", text, "--method", method], ""
             yield ["--checked", "zero-one", text, "--all-methods"], ""
             diagram = str(rothe_diagram(w)) + "\n"
             yield ["char", "-"], diagram
+            yield ["--structured", "char", "-"], diagram
             for k, value in enumerate(w.entries, start=1):
                 argv = ["dominance", "-", "--row", str(k), "--col", str(value), "--show-remainder"]
                 yield argv, diagram

@@ -322,9 +322,19 @@ def _tally(votes: Iterator[tuple[bool, ...]], entries: Iterator[tuple[int, ...]]
     return zero_one, disagreements, total, first
 
 
-def _survey_block(args):
-    n, first = args
-    return _tally(map(_fast_votes(n), _block_entries(n, first)), _block_entries(n, first))
+_worker_votes = None  # (n, _fast_votes(n)) in a survey worker, set by _start_worker
+
+
+def _start_worker(n: int):
+    """Pool initializer: build the votes of S_n, and so the avoider class, once per process."""
+    global _worker_votes
+    _worker_votes = n, _fast_votes(n)
+
+
+def _survey_block(first: int):
+    """Tally the block of S_n starting with first, with the worker's votes."""
+    n, votes = _worker_votes
+    return _tally(map(votes, _block_entries(n, first)), _block_entries(n, first))
 
 
 def survey(
@@ -376,11 +386,14 @@ def survey(
             (e for e, _ in _all_packed(n)),
         )
     elif pool_size == 1:
-        zero_one, disagreements, total, first = _survey_block((n, None))
+        zero_one, disagreements, total, first = _tally(
+            map(_fast_votes(n), _block_entries(n, None)), _block_entries(n, None)
+        )
     else:
-        blocks = [(n, first) for first in range(1, n + 1)]
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            zero_ones, counts, totals, firsts = zip(*pool.map(_survey_block, blocks))
+        with ProcessPoolExecutor(
+            max_workers=pool_size, initializer=_start_worker, initargs=(n,)
+        ) as pool:
+            zero_ones, counts, totals, firsts = zip(*pool.map(_survey_block, range(1, n + 1)))
         zero_one, disagreements, total = sum(zero_ones), sum(counts), sum(totals)
         first = min((e for e in firsts if e is not None), default=None)
     disagreement = None if first is None else Permutation(first)

@@ -10,16 +10,17 @@ sum, never through rational functions:
 
 which is the exact quotient of the antisymmetrized numerator.
 
-`Polynomial` keeps tuple keys; the one divided-difference kernel runs on packed
-ints (8-bit little-endian fields, x_1 lowest, as in `weyl` and `tableaux`), and
-the routes built on it decode only their results.
+`Polynomial.terms` has tuple keys; the one divided-difference kernel runs on
+packed ints (8-bit little-endian fields, x_1 lowest, as in `weyl` and
+`tableaux`).  A result born packed keeps its packed keys, prints from them
+through one graded-lex formatter, and decodes `terms` on first read.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import permutations as it_perms
-from operator import add, getitem
+from operator import add
 from typing import Iterator
 
 from .perms import Permutation
@@ -40,7 +41,7 @@ __all__ = [
 class Polynomial:
     """Immutable polynomial over Z with a fixed variable count."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms", "_packed")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
         object.__setattr__(self, "nvars", nvars)
@@ -54,7 +55,8 @@ class Polynomial:
                 clean[e] = c
         if nvars and clean and min(map(min, clean)) < 0:
             raise ValueError(f"exponent vector {min(clean, key=min)} has a negative exponent")
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_packed", None)
 
     @classmethod
     def _adopt(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
@@ -65,13 +67,46 @@ class Polynomial:
         """
         f = object.__new__(cls)
         object.__setattr__(f, "nvars", nvars)
-        object.__setattr__(f, "terms", terms)
+        object.__setattr__(f, "_terms", terms)
+        object.__setattr__(f, "_packed", None)
         return f
 
     @classmethod
     def _from_packed(cls, nvars: int, packed: dict[int, int]) -> "Polynomial":
-        """Decode packed keys with nonzero coefficients (8-bit fields, x_1 lowest)."""
-        return cls._adopt(nvars, {tuple(k.to_bytes(nvars, "little")): c for k, c in packed.items()})
+        """Wrap packed keys (8-bit fields, x_1 lowest) as `_adopt` wraps terms.
+
+        The keys are decoded into `terms` on its first read; printing reads
+        them as they are.
+        """
+        f = cls._adopt(nvars, None)
+        object.__setattr__(f, "_packed", packed)
+        return f
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """Exponent vectors mapped to nonzero coefficients."""
+        terms = self._terms
+        if terms is None:
+            n = self.nvars
+            terms = {tuple(k.to_bytes(n, "little")): c for k, c in self._packed.items()}
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
+    def _coefficients(self):
+        """The nonzero coefficients, read without decoding packed keys."""
+        return (self._packed if self._terms is None else self._terms).values()
+
+    def _packed_fields(self) -> tuple[int, dict[int, int]]:
+        """(field width in bits, terms keyed by packed ints, x_1 lowest).
+
+        A tuple-built polynomial is packed here, in bytes per field enough
+        for its largest exponent.
+        """
+        if self._packed is not None:
+            return 8, self._packed
+        top = max(map(max, self._terms), default=0) if self.nvars else 0
+        width = max(1, (top.bit_length() + 7) // 8)
+        return 8 * width, _pack(self._terms, width)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -149,7 +184,7 @@ class Polynomial:
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coefficients()
 
     def coefficient(self, exponents: tuple[int, ...]) -> int:
         return self.terms.get(tuple(exponents), 0)
@@ -173,51 +208,111 @@ class Polynomial:
             out[tuple(new)] = c
         return Polynomial._adopt(nvars, out)
 
+    def _graded(self) -> tuple[int, list[tuple[int, str, int]]]:
+        """(field width in bits, one (weight, text, coefficient) row per term),
+        the rows in descending graded-lexicographic order (see `_HalfTable`)."""
+        bits, packed = self._packed_fields()
+        low, high = _half_tables(self.nvars, bits)
+        shift = bits * high.first
+        mask = (1 << shift) - 1
+        rows = []
+        for k, c in packed.items():
+            weight, text = low[k & mask]
+            more, rest = high[k >> shift]
+            rows.append((weight + more, text + rest, c))
+        rows.sort(reverse=True)
+        return bits, rows
+
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending graded-lexicographic order."""
-        # lex order, then a stable sort on degree alone: no (degree, key) pairs
-        keys = sorted(self.terms, reverse=True)
-        keys.sort(key=sum, reverse=True)
-        return list(zip(keys, map(self.terms.__getitem__, keys)))
+        bits, rows = self._graded()
+        n = self.nvars
+        rank = (1 << bits * n) - 1
+        if bits == 8:  # the rank's bytes are the exponent vector
+            return [(tuple((weight & rank).to_bytes(n, "big")), c) for weight, _, c in rows]
+        return [(_unrank(weight & rank, n, bits // 8), c) for weight, _, c in rows]
 
     def __str__(self) -> str:
-        if not self.terms:
+        _, rows = self._graded()
+        if not rows:
             return "0"
-        names = _factor_names(self.nvars)
         parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(filter(None, map(getitem, names, e)))
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
+        for _, text, c in rows:
+            if c == 1 and text:
+                parts.append(text[1:])
+            elif c == -1 and text:
+                parts.append("-" + text[1:])
             else:
-                parts.append(f"{c}*{mono}")
+                parts.append(f"{c}{text}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self.terms!r})"
 
 
-class _FactorName(dict):
-    """The printed factor of one variable by exponent: "" below 1, "x3", "x3^4"."""
-
-    __slots__ = ("var",)
-
-    def __init__(self, idx: int):
-        super().__init__({1: f"x{idx}"})
-        self.var = f"x{idx}"
-
-    def __missing__(self, exp: int) -> str:
-        name = self[exp] = f"{self.var}^{exp}" if exp > 1 else ""
-        return name
+def _pack(terms: dict[tuple[int, ...], int], width: int = 1) -> dict[int, int]:
+    """terms keyed by packed ints: width bytes per exponent, x_1 lowest."""
+    if width == 1:
+        return {int.from_bytes(bytes(e), "little"): c for e, c in terms.items()}
+    return {int.from_bytes(b"".join(v.to_bytes(width, "little") for v in e), "little"): c
+            for e, c in terms.items()}
 
 
-@cache
-def _factor_names(nvars: int) -> tuple[_FactorName, ...]:
-    return tuple(_FactorName(idx) for idx in range(1, nvars + 1))
+def _unrank(rank: int, nvars: int, width: int) -> tuple[int, ...]:
+    """The exponent vector whose fields, width bytes each and x_1 first, read big-endian as rank."""
+    raw = rank.to_bytes(nvars * width, "big")
+    return tuple(int.from_bytes(raw[j : j + width], "big") for j in range(0, len(raw), width))
+
+
+_TABLE_CAP = 1 << 14
+
+
+class _HalfTable(dict):
+    """One half of a packed key -> (weight, text) of its variables.
+
+    The half holds `count` fields of `bits` bits, for x_{first+1} on.  Its
+    weight is its degree, shifted above all nvars fields, plus its fields
+    read big-endian (x_{first+1} most significant), shifted to where they
+    sit in the whole key read that way.  So the weights of a key's two
+    halves add up to a number that orders monomials by degree, then
+    lexicographically.  Its text is "*x3^2*x5": one factor per nonzero
+    exponent, each after a "*".  Entries are made on first lookup; at most
+    _TABLE_CAP of them are kept.
+    """
+
+    __slots__ = ("first", "count", "bits", "rank_shift", "degree_shift")
+
+    def __init__(self, first: int, count: int, bits: int, nvars: int):
+        super().__init__()
+        self.first, self.count, self.bits = first, count, bits
+        self.rank_shift = bits * (nvars - first - count)
+        self.degree_shift = bits * nvars
+
+    def __missing__(self, half: int) -> tuple[int, str]:
+        bits = self.bits
+        field = (1 << bits) - 1
+        exps = [half >> bits * j & field for j in range(self.count)]
+        rank = 0
+        for e in exps:
+            rank = rank << bits | e
+        weight = sum(exps) << self.degree_shift | rank << self.rank_shift
+        text = "".join(f"*x{v}^{e}" if e > 1 else f"*x{v}"
+                       for v, e in enumerate(exps, self.first + 1) if e)
+        if len(self) < _TABLE_CAP:
+            self[half] = weight, text
+        return weight, text
+
+
+@lru_cache(maxsize=16)
+def _half_tables(nvars: int, bits: int) -> tuple[_HalfTable, _HalfTable]:
+    """The tables of x_1..x_s and of x_{s+1}..x_nvars, s = nvars // 3.
+
+    Small variables carry the large exponents (x_i has degree at most n - i
+    in a Schubert polynomial of S_n), so a short first half keeps both
+    tables small.
+    """
+    split = nvars // 3
+    return _HalfTable(0, split, bits, nvars), _HalfTable(split, nvars - split, bits, nvars)
 
 
 def _drop_zeros(terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
@@ -276,9 +371,9 @@ def _packed_dd(i: int, terms: dict[int, int], times: int = 0) -> dict[int, int]:
 def _through_kernel(i: int, f: Polynomial, times: int) -> Polynomial:
     if not 1 <= i < f.nvars:
         raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
-    if f.terms and max(map(max, f.terms)) > 255:
+    bits, packed = f._packed_fields()
+    if bits > 8:
         raise ValueError("divided differences need every exponent at most 255")
-    packed = {int.from_bytes(bytes(e), "little"): c for e, c in f.terms.items()}
     return Polynomial._from_packed(f.nvars, _packed_dd(i, packed, times))
 
 
@@ -299,25 +394,26 @@ def _staircase(n: int) -> int:
     return int.from_bytes(bytes(range(n - 1, -1, -1)), "little")
 
 
-_memo: dict[tuple[int, ...], list] = {}  # entries -> [packed, decoded or None], oldest use first
+_memo: dict[tuple[int, ...], Polynomial] = {}  # entries -> schubert(w), oldest use first
 _MEMO_SIZE = 256
 
 
-def _classic(w: Permutation) -> list:
-    """The memo entry of w: one interpreter frame per divided-difference step."""
+def _classic(w: Permutation) -> Polynomial:
+    """schubert(w) through the memo: one interpreter frame per divided-difference step."""
     key = w.entries
-    entry = _memo.pop(key, None)
-    if entry is None:
+    f = _memo.pop(key, None)
+    if f is None:
         ascents = w.ascents()
         if not ascents:
-            entry = [{_staircase(w.n): 1}, None]
+            packed = {_staircase(w.n): 1}
         else:
             i = ascents[0]
-            entry = [_packed_dd(i, _classic(w.swap_positions(i))[0]), None]
+            packed = _packed_dd(i, _classic(w.swap_positions(i))._packed)
+        f = Polynomial._from_packed(w.n, packed)
         if len(_memo) >= _MEMO_SIZE:
             del _memo[next(iter(_memo))]
-    _memo[key] = entry
-    return entry
+    _memo[key] = f
+    return f
 
 
 def schubert_classic(w: Permutation) -> Polynomial:
@@ -325,19 +421,16 @@ def schubert_classic(w: Permutation) -> Polynomial:
 
     Each step uses the leftmost ascent; the braid relations make the result
     independent of the choice, which the test suite checks against a descent
-    by rightmost ascents.  The 256 most recently used results are kept
-    packed, keyed by one-line notation, so queries sharing a descent path
-    near w_0 reuse it while memory stays bounded.  An entry is decoded once;
-    later hits return that Polynomial.  The memo is a plain dict rather than
+    by rightmost ascents.  The 256 most recently used results are kept,
+    keyed by one-line notation, so queries sharing a descent path near w_0
+    reuse it while memory stays bounded; a hit returns the same Polynomial,
+    whose packed keys are decoded at most once.  The memo is a plain dict rather than
     `functools.lru_cache`, whose C wrapper would add a second interpreter
     recursion level per step.
     """
     if w.n > 255:
         raise ValueError("the classic route needs n <= 255, so that exponents fit in a byte")
-    entry = _classic(w)
-    if entry[1] is None:
-        entry[1] = Polynomial._from_packed(w.n, entry[0])
-    return entry[1]
+    return _classic(w)
 
 
 def _all_packed(n: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
@@ -371,11 +464,11 @@ def schubert_all(n: int) -> Iterator[tuple[Permutation, Polynomial]]:
 
 def is_zero_one(f: Polynomial) -> bool:
     """True iff every coefficient is 0 or 1."""
-    return all(c == 1 for c in f.terms.values())
+    return all(c == 1 for c in f._coefficients())
 
 
 def max_coefficient(f: Polynomial) -> int:
-    return max(f.terms.values(), default=0)
+    return max(f._coefficients(), default=0)
 
 
 def coefficientwise_geq(f: Polynomial, g: Polynomial) -> bool:

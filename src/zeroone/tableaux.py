@@ -37,6 +37,7 @@ __all__ = [
 
 Word = tuple[int, ...]
 _BITS = 8  # a packed weight has one 8-bit field per letter
+_LETTERS = bytes(range(256))
 
 
 def _unmatched(i: int, word: Word | bytes) -> list[int]:
@@ -78,15 +79,26 @@ def _orbits(i: int, stage: dict[bytes, int]) -> dict[bytes, int]:
     its first k unmatched i's raised, each raise moving one unit of weight
     from field i-1 to field i.  A walk stops at the first member already in
     the union, whose orbit is in the union too.
+
+    The unmatched positions depend only on where the i's and (i+1)'s sit,
+    so words with the same shape (every other letter read as 0) share one
+    bracket scan.
     """
     out: dict[bytes, int] = {}
     up = (255 << _BITS * i) >> _BITS  # (1 << 8i) - (1 << 8(i-1)) for i >= 1
+    shape_of = bytearray(256)  # a translate table keeping i and i+1, mapping the rest to 0
+    shape_of[i : i + 2] = _LETTERS[i : i + 2]
+    scans: dict[bytes, list[int]] = {}
     for word, wt in stage.items():
         if word in out:
             continue
         out[word] = wt
+        shape = word.translate(shape_of)
+        unmatched = scans.get(shape)
+        if unmatched is None:
+            unmatched = scans[shape] = _unmatched(i, shape)
         buf = bytearray(word)
-        for pos in _unmatched(i, word):
+        for pos in unmatched:
             buf[pos] = i + 1
             wt += up
             cur = bytes(buf)

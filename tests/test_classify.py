@@ -264,8 +264,11 @@ def test_survey_pool_clamped(monkeypatch):
     started = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        """One worker in this process: runs the initializer once, then every block."""
+
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -280,6 +283,14 @@ def test_survey_pool_clamped(monkeypatch):
     monkeypatch.setattr(classify_mod, "ProcessPoolExecutor", InProcessPool)
     assert survey(5, workers=10**6) == survey(5)
     assert started == [3]
+
+    # the avoider class is built once per worker, not once per block
+    built = []
+    real = classify_mod._avoider_class
+    monkeypatch.setattr(classify_mod, "_avoider_class", lambda n: built.append(n) or real(n))
+    s = survey(2, workers=2)
+    assert started[-1] == 2 and built == [1]
+    assert s == survey(2)
 
 
 def flip_configuration_vote(monkeypatch, flipped):
@@ -308,8 +319,8 @@ def test_survey_blocks_merge_to_the_least_disagreement(monkeypatch):
     class BackwardsPool:
         """Runs the blocks in process and hands their results back last first."""
 
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
 
         def __enter__(self):
             return self

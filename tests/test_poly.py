@@ -317,16 +317,24 @@ def _reference_str(f):
     return " + ".join(parts)
 
 
+_printable_coefficients = st.one_of(st.sampled_from([1, -1]), st.integers(-10**6, 10**6)).filter(bool)
+
+
+def _draw_printable_terms(draw, n, top):
+    """Up to 12 terms of mixed degrees, exponents at most top, often a constant."""
+    exps = st.tuples(*([st.integers(0, top)] * n))
+    terms = draw(st.dictionaries(exps, _printable_coefficients, max_size=12))
+    if draw(st.booleans()):
+        terms[(0,) * n] = draw(_printable_coefficients)
+    return terms
+
+
 @st.composite
 def printable_polynomials(draw):
-    """Mixed degrees, exponents past 9, up to 12 variables, often a constant."""
+    """Exponents past 9 (in some draws past a byte, so printed through wider
+    packed fields), up to 12 variables."""
     n = draw(st.integers(1, 12))
-    exps = st.tuples(*([st.integers(0, 13)] * n))
-    coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(-10**6, 10**6)).filter(bool)
-    terms = draw(st.dictionaries(exps, coeffs, max_size=12))
-    if draw(st.booleans()):
-        terms[(0,) * n] = draw(coeffs)
-    return Polynomial(n, terms)
+    return Polynomial(n, _draw_printable_terms(draw, n, draw(st.sampled_from([13, 13, 300, 70000]))))
 
 
 @given(printable_polynomials())
@@ -334,6 +342,39 @@ def printable_polynomials(draw):
 def test_format_matches_reference(f):
     assert f.sorted_terms() == _reference_sorted_terms(f)
     assert str(f) == _reference_str(f)
+
+
+@st.composite
+def packed_born_pairs(draw):
+    """(a polynomial born packed, its tuple-built twin), over 0 to 12 variables.
+
+    Either the drawn terms handed over as packed keys, or d_i of a drawn f,
+    which brings negative coefficients; its twin is the tuple definition.
+    """
+    n = draw(st.integers(0, 12))
+    f = Polynomial(n, _draw_printable_terms(draw, n, 13))
+    if n >= 2 and draw(st.booleans()):
+        i = draw(st.integers(1, n - 1))
+        return divided_difference(i, f), Polynomial(n, _reference_divided_difference(i, f.terms))
+    packed = {int.from_bytes(bytes(e), "little"): c for e, c in f.terms.items()}
+    return Polynomial._from_packed(n, packed), f
+
+
+@given(packed_born_pairs())
+@settings(max_examples=150)
+def test_packed_born_polynomials_print_as_their_twins(pair):
+    born, twin = pair
+    # printed first, while the packed keys are not yet decoded
+    assert str(born) == str(twin) == _reference_str(twin)
+    assert born.sorted_terms() == twin.sorted_terms() == _reference_sorted_terms(twin)
+    assert born == twin and hash(born) == hash(twin)
+
+
+def test_format_exponents_of_several_bytes():
+    f = Polynomial(3, {(256, 0, 1): 2, (0, 300, 0): -1, (255, 1, 1): 1, (0, 0, 0): 5,
+                       (1, 0, 65536): 1})
+    assert str(f) == "x1*x3^65536 + -x2^300 + 2*x1^256*x3 + x1^255*x2*x3 + 5" == _reference_str(f)
+    assert f.sorted_terms() == _reference_sorted_terms(f)
 
 
 def _reference_product(f, g):

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
     (["scripts/pattern_dominance.py", "--max-n", "4"], "n=4: 384 occurrences, 0 failures"),
     # a change to any output on the grid moves the digest
     (["scripts/cli_digest.py", "--max-n", "3"],
-     "calls 199 sha256 1233543f0edf0d9f1b3bc9e66154de7d125b65484e2ecca2ea21763301b7045e"),
+     "calls 235 sha256 daf2daefa8b76932af90818011d2c6cbe8cdc0e29fe317d366eeb548945970b5"),
 ])
 def test_script_exits_zero(argv, last_line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
