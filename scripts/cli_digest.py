@@ -16,8 +16,10 @@ and per W:
 * `expand W --method M` and `--structured expand W --method M` for each
   packed route (classic, orthodontia, tableaux);
 * `--checked zero-one W --all-methods`;
-* `char -`, `--structured char -` and `dominance - --row K --col W(K)
-  --show-remainder` for every K, fed the inversion diagram of W on stdin.
+* `char -`, `--structured char -`, `dominance - --row K --col W(K)
+  --show-remainder` for every K, and `--structured dominance - --row K
+  --col L --show-remainder` for every K and L in 1..n (so the minor diagram
+  of a non-Rothe D-hat too), fed the inversion diagram of W on stdin.
 
 The package is imported from the import path, so any tree can be digested:
 
@@ -56,6 +58,10 @@ def grid(max_n):
             for k, value in enumerate(w.entries, start=1):
                 argv = ["dominance", "-", "--row", str(k), "--col", str(value), "--show-remainder"]
                 yield argv, diagram
+            for k in range(1, n + 1):
+                for col in range(1, n + 1):
+                    yield ["--structured", "dominance", "-", "--row", str(k), "--col", str(col),
+                           "--show-remainder"], diagram
 
 
 def main():

@@ -5,7 +5,14 @@ C_j <= D_j columnwise (same size, k-th least element dominated).  Grouping
 the C by weight monomial, the coefficient of a monomial in the dual
 character is the rank over Q of the span of the products of minors
 det(Y[C_j rows; D_j cols]) of the generic upper-triangular matrix Y.  The
-spans are built one column at a time and kept as exact echelon bases.
+spans are built one column at a time and kept as exact echelon bases; the
+ranks depend only on the multiset of nonempty columns and are memoized by it.
+
+The dominance check needs chi_{D-hat}(x_k := 0) only, the C <= D-hat with no
+box in row k.  Deleting row k and renumbering the rows below it keeps their
+order, so these C are the C' <= D' of the minor diagram D' (row k and column
+l deleted) in the (n-1) frame, and Y without row and column k is the generic
+upper-triangular (n-1)-matrix: every minor and every rank is unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
 
-from .perms import Diagram, Permutation, delete_row_col, pattern_at, rothe_diagram
+from .perms import Diagram, Permutation, pattern_at, rothe_diagram
 from .poly import Polynomial, coefficientwise_geq, schubert_classic
 
 __all__ = [
@@ -211,14 +218,17 @@ def _extend(spans: dict[int, Span], col: tuple[int, ...], last: bool) -> dict[in
     return out
 
 
-def _spans(d: Diagram) -> dict[int, Span]:
-    """Per packed weight, an echelon basis whose size is the rank of the minor
-    products of all C <= D, built column by column, fewest choices first."""
-    cols = sorted(filter(None, d.columns), key=_choice_count)
+@lru_cache(maxsize=256)
+def _character(cols: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """Per packed weight, the rank of the minor products of all C <= D for D's
+    sorted nonempty columns cols, built column by column, fewest choices first
+    (no span is empty: a flagged minor product is never 0).  Callers share the
+    dict: copy it before writing."""
+    order = sorted(cols, key=_choice_count)
     spans: dict[int, Span] = {0: {0: {0: 1}}}
-    for i, col in enumerate(cols, 1):
-        spans = _extend(spans, col, i == len(cols))
-    return spans
+    for i, col in enumerate(order, 1):
+        spans = _extend(spans, col, i == len(order))
+    return {wt: len(b) for wt, b in spans.items()}
 
 
 def dual_character(d: Diagram, limit: int = DEFAULT_SIZE_LIMIT) -> Polynomial:
@@ -226,7 +236,7 @@ def dual_character(d: Diagram, limit: int = DEFAULT_SIZE_LIMIT) -> Polynomial:
 
     Every coefficient is the exact rank of the span of determinant products
     for one weight group; for inversion diagrams this recovers the Schubert
-    polynomial.
+    polynomial.  Recent results are kept per multiset of nonempty columns.
     """
     if d.n > limit:
         raise SizeLimitError(
@@ -244,9 +254,8 @@ def dual_character(d: Diagram, limit: int = DEFAULT_SIZE_LIMIT) -> Polynomial:
             f"diagram has {count} subdiagrams C <= D, more than the {MAX_SUBDIAGRAMS} "
             "the determinant route accepts"
         )
-    # Every basis is nonempty: a flagged minor product of C <= D is never zero.
     # BITS is 8, so the fields of a packed weight are its little-endian bytes.
-    return Polynomial._from_packed(d.n, {wt: len(b) for wt, b in _spans(d).items()})
+    return Polynomial._from_packed(d.n, _character(tuple(sorted(filter(None, d.columns)))))
 
 
 @dataclass(frozen=True)
@@ -275,14 +284,31 @@ def pattern_dominance_check(
     remainder's coefficient at M*m is chi_D(M*m) - chi_{D-hat}(m), and at any
     other monomial a rank in chi_D: a nonnegative remainder is exactly the
     group-by-group test.
+
+    chi_{D-hat}(x_k := 0) is the character of D' (row k and column l deleted,
+    later ones renumbered, frame n-1) with x_k put back at exponent 0: a C <=
+    D-hat has no x_k iff it has no box in row k, renumbering keeps order, and
+    Y without row and column k is the generic upper-triangular (n-1)-matrix.
     """
-    dhat = delete_row_col(d, k, l)
+    if not (1 <= k <= d.n and 1 <= l <= d.n):
+        raise ValueError(f"row/column ({k}, {l}) out of range for n={d.n}")
     chi = dual_character(d, limit=limit)
-    chi_hat = dual_character(dhat, limit=limit)
+    d_minor = Diagram(tuple(tuple(i - (i > k) for i in col if i != k)
+                            for j, col in enumerate(d.columns, 1) if j != l))
+    _, chi_minor = dual_character(d_minor, limit=limit)._packed_fields()
     m_poly = _deleted_weight(d, {k}, {l})
-    remainder = chi - m_poly * chi_hat.substitute_zero(k)
-    ok = all(c >= 0 for c in remainder.terms.values())
-    return DominanceResult(monomial=m_poly, remainder=remainder, ok=ok)
+    m_key = int.from_bytes(bytes(next(iter(m_poly.terms))), "little")
+    at = BITS * (k - 1)  # the fields of x_k..x_{n-1} move up one, x_k's reads 0
+    remainder = dict(chi._packed_fields()[1])  # the shared character stays as it is
+    ok = True
+    for key, c in chi_minor.items():
+        key = (key & (1 << at) - 1 | key >> at << at + BITS) + m_key
+        if v := remainder.get(key, 0) - c:
+            remainder[key] = v
+            ok = ok and v > 0
+        else:
+            del remainder[key]
+    return DominanceResult(m_poly, Polynomial._from_packed(d.n, remainder), ok)
 
 
 def schubert_pattern_inequality(w: Permutation, positions: tuple[int, ...]) -> bool:

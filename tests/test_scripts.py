@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
     (["scripts/pattern_dominance.py", "--max-n", "4"], "n=4: 384 occurrences, 0 failures"),
     # a change to any output on the grid moves the digest
     (["scripts/cli_digest.py", "--max-n", "3"],
-     "calls 235 sha256 daf2daefa8b76932af90818011d2c6cbe8cdc0e29fe317d366eeb548945970b5"),
+     "calls 298 sha256 68a8920828d89ae7b164ea3a873e25b8be018a89c8c06dc708586f527dd97e45"),
 ])
 def test_script_exits_zero(argv, last_line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

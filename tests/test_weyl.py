@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,16 +177,24 @@ def character_by_definition(d):
     return Polynomial(d.n, terms)
 
 
+def _random_diagrams(seed, count):
+    """Seeded diagrams with n from 1 to 5 and at most 2n boxes, which keeps
+    #{C <= D} within the Fraction oracle's reach."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        boxes = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 2 * n))}
+        out.append(Diagram.from_boxes(n, boxes))
+    return out
+
+
 def test_dual_character_matches_definition():
     diagrams = [rothe_diagram(w) for n in range(1, 6) for w in all_permutations(n)]
     for w in all_permutations(4):
         d = rothe_diagram(w)
         diagrams += [delete_row_col(d, k, l) for k, l in product(range(1, 5), repeat=2)]
-    rng = random.Random(20261018)
-    for _ in range(200):  # up to 2n box draws keeps #{C <= D} within the Fraction oracle's reach
-        n = rng.randint(1, 5)
-        boxes = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 2 * n))}
-        diagrams.append(Diagram.from_boxes(n, boxes))
+    diagrams += _random_diagrams(20261018, 200)
     for d in diagrams:
         assert dual_character(d) == character_by_definition(d), d.columns
 
@@ -227,12 +235,14 @@ def test_exponent_fields_hold_n():
 
 
 def test_exponent_width_guard(monkeypatch):
-    def refuse(d):
+    def refuse(cols):
         raise AssertionError("the width guard must act before the column pass")
 
     wide = weyl._FIELD + 1
     assert dual_character(Diagram(((),) * (wide - 1)), limit=wide) == Polynomial.one(wide - 1)
-    monkeypatch.setattr(weyl, "_spans", refuse)
+    # the empty diagram's character is cached by now: refusing the cached
+    # column pass also shows that the guard acts before the cache
+    monkeypatch.setattr(weyl, "_character", refuse)
     with pytest.raises(SizeLimitError):
         dual_character(Diagram(((),) * wide), limit=wide)
 
@@ -247,11 +257,11 @@ def test_subdiagram_count_guard(monkeypatch):
         dual_character(h5)
     monkeypatch.undo()
 
-    def refuse(d):
+    def refuse(cols):
         raise AssertionError("the count guard must act before the column pass")
 
     # every column {4,5,6}: C(6,3)^6 = 20^6 subdiagrams, within the size limit 6
-    monkeypatch.setattr(weyl, "_spans", refuse)
+    monkeypatch.setattr(weyl, "_character", refuse)
     with pytest.raises(SizeLimitError, match="64000000 subdiagrams"):
         dual_character(Diagram(((4, 5, 6),) * 6))
 
@@ -341,6 +351,62 @@ def test_pattern_dominance_check_general_diagrams():
         for k, l in product(range(1, n + 1), repeat=2):
             assert pattern_dominance_check(d, k, l).ok, (d.columns, k, l)
             assert_augmentation(d, k, l)
+
+
+def test_dominance_remainder_matches_full_frame_oracle():
+    # the check works on the (n-1)-frame minor diagram; the oracle keeps the
+    # frame, expands D-hat whole and sets x_k := 0 on tuple-keyed terms
+    randoms = _random_diagrams(20261019, 80)
+    assert {d.n for d in randoms} == {1, 2, 3, 4, 5}
+    assert any(() in d.columns for d in randoms)  # an empty column
+    assert any(len({i for col in d.columns for i in col}) < d.n for d in randoms)  # an empty row
+    for d in [rothe_diagram(w) for n in range(1, 5) for w in all_permutations(n)] + randoms:
+        chi = dual_character(d)
+        for k, l in product(range(1, d.n + 1), repeat=2):
+            result = pattern_dominance_check(d, k, l)
+            oracle = chi - result.monomial * dual_character(delete_row_col(d, k, l)).substitute_zero(k)
+            assert result.remainder == oracle, (d.columns, k, l)
+            assert result.ok == all(c > 0 for c in oracle.terms.values())
+            assert result.monomial == weyl._deleted_weight(d, {k}, {l})
+
+
+def test_dominance_bounds_the_minor_diagram_not_d_hat(monkeypatch):
+    # dropping row k can give a column more choices, renumbering never does:
+    # D-hat may have more subdiagrams than D, D' never has
+    def count(columns):
+        return prod(map(_choice_count, columns))
+
+    for d in _random_diagrams(5, 100):
+        for k, l in product(range(1, d.n + 1), repeat=2):
+            d_minor = [tuple(i - (i > k) for i in col if i != k)
+                       for j, col in enumerate(d.columns, 1) if j != l]
+            assert count(d_minor) <= count(d.columns), (d.columns, k, l)
+    d = Diagram(((1,), (1, 3), (1, 3)))
+    monkeypatch.setattr(weyl, "MAX_SUBDIAGRAMS", 4)
+    with pytest.raises(SizeLimitError, match="9 subdiagrams"):
+        dual_character(delete_row_col(d, 1, 1))
+    assert count(d.columns) == 4 and pattern_dominance_check(d, 1, 1).ok
+
+
+def test_character_memo_ignores_column_order_and_frame():
+    for d in _random_diagrams(7, 40):
+        weyl._character.cache_clear()
+        chi = dual_character(d)
+        # the same nonempty columns, reversed, in a frame two larger
+        moved = Diagram(d.columns[::-1] + ((), ()))
+        assert dual_character(moved, limit=7) == character_by_definition(moved), d.columns
+        assert weyl._character.cache_info().hits == 1
+        assert dual_character(moved, limit=7).terms == {e + (0, 0): c for e, c in chi.terms.items()}
+
+
+def test_dominance_leaves_the_shared_character_intact():
+    for d in [rothe_diagram(parse_permutation("31542"))] + _random_diagrams(11, 10):
+        weyl._character.cache_clear()
+        for k, l in product(range(1, d.n + 1), repeat=2):
+            pattern_dominance_check(d, k, l)
+        hits = weyl._character.cache_info().hits
+        assert dual_character(d) == character_by_definition(d), d.columns
+        assert weyl._character.cache_info().hits == hits + 1  # read from the shared entry
 
 
 def test_schubert_pattern_inequality_examples():
