@@ -14,7 +14,6 @@ from .perms import (
 )
 from .poly import (
     Polynomial,
-    coefficientwise_geq,
     demazure,
     divided_difference,
     is_zero_one,

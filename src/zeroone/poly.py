@@ -10,10 +10,11 @@ sum, never through rational functions:
 
 which is the exact quotient of the antisymmetrized numerator.
 
-`Polynomial.terms` has tuple keys; the one divided-difference kernel runs on
-packed ints (8-bit little-endian fields, x_1 lowest, as in `weyl` and
-`tableaux`).  A result born packed keeps its packed keys, prints from them
-through one graded-lex formatter, and decodes `terms` on first read.
+`Polynomial.terms` has tuple keys; the one divided-difference kernel
+`_packed_dd` and the one reindexing `_lift` run on packed ints (8-bit
+little-endian fields, x_1 lowest, as in `weyl` and `tableaux`).  A result
+born packed keeps its packed keys, prints from them through one graded-lex
+formatter, and decodes `terms` on first read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "schubert_all",
     "is_zero_one",
     "max_coefficient",
-    "coefficientwise_geq",
 ]
 
 
@@ -194,19 +194,6 @@ class Polynomial:
         return Polynomial._adopt(
             self.nvars, {e: c for e, c in self.terms.items() if e[k - 1] == 0}
         )
-
-    def reindex(self, positions: tuple[int, ...], nvars: int) -> "Polynomial":
-        """Send variable t to x_{positions[t-1]} inside a ring with nvars variables."""
-        if len(positions) != self.nvars:
-            raise ValueError("positions must name every old variable")
-        out = {}
-        for e, c in self.terms.items():
-            new = [0] * nvars
-            for old, exp in enumerate(e):
-                if exp:
-                    new[positions[old] - 1] = exp
-            out[tuple(new)] = c
-        return Polynomial._adopt(nvars, out)
 
     def _graded(self) -> tuple[int, list[tuple[int, str, int]]]:
         """(field width in bits, one (weight, text, coefficient) row per term),
@@ -368,6 +355,24 @@ def _packed_dd(i: int, terms: dict[int, int], times: int = 0) -> dict[int, int]:
     return _drop_zeros(out)
 
 
+def _lift(terms: dict[int, int], positions: tuple[int, ...], times: int) -> dict[int, int]:
+    """x^times * f(x_P) on packed keys: field t of each key moves to field
+    P[t] - 1 and the packed monomial x^times is added; P is increasing, so no
+    keys merge.  In the pattern theorem f is S_sigma, sigma in S_m, with x_t's
+    exponent at most m - t, and x^times is M: in a row i = P[t] it counts the
+    boxes (i, w_k) of D(w) with k > i outside P, at most n - i - (m - t), in
+    any other row at most n - i boxes.  So no field of x_i exceeds n - i, and
+    `schubert_classic` refuses n > 255 before any carry."""
+    moves = [(8 * t, 8 * (p - 1)) for t, p in enumerate(positions)]
+    out = {}
+    for k, c in terms.items():
+        key = times
+        for src, dst in moves:
+            key += (k >> src & 255) << dst
+        out[key] = c
+    return out
+
+
 def _through_kernel(i: int, f: Polynomial, times: int) -> Polynomial:
     if not 1 <= i < f.nvars:
         raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
@@ -470,11 +475,3 @@ def is_zero_one(f: Polynomial) -> bool:
 def max_coefficient(f: Polynomial) -> int:
     return max(f._coefficients(), default=0)
 
-
-def coefficientwise_geq(f: Polynomial, g: Polynomial) -> bool:
-    """True iff f - g has no negative coefficient."""
-    f._check_compatible(g)
-    for e, c in g.terms.items():
-        if f.terms.get(e, 0) < c:
-            return False
-    return all(c >= 0 for e, c in f.terms.items() if e not in g.terms)

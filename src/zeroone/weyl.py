@@ -13,6 +13,7 @@ box in row k.  Deleting row k and renumbering the rows below it keeps their
 order, so these C are the C' <= D' of the minor diagram D' (row k and column
 l deleted) in the (n-1) frame, and Y without row and column k is the generic
 upper-triangular (n-1)-matrix: every minor and every rank is unchanged.
+Both dominance levels take M from one packed deleted-box weight.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
 
-from .perms import Diagram, Permutation, pattern_at, rothe_diagram
-from .poly import Polynomial, coefficientwise_geq, schubert_classic
+from .perms import Diagram, Permutation, pattern_at, rothe_rows
+from .poly import Polynomial, _lift, schubert_classic
 
 __all__ = [
     "column_leq",
@@ -265,13 +266,11 @@ class DominanceResult:
     ok: bool
 
 
-def _deleted_weight(d: Diagram, rows, cols) -> Polynomial:
-    """Weight of the boxes of d lying in a deleted row or a deleted column, each box once."""
-    e = [0] * d.n
-    for i, j in d.boxes():
-        if i in rows or j in cols:
-            e[i - 1] += 1
-    return Polynomial.monomial(tuple(e))
+def _deleted_weight(rows: list[int], kept_rows: int, kept_cols: int) -> int:
+    """Packed weight of the boxes in a deleted row or column, each once: bit j-1 of
+    rows[i-1] is box (i, j), bit i-1 of kept_rows keeps row i, bit j-1 of kept_cols column j."""
+    return sum((row & ~kept_cols if kept_rows >> i & 1 else row).bit_count() << BITS * i
+               for i, row in enumerate(rows))
 
 
 def pattern_dominance_check(
@@ -296,8 +295,8 @@ def pattern_dominance_check(
     d_minor = Diagram(tuple(tuple(i - (i > k) for i in col if i != k)
                             for j, col in enumerate(d.columns, 1) if j != l))
     _, chi_minor = dual_character(d_minor, limit=limit)._packed_fields()
-    m_poly = _deleted_weight(d, {k}, {l})
-    m_key = int.from_bytes(bytes(next(iter(m_poly.terms))), "little")
+    rows = [sum(1 << j for j, col in enumerate(d.columns) if i in col) for i in range(1, d.n + 1)]
+    m_key = _deleted_weight(rows, ~(1 << k - 1), ~(1 << l - 1))  # all but row k, column l
     at = BITS * (k - 1)  # the fields of x_k..x_{n-1} move up one, x_k's reads 0
     remainder = dict(chi._packed_fields()[1])  # the shared character stays as it is
     ok = True
@@ -308,17 +307,20 @@ def pattern_dominance_check(
             ok = ok and v > 0
         else:
             del remainder[key]
-    return DominanceResult(m_poly, Polynomial._from_packed(d.n, remainder), ok)
+    return DominanceResult(Polynomial._from_packed(d.n, {m_key: 1}),
+                           Polynomial._from_packed(d.n, remainder), ok)
 
 
 def schubert_pattern_inequality(w: Permutation, positions: tuple[int, ...]) -> bool:
-    """schubert(w) - M * schubert(sigma) (reindexed) has no negative coefficient,
-    where sigma is the pattern of w at the increasing positions P and M is the
-    weight of the boxes of D(w) outside rows P or outside columns w(P)."""
+    """S_w - M * S_sigma(x_P) has no negative coefficient, where sigma is the
+    pattern of w at the increasing positions P and M is the weight of the boxes
+    of D(w) outside rows P or outside columns w(P).  Checked on packed keys
+    (see `poly._lift`): S_w is at least c at each key of the product with
+    coefficient c, and at least 0 at every other key."""
     sigma = pattern_at(w, positions)
-    every = range(1, w.n + 1)
-    rows = set(every).difference(positions)
-    cols = set(every).difference(map(w.__getitem__, positions))
-    m_poly = _deleted_weight(rothe_diagram(w), rows, cols)
-    lifted = schubert_classic(sigma).reindex(tuple(positions), w.n)
-    return coefficientwise_geq(schubert_classic(w), m_poly * lifted)
+    f = schubert_classic(w)._packed
+    m_key = _deleted_weight(rothe_rows(w.entries), sum(1 << p - 1 for p in positions),
+                            sum(1 << w[p] - 1 for p in positions))
+    lifted = _lift(schubert_classic(sigma)._packed, positions, m_key)
+    return all(f.get(key, 0) >= c for key, c in lifted.items()) and all(
+        c >= 0 for key, c in f.items() if key not in lifted)

@@ -185,12 +185,12 @@ def test_criterion_9_closure_and_minimality(schubert_table_5, schubert_table_6):
 
 
 def test_criterion_10_every_occurrence_dominance():
-    with criterion(10, "pattern dominance for every occurrence over S_1..S_5"):
+    with criterion(10, "pattern dominance for every occurrence over S_1..S_6"):
         pairs = 0
-        for n in range(1, 6):
+        for n in range(1, 7):
             for w in all_permutations(n):
                 for m in range(n + 1):
                     for positions in combinations(range(1, n + 1), m):
                         assert schubert_pattern_inequality(w, positions), (w, positions)
                         pairs += 1
-        assert pairs == 4282  # sum of n! * 2^n; scripts/pattern_dominance.py takes S_6 and up
+        assert pairs == 50362  # sum of n! * 2^n; scripts/pattern_dominance.py takes S_7 and up

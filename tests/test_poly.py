@@ -9,7 +9,6 @@ from zeroone.orthodontia import orthodontic_sequence
 from zeroone.perms import Permutation, all_permutations, parse_permutation
 from zeroone.poly import (
     Polynomial,
-    coefficientwise_geq,
     demazure,
     divided_difference,
     is_zero_one,
@@ -262,17 +261,6 @@ def test_coefficient_predicates():
     d = schubert_classic(parse_permutation("12543"))
     assert not is_zero_one(d)
     assert max_coefficient(d) == 2
-    assert coefficientwise_geq(s, Polynomial.zero(5))
-    assert coefficientwise_geq(s, s)
-    assert not coefficientwise_geq(Polynomial.zero(5), s)
-
-
-@given(polynomials(), polynomials())
-def test_coefficientwise_geq_matches_subtraction(f, g):
-    if f.nvars != g.nvars:
-        return
-    expected = all(c >= 0 for c in (f - g).terms.values())
-    assert coefficientwise_geq(f, g) == expected
 
 
 def test_format_graded_lex():
@@ -398,9 +386,7 @@ def test_kernels_keep_terms_canonical(f, data):
         assert all(len(e) == f.nvars for e in h.terms)
 
 
-def test_reindex_and_substitute():
-    f = x(1, 2) * x(2, 2)
-    lifted = f.reindex((1, 3), 3)
-    assert lifted == x(1, 3) * x(3, 3)
-    assert lifted.substitute_zero(3).is_zero()
-    assert lifted.substitute_zero(2) == lifted
+def test_substitute_zero():
+    f = x(1, 3) * x(3, 3)
+    assert f.substitute_zero(3).is_zero()
+    assert f.substitute_zero(2) == f

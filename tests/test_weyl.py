@@ -15,9 +15,11 @@ from zeroone.perms import (
     delete_row_col,
     has_northwest_property,
     parse_permutation,
+    pattern_at,
     rothe_diagram,
+    rothe_rows,
 )
-from zeroone.poly import Polynomial, schubert_classic
+from zeroone.poly import Polynomial, _lift, schubert_classic
 from zeroone.weyl import (
     SizeLimitError,
     column_leq,
@@ -367,7 +369,9 @@ def test_dominance_remainder_matches_full_frame_oracle():
             oracle = chi - result.monomial * dual_character(delete_row_col(d, k, l)).substitute_zero(k)
             assert result.remainder == oracle, (d.columns, k, l)
             assert result.ok == all(c > 0 for c in oracle.terms.values())
-            assert result.monomial == weyl._deleted_weight(d, {k}, {l})
+            every = set(range(1, d.n + 1))
+            m_key = weyl._deleted_weight(_row_masks(d), _mask(every - {k}), _mask(every - {l}))
+            assert result.monomial == Polynomial.monomial(tuple(m_key.to_bytes(d.n, "little")))
 
 
 def test_dominance_bounds_the_minor_diagram_not_d_hat(monkeypatch):
@@ -422,19 +426,79 @@ def test_schubert_pattern_inequality_examples():
             schubert_pattern_inequality(w, bad)
 
 
+def _mask(indices):
+    """The bitmask with bit i-1 set for each 1-based index i."""
+    return sum(1 << i - 1 for i in indices)
+
+
+def _row_masks(d):
+    """Bit j-1 of entry i-1 is box (i, j) of d."""
+    rows = [0] * d.n
+    for i, j in d.boxes():
+        rows[i - 1] |= 1 << j - 1
+    return rows
+
+
+def _reindexed(f, positions, nvars):
+    """f with x_t sent to x_{positions[t-1]} among nvars variables, on tuple keys."""
+    out = {}
+    for e, c in f.terms.items():
+        new = [0] * nvars
+        for old, exp in enumerate(e):
+            new[positions[old] - 1] = exp
+        out[tuple(new)] = c
+    return Polynomial(nvars, out)
+
+
+def test_lifted_weight_matches_tuple_product():
+    # M * S_sigma(x_P) on packed keys against public tuple-keyed operations:
+    # M counted from the boxes of D(w), the reindexing loop and the product
+    pairs = 0
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            boxes = list(rothe_diagram(w).boxes())
+            rows = rothe_rows(w.entries)
+            for m in range(n + 1):
+                for kept in combinations(range(1, n + 1), m):
+                    cols = {w[p] for p in kept}
+                    e = [0] * n
+                    for i, j in boxes:
+                        if i not in kept or j not in cols:
+                            e[i - 1] += 1
+                    sigma = schubert_classic(pattern_at(w, kept))
+                    oracle = Polynomial.monomial(tuple(e)) * _reindexed(sigma, kept, n)
+                    m_key = weyl._deleted_weight(rows, _mask(kept), _mask(cols))
+                    lifted = _lift(sigma._packed_fields()[1], kept, m_key)
+                    assert Polynomial._from_packed(n, lifted) == oracle, (w, kept)
+                    # the bound that keeps every field in a byte: x_i's is at most n - i
+                    assert all(v <= n - i for key in lifted
+                               for i, v in enumerate(key.to_bytes(n, "little"), 1)), (w, kept)
+                    pairs += 1
+    assert pairs == 4282
+
+
+def test_schubert_pattern_inequality_at_the_byte_edge():
+    # at n = 255 a lifted field reaches n - 1 = 254 without carrying; the
+    # classic route refuses n = 256 before any packing
+    w0 = Permutation(tuple(range(255, 0, -1)))
+    for w in (w0, w0.swap_positions(1), w0.swap_positions(254)):
+        for positions in [(), (1,), (1, 2, 255), (2, 100, 254, 255), tuple(range(1, 256))]:
+            assert schubert_pattern_inequality(w, positions), (w.entries[:3], positions)
+    with pytest.raises(ValueError, match="n <= 255"):
+        schubert_pattern_inequality(Permutation(tuple(range(256, 0, -1))), (1, 2))
+
+
 def test_deleted_weight_degree_is_the_length_drop():
     # D(sigma) is D(w) restricted to rows P and columns w(P), so the deleted
     # boxes number l(w) - l(sigma), read off the inversions of w inside P
     for n in range(1, 7):
-        every = set(range(1, n + 1))
         for w in all_permutations(n):
-            d = rothe_diagram(w)
+            rows = _row_masks(rothe_diagram(w))
             for m in range(n + 1):
                 for kept in combinations(range(1, n + 1), m):
-                    m_poly = weyl._deleted_weight(d, every - set(kept), every - {w[p] for p in kept})
-                    ((e, c),) = m_poly.terms.items()
+                    m_key = weyl._deleted_weight(rows, _mask(kept), _mask(w[p] for p in kept))
                     inside = sum(w[p] > w[q] for p, q in combinations(kept, 2))
-                    assert (sum(e), c) == (w.inversions() - inside, 1), (w, kept)
+                    assert sum(m_key.to_bytes(n, "little")) == w.inversions() - inside, (w, kept)
 
 
 def test_deleted_weight_counts_the_hook():
@@ -442,13 +506,15 @@ def test_deleted_weight_counts_the_hook():
     for _ in range(100):
         n = rng.randint(1, 6)
         boxes = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 3 * n))}
-        d = Diagram.from_boxes(n, boxes)
+        rows = _row_masks(Diagram.from_boxes(n, boxes))
+        every = set(range(1, n + 1))
         for k, l in product(range(1, n + 1), repeat=2):
             e = [0] * n
             for i, j in boxes:
                 if i == k or j == l:
                     e[i - 1] += 1
-            assert weyl._deleted_weight(d, {k}, {l}) == Polynomial.monomial(tuple(e)), (boxes, k, l)
+            m_key = weyl._deleted_weight(rows, _mask(every - {k}), _mask(every - {l}))
+            assert m_key == int.from_bytes(bytes(e), "little"), (boxes, k, l)
 
 
 def test_max_coefficient_monotone_under_one_step(schubert_table_5, schubert_table_6):
