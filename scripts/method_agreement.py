@@ -2,8 +2,8 @@
 """Cross-validate the expansion methods against each other, with timings.
 
 Runs the divided-difference sweep over all of S_n (`schubert_all`, timed as
-"all"), then checks against it the memoised per-query recursion that
-`expand` runs (`schubert_classic`), the operator formula, the tableau
+"all"), then checks against it the per-query descent that `expand` runs
+(`schubert_classic`), the operator formula, the tableau
 expansion, and the determinant-rank character up to the requested size.  Any
 disagreement is printed and the run exits nonzero.
 

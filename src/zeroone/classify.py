@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, islice, permutations as it_perms
+from itertools import accumulate, permutations as it_perms
 from operator import or_
 from typing import Iterator, Optional
 
@@ -299,26 +299,19 @@ def _pool_size(workers: int, blocks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, blocks))
 
 
-def _tally(votes: Iterator[tuple[bool, ...]], entries: Iterator[tuple[int, ...]]):
+def _tally(pairs: Iterator[tuple[tuple[int, ...], tuple[bool, ...]]]):
     """(zero-one, disagreements, total, first disagreeing entries or None)
-    over the vote tuples of a survey.
-
-    entries must yield the surveyed one-line entries in the order of votes.
-    The vote loop only notes the index of the first disagreement; entries
-    is read afterwards, and only when there is one.
-    """
+    over the (one-line entries, vote tuple) pairs of a survey."""
     zero_one = disagreements = total = 0
     first = None
-    for vote in votes:
+    for entries, vote in pairs:
         if all(vote):
             zero_one += 1
         elif any(vote):
             if not disagreements:
-                first = total
+                first = entries
             disagreements += 1
         total += 1
-    if first is not None:
-        first = next(islice(entries, first, None))
     return zero_one, disagreements, total, first
 
 
@@ -334,7 +327,7 @@ def _start_worker(n: int):
 def _survey_block(first: int):
     """Tally the block of S_n starting with first, with the worker's votes."""
     n, votes = _worker_votes
-    return _tally(map(votes, _block_entries(n, first)), _block_entries(n, first))
+    return _tally((e, votes(e)) for e in _block_entries(n, first))
 
 
 def survey(
@@ -380,14 +373,14 @@ def survey(
         raise ValueError(f"survey size {n} exceeds limit {cap}")
     pool_size = _pool_size(workers, n)
     if methods == "all":
-        fast_votes = _fast_votes(n)  # the expansion vote reads the packed coefficients
+        votes = _fast_votes(n)  # the expansion vote reads the packed coefficients
         zero_one, disagreements, total, first = _tally(
-            ((all(c == 1 for c in terms.values()), *fast_votes(e)) for e, terms in _all_packed(n)),
-            (e for e, _ in _all_packed(n)),
+            (e, (all(c == 1 for c in terms.values()), *votes(e))) for e, terms in _all_packed(n)
         )
     elif pool_size == 1:
+        votes = _fast_votes(n)
         zero_one, disagreements, total, first = _tally(
-            map(_fast_votes(n), _block_entries(n, None)), _block_entries(n, None)
+            (e, votes(e)) for e in _block_entries(n, None)
         )
     else:
         with ProcessPoolExecutor(

@@ -233,9 +233,6 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 1
-    except RecursionError as exc:
-        print(f"error: input too deep for the recursive descent ({exc})", file=err)
-        return 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -392,33 +392,36 @@ def demazure(i: int, f: Polynomial) -> Polynomial:
     return _through_kernel(i, f, 1 << 8 * (i - 1))
 
 
-# -- the classical recursion ------------------------------------------
+# -- the classic descent ---------------------------------------------
 
 def _staircase(n: int) -> int:
     """x_1^{n-1} x_2^{n-2} ... x_{n-1}, packed."""
     return int.from_bytes(bytes(range(n - 1, -1, -1)), "little")
 
 
-_memo: dict[tuple[int, ...], Polynomial] = {}  # entries -> schubert(w), oldest use first
-_MEMO_SIZE = 256
+_MAX_STEPS = 990  # the identity of S_45 (990 steps) is answered, that of S_46 refused
 
 
-def _classic(w: Permutation) -> Polynomial:
-    """schubert(w) through the memo: one interpreter frame per divided-difference step."""
-    key = w.entries
-    f = _memo.pop(key, None)
-    if f is None:
-        ascents = w.ascents()
-        if not ascents:
-            packed = {_staircase(w.n): 1}
+@lru_cache(maxsize=16)
+def _classic(entries: tuple[int, ...]) -> Polynomial:
+    """schubert(w) from w's entries: a climb to w_0 by leftmost ascents on a
+    plain list (after a swap at i, the next one is at i - 1 or later), refused
+    past _MAX_STEPS swaps, then d_i down the same path from the staircase."""
+    n = len(entries)
+    e, path, i = list(entries), [], 1
+    while i < n:
+        if e[i - 1] < e[i]:
+            e[i - 1], e[i] = e[i], e[i - 1]
+            path.append(i)
+            if len(path) > _MAX_STEPS:
+                raise ValueError(f"the classic descent needs more than {_MAX_STEPS} steps")
+            i = i - 1 or 1
         else:
-            i = ascents[0]
-            packed = _packed_dd(i, _classic(w.swap_positions(i))._packed)
-        f = Polynomial._from_packed(w.n, packed)
-        if len(_memo) >= _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-    _memo[key] = f
-    return f
+            i += 1
+    packed = {_staircase(n): 1}
+    for i in reversed(path):
+        packed = _packed_dd(i, packed)
+    return Polynomial._from_packed(n, packed)
 
 
 def schubert_classic(w: Permutation) -> Polynomial:
@@ -426,16 +429,14 @@ def schubert_classic(w: Permutation) -> Polynomial:
 
     Each step uses the leftmost ascent; the braid relations make the result
     independent of the choice, which the test suite checks against a descent
-    by rightmost ascents.  The 256 most recently used results are kept,
-    keyed by one-line notation, so queries sharing a descent path near w_0
-    reuse it while memory stays bounded; a hit returns the same Polynomial,
-    whose packed keys are decoded at most once.  The memo is a plain dict rather than
-    `functools.lru_cache`, whose C wrapper would add a second interpreter
-    recursion level per step.
+    by rightmost ascents.  The 16 most recently used results are kept; a hit
+    returns the same Polynomial, whose packed keys are decoded at most once.
+    The route refuses n > 255, so that exponents fit in a byte, and a chain of
+    more than 990 steps (n(n-1)/2 - inversions(w)), so that its cost is bounded.
     """
     if w.n > 255:
         raise ValueError("the classic route needs n <= 255, so that exponents fit in a byte")
-    return _classic(w)
+    return _classic(w.entries)
 
 
 def _all_packed(n: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
+from operator import gt
 
 from .perms import Diagram, Permutation, pattern_at, rothe_rows
 from .poly import Polynomial, _lift, schubert_classic
@@ -102,10 +103,14 @@ def _packed_minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[tuple[i
     """det Y[rows; cols] for sorted rows and cols, as (key, coefficient) pairs.
 
     Laplace expansion along the first row.  Distinct permutations give
-    distinct monomials, so no two terms ever combine.
+    distinct monomials, so no two terms ever combine.  Y is upper triangular,
+    so a pair with some rows[k] > cols[k] is 0 and is not expanded.  One frame
+    per row: `dual_character` refuses n > _FIELD, so at most 255 deep there.
     """
     if not rows:
         return ((0, 1),)
+    if any(map(gt, rows, cols)):
+        return ()
     first, rest = rows[0], rows[1:]
     terms: list[tuple[int, int]] = []
     for idx, col in enumerate(cols):
@@ -316,11 +321,11 @@ def schubert_pattern_inequality(w: Permutation, positions: tuple[int, ...]) -> b
     pattern of w at the increasing positions P and M is the weight of the boxes
     of D(w) outside rows P or outside columns w(P).  Checked on packed keys
     (see `poly._lift`): S_w is at least c at each key of the product with
-    coefficient c, and at least 0 at every other key."""
+    coefficient c, and at least 0 at every other key; the coefficients of
+    S_sigma are positive, so S_w >= 0 is checked once for all keys."""
     sigma = pattern_at(w, positions)
     f = schubert_classic(w)._packed
     m_key = _deleted_weight(rothe_rows(w.entries), sum(1 << p - 1 for p in positions),
                             sum(1 << w[p] - 1 for p in positions))
     lifted = _lift(schubert_classic(sigma)._packed, positions, m_key)
-    return all(f.get(key, 0) >= c for key, c in lifted.items()) and all(
-        c >= 0 for key, c in f.items() if key not in lifted)
+    return min(f.values()) >= 0 and all(f.get(key, 0) >= c for key, c in lifted.items())

@@ -1,8 +1,10 @@
 """Exit codes, output formats, and determinism of the command line."""
 
 import io
+import random
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -170,6 +172,15 @@ def test_char_limit():
         os.unlink(path)
 
 
+def test_char_skips_zero_minors(tmp_path):
+    # one column {1..40}: Laplace expansion meets 2^40 zero minors unless it prunes them
+    path = tmp_path / "column.txt"
+    path.write_text("1: " + " ".join(str(i) for i in range(1, 41)) + "\n"
+                    + "".join(f"{j}:\n" for j in range(2, 41)))
+    code, out, err = invoke("--limit", "40", "char", str(path))
+    assert (code, out, err) == (0, "*".join(f"x{i}" for i in range(1, 41)) + "\n", "")
+
+
 def test_determinant_cost_guard(tmp_path):
     path = tmp_path / "wide.txt"
     path.write_text("".join(f"{j}: 4 5 6\n" for j in range(1, 7)))
@@ -299,11 +310,25 @@ def test_parser_built_on_first_run():
 
 
 def test_deep_descent_ends_cleanly():
-    # identity of S_40: 780 divided-difference steps from w_0, within the limit
+    # identity of S_40: 780 divided-difference steps from w_0, within the bound of 990
     assert invoke("expand", ",".join(str(i) for i in range(1, 41))) == (0, "1\n", "")
-    code, out, err = invoke("expand", ",".join(str(i) for i in range(1, 47)))
+    code, out, err = invoke("expand", ",".join(str(i) for i in range(1, 47)))  # 1035 steps
     assert code == 1 and out == ""
     assert err.startswith("error:")
+    # identity of S_45: exactly 990 steps, answered from a fresh interpreter too
+    proc = subprocess.run(
+        [sys.executable, "-m", "zeroone.cli", "expand", ",".join(str(i) for i in range(1, 46))],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+    # this random w in S_100 is 2682 steps from w_0: refused before any step
+    entries = list(range(1, 101))
+    random.Random(18).shuffle(entries)
+    start = time.perf_counter()
+    code, out, err = invoke("expand", ",".join(map(str, entries)))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_zero_one_on_a_long_increasing_run():
