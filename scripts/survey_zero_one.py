@@ -2,7 +2,9 @@
 """Sweep S_n for a range of n and tabulate the zero-one counts.
 
 Every count is checked against the known zero-one counts of S_1..S_11; the
-script exits 1 on a mismatch or on any disagreement between the voters.
+script exits 1 on a mismatch or on any disagreement between the voters.  The
+last column is the peak resident set so far, in MB: the larger of this
+process's and that of its largest finished worker.
 
 Example:
     python scripts/survey_zero_one.py --max-n 7
@@ -11,6 +13,7 @@ Example:
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -31,14 +34,16 @@ def main():
     parser.add_argument("--limit", type=int, default=None)
     args = parser.parse_args()
 
-    print(f"{'n':>3} {'total':>9} {'zero-one':>9} {'disagree':>9} {'seconds':>8}")
+    print(f"{'n':>3} {'total':>9} {'zero-one':>9} {'disagree':>9} {'seconds':>8} {'peak-MB':>8}")
     failed = False
     for n in range(args.min_n, args.max_n + 1):
         t0 = time.perf_counter()
         summary = survey(n, methods=args.methods, workers=args.workers, limit=args.limit)
         dt = time.perf_counter() - t0
+        peak = max(resource.getrusage(who).ru_maxrss
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
         print(f"{n:>3} {summary.total:>9} {summary.zero_one:>9} "
-              f"{summary.disagreements:>9} {dt:>8.2f}", flush=True)
+              f"{summary.disagreements:>9} {dt:>8.2f} {peak:>8.1f}", flush=True)
         known = KNOWN_ZERO_ONE.get(n)
         if known is not None and summary.zero_one != known:
             print(f"n={n}: zero-one count {summary.zero_one}, known {known}", file=sys.stderr)

@@ -18,9 +18,9 @@ from itertools import accumulate, permutations as it_perms
 from operator import or_
 from typing import Iterator, Optional
 
-from .perms import Permutation, first_pattern, rothe_rows
+from .perms import Permutation, first_pattern, rothe_masks, rothe_rows
 from .poly import _all_packed, is_zero_one, schubert_classic
-from .orthodontia import is_multiplicity_free
+from .orthodontia import _StateTable, is_multiplicity_free
 
 __all__ = [
     "MULTIPLICITOUS_PATTERNS",
@@ -276,11 +276,12 @@ def _fast_votes(n: int):
     as one function of the one-line entries."""
     tables = _deletion_tables(n)
     below = _avoider_class(n - 1)
+    states = _StateTable(n)
 
     def votes(entries: tuple[int, ...]) -> tuple[bool, bool, bool]:
         pat = _sieve_avoids(bytes(entries), below, tables)
         conf = not has_configuration(entries)
-        mult = is_multiplicity_free(Permutation._adopt(entries))
+        mult = states(rothe_masks(entries))
         return pat, conf, mult
 
     return votes

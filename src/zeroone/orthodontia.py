@@ -10,9 +10,9 @@ their original index throughout; emptied columns simply become empty.
 One engine, `_engine`, runs the straightening on column bitmasks (bit p =
 row p+1) taken straight from one-line entries.  It swaps rows in place in
 one list and yields each step's letter, impact (a column bitmask) and that
-list: `orthodontic_sequence` snapshots every stage, while
-`is_multiplicity_free` (which also casts the survey's vote) compares impact
-masks only and stops at the first repeated letter that breaks the condition.
+list: `orthodontic_sequence` snapshots every stage, `is_multiplicity_free`
+compares impact masks and stops at the first bad repeated letter, and the
+survey's `_StateTable` steps each distinct state once.
 """
 
 from __future__ import annotations
@@ -72,6 +72,73 @@ def _engine(masks: list[int]):
             work[:] = [0 if mask == target else mask for mask in work]
             if not intervals.isdisjoint(work):
                 raise AssertionError("unexpected interval column during straightening")
+
+
+def _repeat_ok(imp: int, other: int) -> bool:
+    """The rule for a repeated letter: its impacts imp and other are one singleton column."""
+    return imp == other and not imp & (imp - 1)
+
+
+def _walk_forward(masks: list[int]) -> bool:
+    """Multiplicity-freeness from column masks, stopping at the first bad repeat."""
+    seen = {}
+    # step 0 carries the letter 0, which never repeats
+    for letter, imp, _ in _engine(masks):
+        if letter not in seen:
+            seen[letter] = imp
+        elif not _repeat_ok(imp, seen[letter]):
+            return False
+    return True
+
+
+class _StateTable(dict):
+    """The survey's multiplicity-free vote on S_n, stepping the engine once per state.
+
+    Keys pack column masks, interval columns emptied, n bits per column; emptied
+    columns keep their place, so impact bits name the same columns along a chain.
+    A value sums up the chain from its state to the empty diagram (key 0): n + 1
+    bits per letter i at offset (i-1)(n+1), a seen bit under i's impact mask, or
+    None once a repeat breaks `_repeat_ok`.  A vote walks to a known state, then
+    folds the new steps back in.  Once CAP states are stored, a vote from an
+    unknown state is `_walk_forward`, which can stop at the first bad repeat.
+    """
+
+    CAP = 1 << 18  # about 80 bytes a state; S_9 has 155739 states, S_10 more than CAP
+
+    def __init__(self, n: int):
+        super().__init__({0: 0})
+        self.n, self.intervals = n, _intervals(n)
+
+    def _key(self, masks: list[int]) -> int:
+        key, n, intervals = 0, self.n, self.intervals
+        for mask in reversed(masks):
+            key = key << n | (0 if mask in intervals else mask)
+        return key
+
+    def __call__(self, masks: list[int]) -> bool:
+        walked, key = [], self._key(masks)
+        if key not in self:
+            if len(self) >= self.CAP:
+                return _walk_forward(masks)
+            steps = _engine(masks)
+            next(steps)  # later steps leave no interval column but [i_r], which _key empties
+            for letter, imp, work in steps:
+                walked.append((key, letter, imp))
+                key = self._key(work)
+                if key in self:
+                    break
+        summary, width = self[key], self.n + 1
+        for key, letter, imp in reversed(walked):
+            if summary is not None:
+                shift = (letter - 1) * width
+                field = summary >> shift & ((1 << width) - 1)
+                if not field:
+                    summary |= (imp << 1 | 1) << shift
+                elif not _repeat_ok(imp, field >> 1):
+                    summary = None
+            if len(self) < self.CAP:
+                self[key] = summary
+        return summary is not None
 
 
 @dataclass(frozen=True)
@@ -166,14 +233,7 @@ def is_multiplicity_free(w: Permutation) -> bool:
     """Every repeated letter of i must have all its impacts equal to one
     common singleton column.  The straightening stops at the first repeated
     letter that breaks this."""
-    seen = {}
-    # step 0 carries the letter 0, which never repeats
-    for letter, imp, _ in _engine(rothe_masks(w.entries)):
-        if letter not in seen:
-            seen[letter] = imp
-        elif imp & (imp - 1) or imp != seen[letter]:
-            return False
-    return True
+    return _walk_forward(rothe_masks(w.entries))
 
 
 def schubert_orthodontic(w: Permutation) -> Polynomial:

@@ -81,6 +81,8 @@ def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[tuple[frozenset
     """
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
+    if len(rows) > _FIELD:
+        raise ValueError(f"minor of {len(rows)} rows: at most {_FIELD}, one expansion frame a row")
     terms = _packed_minor(tuple(sorted(rows)), tuple(sorted(cols)))
     decoded = [(_unpack(key), coeff) for key, coeff in terms]
     return tuple(sorted(decoded, key=lambda kv: sorted(kv[0])))
@@ -105,7 +107,7 @@ def _packed_minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[tuple[i
     Laplace expansion along the first row.  Distinct permutations give
     distinct monomials, so no two terms ever combine.  Y is upper triangular,
     so a pair with some rows[k] > cols[k] is 0 and is not expanded.  One frame
-    per row: `dual_character` refuses n > _FIELD, so at most 255 deep there.
+    per row: `minor` and `dual_character` refuse more than _FIELD rows.
     """
     if not rows:
         return ((0, 1),)

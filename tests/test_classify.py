@@ -19,13 +19,14 @@ from zeroone.classify import (
     _pool_size,
     _sieve_avoids,
 )
-from zeroone.orthodontia import is_multiplicity_free, orthodontic_sequence
+from zeroone.orthodontia import _StateTable, is_multiplicity_free, orthodontic_sequence
 from zeroone.perms import (
     Permutation,
     all_permutations,
     one_step_pattern,
     parse_permutation,
     rothe_diagram,
+    rothe_masks,
 )
 
 from pattern_scan import scan_table
@@ -154,9 +155,11 @@ def test_multfree_early_exit_matches_trace_and_patterns():
         # the twelve patterns by their definition; on S_8, criterion 4's survey
         # compares the sieve's pattern vote with multiplicity-freeness
         witnesses = scan_table(n, MULTIPLICITOUS_PATTERNS) if n <= 7 else None
+        states = _StateTable(n)  # the survey's vote, one table over S_n in survey order
         for w in all_permutations(n):
             free = is_multiplicity_free(w)
             assert free == multiplicity_free_by_definition(orthodontic_sequence(w)), w
+            assert states(rothe_masks(w.entries)) == free, w
             if witnesses is not None:
                 assert free == (witnesses[w] is None), w
 
@@ -337,6 +340,46 @@ def test_survey_blocks_merge_to_the_least_disagreement(monkeypatch):
     s = survey(5, workers=2)
     assert s == survey(5)
     assert s.disagreements == 3 and str(s.disagreement) == "21543"
+
+
+def test_survey_steps_each_state_once(monkeypatch):
+    import zeroone.orthodontia as orthodontia_mod
+
+    real, letters = orthodontia_mod._engine, []
+
+    def counted(masks):
+        for step in real(masks):
+            letters.append(step[0])
+            yield step
+
+    monkeypatch.setattr(orthodontia_mod, "_engine", counted)
+    for methods in ("fast", "all"):
+        letters.clear()
+        assert survey(7, methods=methods).zero_one == 3343
+        # S_7 reaches 1956 states with interval columns emptied, the empty one seeded
+        assert sum(map(bool, letters)) == 1955
+
+
+def test_survey_state_table_cap(monkeypatch):
+    import zeroone.classify as classify_mod
+
+    uncapped = {methods: survey(6, methods=methods) for methods in ("fast", "all")}
+    # S_6 has 265 states; past the cap the forward walk answers and nothing is
+    # stored; at 40 the walk that reaches the cap in the fast survey is 5 steps long
+    for cap in (40, 50):
+        tables = []
+
+        class Capped(_StateTable):
+            CAP = cap
+
+            def __init__(self, n):
+                super().__init__(n)
+                tables.append(self)
+
+        monkeypatch.setattr(classify_mod, "_StateTable", Capped)
+        for methods, summary in uncapped.items():
+            assert survey(6, methods=methods) == summary
+        assert [len(t) for t in tables] == [cap, cap]
 
 
 def test_survey_all_methods_small():

@@ -1,11 +1,11 @@
 """No function in the package calls itself, so no command-line input can recurse
 past Python's limit.  The one exception recurses once per row of a minor, and
-`dual_character` refuses diagrams with more than 255 rows."""
+`minor` and `dual_character` refuse more than 255 rows."""
 
 import ast
 from pathlib import Path
 
-# det Y[rows; cols] expands one row per frame; dual_character refuses n > 255
+# det Y[rows; cols] expands one row per frame; minor and dual_character refuse > 255 rows
 ALLOWED = {("weyl", "_packed_minor")}
 
 

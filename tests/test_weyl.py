@@ -63,6 +63,14 @@ def test_minor_examples():
         minor((1, 2), (1,))
 
 
+def test_minor_refuses_more_rows_than_a_byte():
+    # the expansion takes one frame per row, so 1200 rows would pass the recursion limit
+    for size in (256, 1200):
+        with pytest.raises(ValueError, match="at most 255"):
+            minor(tuple(range(1, size + 1)), tuple(range(1, size + 1)))
+    assert minor(tuple(range(2, 257)), tuple(range(1, 256))) == ()
+
+
 def test_minor_antisymmetry_signs():
     # rows {1,2}, cols {2,3}: y12 y23 - y13 y22
     terms = dict(minor((1, 2), (2, 3)))
