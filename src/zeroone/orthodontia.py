@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .perms import Diagram, Permutation, mask_rows, rothe_masks
-from .poly import Polynomial, _packed_dd
+from .poly import Polynomial, _omega, _packed_dd
 
 __all__ = [
     "OrthodonticTrace",
@@ -242,13 +242,13 @@ def schubert_orthodontic(w: Permutation) -> Polynomial:
 
     The chain runs on packed keys (see `poly._packed_dd`, which also says
     why no field carries), so n must be at most 255, as `orthodontic_sequence`
-    demands before any work.  omega_j^m packs to m * ((1 << 8j) - 1) // 255,
-    and pi_i(omega_i^m * f) is the kernel on f with the monomial x_i * omega_i^m.
+    demands before any work.  omega_j^m packs to m * `_omega(j)`, and
+    pi_i(omega_i^m * f) is the kernel on f with the monomial x_i * omega_i^m.
     """
     n = w.n
     trace = orthodontic_sequence(w)
     cur = {0: 1}
     for i, m in zip(reversed(trace.i), reversed(trace.m)):
-        cur = _packed_dd(i, cur, (m * ((1 << 8 * i) - 1) // 255) + (1 << 8 * (i - 1)))
-    omega = sum(k * ((1 << 8 * j) - 1) // 255 for j, k in enumerate(trace.k, start=1))
+        cur = _packed_dd(i, cur, m * _omega(i) + (1 << 8 * (i - 1)))
+    omega = sum(k * _omega(j) for j, k in enumerate(trace.k, start=1))
     return Polynomial._from_packed(n, {key + omega: c for key, c in cur.items()})

@@ -10,11 +10,11 @@ sum, never through rational functions:
 
 which is the exact quotient of the antisymmetrized numerator.
 
-`Polynomial.terms` has tuple keys; the one divided-difference kernel
-`_packed_dd` and the one reindexing `_lift` run on packed ints (8-bit
-little-endian fields, x_1 lowest, as in `weyl` and `tableaux`).  A result
-born packed keeps its packed keys, prints from them through one graded-lex
-formatter, and decodes `terms` on first read.
+A Polynomial keys its terms by packed ints, x_1 lowest, in fields of the
+fewest bytes that hold its largest exponent (at least one): canonical keys.
+The divided-difference kernel `_packed_dd` and the reindexing `_lift` run on
+one-byte keys, as in `weyl` and `tableaux`.  Printing reads the keys through
+one graded-lex formatter; `terms` decodes them on each read.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ __all__ = [
 class Polynomial:
     """Immutable polynomial over Z with a fixed variable count."""
 
-    __slots__ = ("nvars", "_terms", "_packed")
+    __slots__ = ("nvars", "_width", "_packed")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
-        object.__setattr__(self, "nvars", nvars)
         clean = {}
         if terms:
             for e, c in terms.items():
@@ -55,58 +54,27 @@ class Polynomial:
                 clean[e] = c
         if nvars and clean and min(map(min, clean)) < 0:
             raise ValueError(f"exponent vector {min(clean, key=min)} has a negative exponent")
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_packed", None)
-
-    @classmethod
-    def _adopt(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
-        """Wrap terms as they are, without validation or copying.
-
-        The caller guarantees that no coefficient is zero and every key has
-        length nvars, and hands the dict over: it must not change it later.
-        """
-        f = object.__new__(cls)
-        object.__setattr__(f, "nvars", nvars)
-        object.__setattr__(f, "_terms", terms)
-        object.__setattr__(f, "_packed", None)
-        return f
+        top = max(map(max, clean), default=0) if nvars else 0
+        width = max(1, (top.bit_length() + 7) // 8)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_packed", {_key(e, width): c for e, c in clean.items()})
 
     @classmethod
     def _from_packed(cls, nvars: int, packed: dict[int, int]) -> "Polynomial":
-        """Wrap packed keys (8-bit fields, x_1 lowest) as `_adopt` wraps terms.
-
-        The keys are decoded into `terms` on its first read; printing reads
-        them as they are.
-        """
-        f = cls._adopt(nvars, None)
+        """Wrap one-byte packed keys as they are: the caller guarantees that no
+        coefficient is zero, and hands the dict over, never to change it."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "nvars", nvars)
+        object.__setattr__(f, "_width", 1)
         object.__setattr__(f, "_packed", packed)
         return f
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
-        """Exponent vectors mapped to nonzero coefficients."""
-        terms = self._terms
-        if terms is None:
-            n = self.nvars
-            terms = {tuple(k.to_bytes(n, "little")): c for k, c in self._packed.items()}
-            object.__setattr__(self, "_terms", terms)
-        return terms
-
-    def _coefficients(self):
-        """The nonzero coefficients, read without decoding packed keys."""
-        return (self._packed if self._terms is None else self._terms).values()
-
-    def _packed_fields(self) -> tuple[int, dict[int, int]]:
-        """(field width in bits, terms keyed by packed ints, x_1 lowest).
-
-        A tuple-built polynomial is packed here, in bytes per field enough
-        for its largest exponent.
-        """
-        if self._packed is not None:
-            return 8, self._packed
-        top = max(map(max, self._terms), default=0) if self.nvars else 0
-        width = max(1, (top.bit_length() + 7) // 8)
-        return 8 * width, _pack(self._terms, width)
+        """Exponent vectors mapped to nonzero coefficients, decoded afresh."""
+        n, width = self.nvars, self._width
+        return {_unrank(k, n, width, "little"): c for k, c in self._packed.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -140,25 +108,25 @@ class Polynomial:
             raise ValueError("polynomials over different variable counts")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
+        out = self.terms
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Polynomial._adopt(self.nvars, out)
+            out[e] = out.get(e, 0) + c
+        return Polynomial(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._adopt(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self + (-other) if isinstance(other, Polynomial) else NotImplemented
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             return Polynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_compatible(other)
         out: dict[tuple[int, ...], int] = {}
         get = out.get
@@ -167,60 +135,59 @@ class Polynomial:
             for e2, c2 in right:
                 key = tuple(map(add, e1, e2))
                 out[key] = get(key, 0) + c1 * c2
-        return Polynomial._adopt(self.nvars, _drop_zeros(out))
+        return Polynomial(self.nvars, out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
+        # the width is canonical (see `__init__`), so equal polynomials have equal keys
         return (
             isinstance(other, Polynomial)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self._width == other._width
+            and self._packed == other._packed
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._width, frozenset(self._packed.items())))
 
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._coefficients()
+        return not self._packed
 
     def coefficient(self, exponents: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exponents), 0)
+        top = 1 << 8 * self._width
+        if len(exponents) != self.nvars or not all(0 <= e < top for e in exponents):
+            return 0  # no key of this width holds that exponent vector
+        return self._packed.get(_key(exponents, self._width), 0)
 
     def substitute_zero(self, k: int) -> "Polynomial":
         """Set x_k := 0, dropping every term where x_k appears."""
-        return Polynomial._adopt(
-            self.nvars, {e: c for e, c in self.terms.items() if e[k - 1] == 0}
-        )
+        return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if e[k - 1] == 0})
 
-    def _graded(self) -> tuple[int, list[tuple[int, str, int]]]:
-        """(field width in bits, one (weight, text, coefficient) row per term),
-        the rows in descending graded-lexicographic order (see `_HalfTable`)."""
-        bits, packed = self._packed_fields()
+    def _graded(self) -> list[tuple[int, str, int]]:
+        """(weight, text, coefficient) per term, descending in graded-lex order (`_HalfTable`)."""
+        bits = 8 * self._width
         low, high = _half_tables(self.nvars, bits)
         shift = bits * high.first
         mask = (1 << shift) - 1
         rows = []
-        for k, c in packed.items():
+        for k, c in self._packed.items():
             weight, text = low[k & mask]
             more, rest = high[k >> shift]
             rows.append((weight + more, text + rest, c))
         rows.sort(reverse=True)
-        return bits, rows
+        return rows
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending graded-lexicographic order."""
-        bits, rows = self._graded()
-        n = self.nvars
-        rank = (1 << bits * n) - 1
-        if bits == 8:  # the rank's bytes are the exponent vector
-            return [(tuple((weight & rank).to_bytes(n, "big")), c) for weight, _, c in rows]
-        return [(_unrank(weight & rank, n, bits // 8), c) for weight, _, c in rows]
+        n, width = self.nvars, self._width
+        rank = (1 << 8 * width * n) - 1
+        return [(_unrank(weight & rank, n, width, "big"), c) for weight, _, c in self._graded()]
 
     def __str__(self) -> str:
-        _, rows = self._graded()
+        rows = self._graded()
         if not rows:
             return "0"
         parts = []
@@ -237,18 +204,23 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.terms!r})"
 
 
-def _pack(terms: dict[tuple[int, ...], int], width: int = 1) -> dict[int, int]:
-    """terms keyed by packed ints: width bytes per exponent, x_1 lowest."""
-    if width == 1:
-        return {int.from_bytes(bytes(e), "little"): c for e, c in terms.items()}
-    return {int.from_bytes(b"".join(v.to_bytes(width, "little") for v in e), "little"): c
-            for e, c in terms.items()}
+def _key(e: tuple[int, ...], width: int) -> int:
+    """The packed key of exponent vector e: width bytes per field, x_1 lowest."""
+    return sum(v << 8 * width * j for j, v in enumerate(e))
 
 
-def _unrank(rank: int, nvars: int, width: int) -> tuple[int, ...]:
-    """The exponent vector whose fields, width bytes each and x_1 first, read big-endian as rank."""
-    raw = rank.to_bytes(nvars * width, "big")
-    return tuple(int.from_bytes(raw[j : j + width], "big") for j in range(0, len(raw), width))
+def _unrank(key: int, nvars: int, width: int, byteorder: str) -> tuple[int, ...]:
+    """The exponent vector of key's nvars fields of width bytes each, read in
+    byteorder: x_1 lowest for "little", x_1 highest for "big" (a rank)."""
+    raw = key.to_bytes(nvars * width, byteorder)
+    if width == 1:  # every kernel result: its bytes are its exponents
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[j : j + width], byteorder) for j in range(0, len(raw), width))
+
+
+def _omega(j: int) -> int:
+    """x_1 x_2 ... x_j, packed in one-byte fields."""
+    return ((1 << 8 * j) - 1) // 255
 
 
 _TABLE_CAP = 1 << 14
@@ -302,20 +274,12 @@ def _half_tables(nvars: int, bits: int) -> tuple[_HalfTable, _HalfTable]:
     return _HalfTable(0, split, bits, nvars), _HalfTable(split, nvars - split, bits, nvars)
 
 
-def _drop_zeros(terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """terms without its zero coefficients; most kernel results have none."""
-    if 0 in terms.values():
-        return {e: c for e, c in terms.items() if c}
-    return terms
-
-
 def swap_variables(i: int, f: Polynomial) -> Polynomial:
     """The action of s_i: exchange x_i and x_{i+1}."""
     if not 1 <= i < f.nvars:
         raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
-    # exchanging two exponents is a bijection on exponent vectors: no term merges
-    return Polynomial._adopt(f.nvars, {e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :]: c
-                                       for e, c in f.terms.items()})
+    return Polynomial(f.nvars, {e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :]: c
+                                for e, c in f.terms.items()})
 
 
 def _packed_dd(i: int, terms: dict[int, int], times: int = 0) -> dict[int, int]:
@@ -352,7 +316,9 @@ def _packed_dd(i: int, terms: dict[int, int], times: int = 0) -> dict[int, int]:
             base = k + shift
             for key in range(base + step, base + (1 - s) * step, step):
                 out[key] = get(key, 0) - c
-    return _drop_zeros(out)
+    if 0 in out.values():  # most results have no cancelled term
+        return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _lift(terms: dict[int, int], positions: tuple[int, ...], times: int) -> dict[int, int]:
@@ -376,10 +342,9 @@ def _lift(terms: dict[int, int], positions: tuple[int, ...], times: int) -> dict
 def _through_kernel(i: int, f: Polynomial, times: int) -> Polynomial:
     if not 1 <= i < f.nvars:
         raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
-    bits, packed = f._packed_fields()
-    if bits > 8:
+    if f._width > 1:
         raise ValueError("divided differences need every exponent at most 255")
-    return Polynomial._from_packed(f.nvars, _packed_dd(i, packed, times))
+    return Polynomial._from_packed(f.nvars, _packed_dd(i, f._packed, times))
 
 
 def divided_difference(i: int, f: Polynomial) -> Polynomial:
@@ -430,7 +395,7 @@ def schubert_classic(w: Permutation) -> Polynomial:
     Each step uses the leftmost ascent; the braid relations make the result
     independent of the choice, which the test suite checks against a descent
     by rightmost ascents.  The 16 most recently used results are kept; a hit
-    returns the same Polynomial, whose packed keys are decoded at most once.
+    returns the same Polynomial.
     The route refuses n > 255, so that exponents fit in a byte, and a chain of
     more than 990 steps (n(n-1)/2 - inversions(w)), so that its cost is bounded.
     """
@@ -470,9 +435,9 @@ def schubert_all(n: int) -> Iterator[tuple[Permutation, Polynomial]]:
 
 def is_zero_one(f: Polynomial) -> bool:
     """True iff every coefficient is 0 or 1."""
-    return all(c == 1 for c in f._coefficients())
+    return all(c == 1 for c in f._packed.values())
 
 
 def max_coefficient(f: Polynomial) -> int:
-    return max(f._coefficients(), default=0)
+    return max(f._packed.values(), default=0)
 

@@ -16,8 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .perms import Permutation, rothe_diagram
-from .poly import Polynomial
+from .perms import Permutation, _is_numeral, rothe_diagram
+from .poly import Polynomial, _omega
 from .orthodontia import OrthodonticTrace, build_D_im, orthodontic_sequence
 
 __all__ = [
@@ -122,7 +122,7 @@ def word_weight(word: Word, n: int) -> tuple[int, ...]:
 
 def _column_word(j: int, copies: int) -> tuple[bytes, int]:
     """The word (1, ..., j)^copies and its packed weight."""
-    return bytes(range(1, j + 1)) * copies, copies * (((1 << _BITS * j) - 1) // 255)
+    return bytes(range(1, j + 1)) * copies, copies * _omega(j)
 
 
 def _stages(trace: OrthodonticTrace) -> list[dict[bytes, int]]:
@@ -233,9 +233,10 @@ def format_word(word: Word) -> str:
 
 
 def parse_word(text: str) -> Word:
+    """Parse a word: one digit per letter, comma-separated letters otherwise;
+    every field, stripped of spaces, must be nonempty ASCII digits."""
     text = text.strip()
-    if "," in text:
-        return tuple(int(p) for p in text.split(","))
-    if not text.isdigit():
+    fields = [f.strip() for f in text.split(",")] if "," in text else list(text)
+    if not fields or not all(map(_is_numeral, fields)):
         raise ValueError(f"bad word text: {text!r}")
-    return tuple(int(ch) for ch in text)
+    return tuple(map(int, fields))

@@ -301,11 +301,11 @@ def pattern_dominance_check(
     chi = dual_character(d, limit=limit)
     d_minor = Diagram(tuple(tuple(i - (i > k) for i in col if i != k)
                             for j, col in enumerate(d.columns, 1) if j != l))
-    _, chi_minor = dual_character(d_minor, limit=limit)._packed_fields()
+    chi_minor = dual_character(d_minor, limit=limit)._packed
     rows = [sum(1 << j for j, col in enumerate(d.columns) if i in col) for i in range(1, d.n + 1)]
     m_key = _deleted_weight(rows, ~(1 << k - 1), ~(1 << l - 1))  # all but row k, column l
     at = BITS * (k - 1)  # the fields of x_k..x_{n-1} move up one, x_k's reads 0
-    remainder = dict(chi._packed_fields()[1])  # the shared character stays as it is
+    remainder = dict(chi._packed)  # the shared character stays as it is
     ok = True
     for key, c in chi_minor.items():
         key = (key & (1 << at) - 1 | key >> at << at + BITS) + m_key

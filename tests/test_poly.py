@@ -352,10 +352,33 @@ def packed_born_pairs(draw):
 @settings(max_examples=150)
 def test_packed_born_polynomials_print_as_their_twins(pair):
     born, twin = pair
-    # printed first, while the packed keys are not yet decoded
     assert str(born) == str(twin) == _reference_str(twin)
     assert born.sorted_terms() == twin.sorted_terms() == _reference_sorted_terms(twin)
     assert born == twin and hash(born) == hash(twin)
+
+
+def test_width_takes_part_in_equality():
+    # the same packed dict, read at two widths: x1^256 against x2
+    wide, narrow = Polynomial(2, {(256, 0): 1}), Polynomial._from_packed(2, {256: 1})
+    assert wide._packed == narrow._packed
+    assert wide != narrow and narrow == Polynomial.variable(2, 2)
+    assert wide.coefficient((256, 0)) == 1 and narrow.coefficient((256, 0)) == 0
+    assert narrow.coefficient((0, 1)) == 1
+    assert narrow.coefficient((-1, 1)) == 0 == narrow.coefficient((1,))
+    # the width is the fewest bytes that hold the largest exponent, at least one
+    assert Polynomial(2, {(255, 3): 1})._width == 1
+    # so a sum whose wide terms cancel is narrow again, equal and hashed as a kernel result
+    back = (wide + narrow) - wide
+    assert back._width == 1 and back == narrow and hash(back) == hash(narrow)
+
+
+def test_ring_operations_refuse_foreign_operands():
+    f = Polynomial.variable(1, 2)
+    for op in (lambda: f * 2.5, lambda: 2.5 * f, lambda: f + 1, lambda: 1 + f,
+               lambda: f - 1, lambda: 1 - f, lambda: f * "x"):
+        with pytest.raises(TypeError):
+            op()
+    assert f * 2 == 2 * f == f + f
 
 
 def test_format_exponents_of_several_bytes():

@@ -275,5 +275,7 @@ def test_word_text_round_trip():
     assert format_word((1, 1, 2, 3, 1)) == "11231"
     long_word = (10, 2, 11)
     assert parse_word(format_word(long_word)) == long_word
-    with pytest.raises(ValueError):
-        parse_word("1a2")
+    assert parse_word(" 1, 2 ,10 ") == (1, 2, 10)
+    for bad in ("1a2", "", "\u0663", "1,,2", "1, a", "1,\u0663"):
+        with pytest.raises(ValueError, match="bad word text"):
+            parse_word(bad)

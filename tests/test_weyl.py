@@ -476,7 +476,7 @@ def test_lifted_weight_matches_tuple_product():
                     sigma = schubert_classic(pattern_at(w, kept))
                     oracle = Polynomial.monomial(tuple(e)) * _reindexed(sigma, kept, n)
                     m_key = weyl._deleted_weight(rows, _mask(kept), _mask(cols))
-                    lifted = _lift(sigma._packed_fields()[1], kept, m_key)
+                    lifted = _lift(sigma._packed, kept, m_key)
                     assert Polynomial._from_packed(n, lifted) == oracle, (w, kept)
                     # the bound that keeps every field in a byte: x_i's is at most n - i
                     assert all(v <= n - i for key in lifted
