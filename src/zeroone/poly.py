@@ -10,18 +10,19 @@ sum, never through rational functions:
 
 which is the exact quotient of the antisymmetrized numerator.
 
-A Polynomial keys its terms by packed ints, x_1 lowest, in fields of the
-fewest bytes that hold its largest exponent (at least one): canonical keys.
-The divided-difference kernel `_packed_dd` and the reindexing `_lift` run on
-one-byte keys, as in `weyl` and `tableaux`.  Printing reads the keys through
-one graded-lex formatter; `terms` decodes them on each read.
+A Polynomial keys its terms by packed ints, one byte per exponent, x_1
+lowest, as in `weyl` and `tableaux`: the key of an exponent vector e is
+int.from_bytes(bytes(e), "little"), so no exponent exceeds 255.  Every route
+refuses n > 255, and no exponent of theirs exceeds n - 1.  The
+divided-difference kernel `_packed_dd` and the reindexing `_lift` run on
+these keys; printing reads them through one graded-lex formatter, and
+`terms` decodes them on each read.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as it_perms
-from operator import add
 from typing import Iterator
 
 from .perms import Permutation
@@ -29,7 +30,6 @@ from .perms import Permutation
 __all__ = [
     "Polynomial",
     "divided_difference",
-    "swap_variables",
     "demazure",
     "schubert_classic",
     "schubert_all",
@@ -41,40 +41,37 @@ __all__ = [
 class Polynomial:
     """Immutable polynomial over Z with a fixed variable count."""
 
-    __slots__ = ("nvars", "_width", "_packed")
+    __slots__ = ("nvars", "_packed")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if c == 0:
-                    continue
-                if len(e) != nvars:
-                    raise ValueError(f"exponent vector {e} has wrong length (nvars={nvars})")
-                clean[e] = c
-        if nvars and clean and min(map(min, clean)) < 0:
-            raise ValueError(f"exponent vector {min(clean, key=min)} has a negative exponent")
-        top = max(map(max, clean), default=0) if nvars else 0
-        width = max(1, (top.bit_length() + 7) // 8)
+        packed = {}
+        for e, c in (terms or {}).items():
+            if c == 0:
+                continue
+            if len(e) != nvars:
+                raise ValueError(f"exponent vector {e} has wrong length (nvars={nvars})")
+            if min(e, default=0) < 0:
+                raise ValueError(f"exponent vector {e} has a negative exponent")
+            if max(e, default=0) > 255:
+                raise ValueError(f"exponent vector {e} has an exponent above 255")
+            packed[int.from_bytes(bytes(e), "little")] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_width", width)
-        object.__setattr__(self, "_packed", {_key(e, width): c for e, c in clean.items()})
+        object.__setattr__(self, "_packed", packed)
 
     @classmethod
     def _from_packed(cls, nvars: int, packed: dict[int, int]) -> "Polynomial":
-        """Wrap one-byte packed keys as they are: the caller guarantees that no
+        """Wrap packed keys as they are: the caller guarantees that no
         coefficient is zero, and hands the dict over, never to change it."""
         f = object.__new__(cls)
         object.__setattr__(f, "nvars", nvars)
-        object.__setattr__(f, "_width", 1)
         object.__setattr__(f, "_packed", packed)
         return f
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
         """Exponent vectors mapped to nonzero coefficients, decoded afresh."""
-        n, width = self.nvars, self._width
-        return {_unrank(k, n, width, "little"): c for k, c in self._packed.items()}
+        n = self.nvars
+        return {tuple(k.to_bytes(n, "little")): c for k, c in self._packed.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -101,55 +98,12 @@ class Polynomial:
         e[i - 1] = 1
         return Polynomial(nvars, {tuple(e): 1})
 
-    # -- ring operations ----------------------------------------------
-
-    def _check_compatible(self, other: "Polynomial"):
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials over different variable counts")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        out = self.terms
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Polynomial(self.nvars, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other) if isinstance(other, Polynomial) else NotImplemented
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            return Polynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                key = tuple(map(add, e1, e2))
-                out[key] = get(key, 0) + c1 * c2
-        return Polynomial(self.nvars, out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        # the width is canonical (see `__init__`), so equal polynomials have equal keys
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self._width == other._width
-            and self._packed == other._packed
-        )
+        return (isinstance(other, Polynomial) and self.nvars == other.nvars
+                and self._packed == other._packed)
 
     def __hash__(self):
-        return hash((self.nvars, self._width, frozenset(self._packed.items())))
+        return hash((self.nvars, frozenset(self._packed.items())))
 
     # -- queries ------------------------------------------------------
 
@@ -157,20 +111,14 @@ class Polynomial:
         return not self._packed
 
     def coefficient(self, exponents: tuple[int, ...]) -> int:
-        top = 1 << 8 * self._width
-        if len(exponents) != self.nvars or not all(0 <= e < top for e in exponents):
-            return 0  # no key of this width holds that exponent vector
-        return self._packed.get(_key(exponents, self._width), 0)
-
-    def substitute_zero(self, k: int) -> "Polynomial":
-        """Set x_k := 0, dropping every term where x_k appears."""
-        return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if e[k - 1] == 0})
+        if len(exponents) != self.nvars or not all(0 <= e <= 255 for e in exponents):
+            return 0  # no one-byte key holds that exponent vector
+        return self._packed.get(int.from_bytes(bytes(exponents), "little"), 0)
 
     def _graded(self) -> list[tuple[int, str, int]]:
         """(weight, text, coefficient) per term, descending in graded-lex order (`_HalfTable`)."""
-        bits = 8 * self._width
-        low, high = _half_tables(self.nvars, bits)
-        shift = bits * high.first
+        low, high = _half_tables(self.nvars)
+        shift = 8 * high.first
         mask = (1 << shift) - 1
         rows = []
         for k, c in self._packed.items():
@@ -182,9 +130,9 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending graded-lexicographic order."""
-        n, width = self.nvars, self._width
-        rank = (1 << 8 * width * n) - 1
-        return [(_unrank(weight & rank, n, width, "big"), c) for weight, _, c in self._graded()]
+        n = self.nvars
+        rank = (1 << 8 * n) - 1
+        return [(tuple((weight & rank).to_bytes(n, "big")), c) for weight, _, c in self._graded()]
 
     def __str__(self) -> str:
         rows = self._graded()
@@ -204,20 +152,6 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.terms!r})"
 
 
-def _key(e: tuple[int, ...], width: int) -> int:
-    """The packed key of exponent vector e: width bytes per field, x_1 lowest."""
-    return sum(v << 8 * width * j for j, v in enumerate(e))
-
-
-def _unrank(key: int, nvars: int, width: int, byteorder: str) -> tuple[int, ...]:
-    """The exponent vector of key's nvars fields of width bytes each, read in
-    byteorder: x_1 lowest for "little", x_1 highest for "big" (a rank)."""
-    raw = key.to_bytes(nvars * width, byteorder)
-    if width == 1:  # every kernel result: its bytes are its exponents
-        return tuple(raw)
-    return tuple(int.from_bytes(raw[j : j + width], byteorder) for j in range(0, len(raw), width))
-
-
 def _omega(j: int) -> int:
     """x_1 x_2 ... x_j, packed in one-byte fields."""
     return ((1 << 8 * j) - 1) // 255
@@ -229,7 +163,7 @@ _TABLE_CAP = 1 << 14
 class _HalfTable(dict):
     """One half of a packed key -> (weight, text) of its variables.
 
-    The half holds `count` fields of `bits` bits, for x_{first+1} on.  Its
+    The half holds `count` one-byte fields, for x_{first+1} on.  Its
     weight is its degree, shifted above all nvars fields, plus its fields
     read big-endian (x_{first+1} most significant), shifted to where they
     sit in the whole key read that way.  So the weights of a key's two
@@ -239,21 +173,17 @@ class _HalfTable(dict):
     _TABLE_CAP of them are kept.
     """
 
-    __slots__ = ("first", "count", "bits", "rank_shift", "degree_shift")
+    __slots__ = ("first", "count", "rank_shift", "degree_shift")
 
-    def __init__(self, first: int, count: int, bits: int, nvars: int):
+    def __init__(self, first: int, count: int, nvars: int):
         super().__init__()
-        self.first, self.count, self.bits = first, count, bits
-        self.rank_shift = bits * (nvars - first - count)
-        self.degree_shift = bits * nvars
+        self.first, self.count = first, count
+        self.rank_shift = 8 * (nvars - first - count)
+        self.degree_shift = 8 * nvars
 
     def __missing__(self, half: int) -> tuple[int, str]:
-        bits = self.bits
-        field = (1 << bits) - 1
-        exps = [half >> bits * j & field for j in range(self.count)]
-        rank = 0
-        for e in exps:
-            rank = rank << bits | e
+        exps = half.to_bytes(self.count, "little")
+        rank = int.from_bytes(exps, "big")
         weight = sum(exps) << self.degree_shift | rank << self.rank_shift
         text = "".join(f"*x{v}^{e}" if e > 1 else f"*x{v}"
                        for v, e in enumerate(exps, self.first + 1) if e)
@@ -263,7 +193,7 @@ class _HalfTable(dict):
 
 
 @lru_cache(maxsize=16)
-def _half_tables(nvars: int, bits: int) -> tuple[_HalfTable, _HalfTable]:
+def _half_tables(nvars: int) -> tuple[_HalfTable, _HalfTable]:
     """The tables of x_1..x_s and of x_{s+1}..x_nvars, s = nvars // 3.
 
     Small variables carry the large exponents (x_i has degree at most n - i
@@ -271,15 +201,7 @@ def _half_tables(nvars: int, bits: int) -> tuple[_HalfTable, _HalfTable]:
     tables small.
     """
     split = nvars // 3
-    return _HalfTable(0, split, bits, nvars), _HalfTable(split, nvars - split, bits, nvars)
-
-
-def swap_variables(i: int, f: Polynomial) -> Polynomial:
-    """The action of s_i: exchange x_i and x_{i+1}."""
-    if not 1 <= i < f.nvars:
-        raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
-    return Polynomial(f.nvars, {e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :]: c
-                                for e, c in f.terms.items()})
+    return _HalfTable(0, split, nvars), _HalfTable(split, nvars - split, nvars)
 
 
 def _packed_dd(i: int, terms: dict[int, int], times: int = 0) -> dict[int, int]:
@@ -342,8 +264,6 @@ def _lift(terms: dict[int, int], positions: tuple[int, ...], times: int) -> dict
 def _through_kernel(i: int, f: Polynomial, times: int) -> Polynomial:
     if not 1 <= i < f.nvars:
         raise ValueError(f"variable index {i} out of range for nvars={f.nvars}")
-    if f._width > 1:
-        raise ValueError("divided differences need every exponent at most 255")
     return Polynomial._from_packed(f.nvars, _packed_dd(i, f._packed, times))
 
 

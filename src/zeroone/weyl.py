@@ -77,10 +77,15 @@ def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[tuple[frozenset
     each monomial a frozenset of ((row, col), exponent) pairs.
 
     The entry in position (i, j) is y_ij for i <= j and 0 otherwise, so the
-    determinant vanishes unless rows <= cols elementwise sorted.
+    determinant vanishes unless rows <= cols elementwise sorted, and when a
+    row or a column repeats.
     """
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
+    if min(rows + cols, default=1) < 1:
+        raise ValueError("minor needs row and column indices from 1")
+    if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
+        return ()
     if len(rows) > _FIELD:
         raise ValueError(f"minor of {len(rows)} rows: at most {_FIELD}, one expansion frame a row")
     terms = _packed_minor(tuple(sorted(rows)), tuple(sorted(cols)))

@@ -44,6 +44,8 @@ from zeroone.weyl import (
     schubert_pattern_inequality,
 )
 
+import ring
+
 
 @contextmanager
 def criterion(number: int, name: str):
@@ -150,7 +152,7 @@ def test_criterion_7_diagram_dominance():
 
                 chi_hat = dual_character(delete_row_col(d, k, l))
                 m_exp = next(iter(result.monomial.terms))
-                for e, c in chi_hat.substitute_zero(k).terms.items():
+                for e, c in ring.substitute_zero(k, chi_hat).terms.items():
                     shifted = tuple(a + b for a, b in zip(e, m_exp))
                     assert chi.coefficient(shifted) >= c, (w, k, l, e)
 

@@ -1,5 +1,6 @@
-"""Polynomial arithmetic and the divided-difference operators."""
+"""Polynomials and the divided-difference operators."""
 
+from math import prod
 from operator import add
 
 import pytest
@@ -15,8 +16,9 @@ from zeroone.poly import (
     max_coefficient,
     schubert_all,
     schubert_classic,
-    swap_variables,
 )
+
+import ring
 
 
 @st.composite
@@ -35,7 +37,7 @@ def test_polynomial_canonical():
     f = Polynomial(2, {(1, 0): 1, (0, 1): 0})
     assert (0, 1) not in f.terms
     assert f == x(1, 2)
-    assert (f - f).is_zero()
+    assert ring.sub(f, f).is_zero()
     with pytest.raises(ValueError):
         Polynomial(2, {(1, 0, 0): 1})
 
@@ -53,8 +55,9 @@ def test_polynomial_rejects_negative_exponents():
 def test_divided_difference_basics():
     n = 3
     assert divided_difference(1, x(1, n)) == Polynomial.one(n)
-    assert divided_difference(1, x(1, n) * x(2, n)).is_zero()
-    assert divided_difference(1, x(1, n) * x(1, n) * x(2, n)) == x(1, n) * x(2, n)
+    x1x2 = ring.mul(x(1, n), x(2, n))
+    assert divided_difference(1, x1x2).is_zero()
+    assert divided_difference(1, ring.mul(x(1, n), x1x2)) == x1x2
     with pytest.raises(ValueError):
         divided_difference(3, x(1, n))
 
@@ -63,8 +66,8 @@ def test_divided_difference_basics():
 def test_divided_difference_exact_quotient(f, data):
     # multiply-back oracle: (x_i - x_{i+1}) * d_i(f) == f - s_i(f)
     i = data.draw(st.integers(1, f.nvars - 1))
-    lhs = (x(i, f.nvars) - x(i + 1, f.nvars)) * divided_difference(i, f)
-    assert lhs == f - swap_variables(i, f)
+    lhs = ring.mul(ring.sub(x(i, f.nvars), x(i + 1, f.nvars)), divided_difference(i, f))
+    assert lhs == ring.sub(f, ring.swap(i, f))
 
 
 @given(polynomials(), st.data())
@@ -168,14 +171,15 @@ def test_demazure_chain_exponents_stay_below_n():
 def test_demazure_examples():
     n = 2
     assert demazure(1, Polynomial.one(n)) == Polynomial.one(n)
-    assert demazure(1, x(1, n)) == x(1, n) + x(2, n)
+    assert demazure(1, x(1, n)) == ring.add(x(1, n), x(2, n))
 
 
 def test_demazure_operator_formula_for_31542():
     # x1 * pi_2(pi_3(x1 x2 x3 * pi_1(x1)))
     n = 5
+    omega3 = Polynomial.monomial((1, 1, 1, 0, 0))
     inner = demazure(1, x(1, n))
-    f = x(1, n) * demazure(2, demazure(3, x(1, n) * x(2, n) * x(3, n) * inner))
+    f = ring.mul(x(1, n), demazure(2, demazure(3, ring.mul(omega3, inner))))
     assert f == schubert_classic(parse_permutation("31542"))
 
 
@@ -270,8 +274,8 @@ def test_format_graded_lex():
         " + x1^2*x2*x3^2 + x1^2*x2*x3*x4 + x1^2*x3^2*x4"
     )
     assert str(Polynomial.zero(2)) == "0"
-    assert str(Polynomial.one(2) * -3) == "-3"
-    assert str(x(2, 3) * x(2, 3) * -1) == "-x2^2"
+    assert str(ring.scale(Polynomial.one(2), -3)) == "-3"
+    assert str(ring.scale(ring.mul(x(2, 3), x(2, 3)), -1)) == "-x2^2"
     # higher degree first, then lexicographically larger exponent vector
     g = Polynomial(2, {(0, 1): 2, (1, 1): 1, (1, 0): 1})
     assert str(g) == "x1*x2 + x1 + 2*x2"
@@ -319,10 +323,10 @@ def _draw_printable_terms(draw, n, top):
 
 @st.composite
 def printable_polynomials(draw):
-    """Exponents past 9 (in some draws past a byte, so printed through wider
-    packed fields), up to 12 variables."""
+    """Exponents past 9 (in some draws up to 255, the most a key byte holds),
+    up to 12 variables."""
     n = draw(st.integers(1, 12))
-    return Polynomial(n, _draw_printable_terms(draw, n, draw(st.sampled_from([13, 13, 300, 70000]))))
+    return Polynomial(n, _draw_printable_terms(draw, n, draw(st.sampled_from([13, 13, 255]))))
 
 
 @given(printable_polynomials())
@@ -358,58 +362,47 @@ def test_packed_born_polynomials_print_as_their_twins(pair):
 
 
 def test_width_takes_part_in_equality():
-    # the same packed dict, read at two widths: x1^256 against x2
-    wide, narrow = Polynomial(2, {(256, 0): 1}), Polynomial._from_packed(2, {256: 1})
-    assert wide._packed == narrow._packed
-    assert wide != narrow and narrow == Polynomial.variable(2, 2)
-    assert wide.coefficient((256, 0)) == 1 and narrow.coefficient((256, 0)) == 0
-    assert narrow.coefficient((0, 1)) == 1
-    assert narrow.coefficient((-1, 1)) == 0 == narrow.coefficient((1,))
-    # the width is the fewest bytes that hold the largest exponent, at least one
-    assert Polynomial(2, {(255, 3): 1})._width == 1
-    # so a sum whose wide terms cancel is narrow again, equal and hashed as a kernel result
-    back = (wide + narrow) - wide
-    assert back._width == 1 and back == narrow and hash(back) == hash(narrow)
+    # a key holds one byte per exponent, x1 lowest: packed 256 is x2, and x1^256 has no key
+    with pytest.raises(ValueError, match="255"):
+        Polynomial(1, {(256,): 1})
+    f = Polynomial(2, {(255, 3): 1})
+    born = Polynomial._from_packed(2, {255 + (3 << 8): 1})
+    assert f == born and hash(f) == hash(born)
+    narrow = Polynomial._from_packed(2, {256: 1})
+    assert narrow == Polynomial.variable(2, 2) and narrow.coefficient((0, 1)) == 1
+    assert f.coefficient((255, 3)) == 1
+    assert f.coefficient((256, 3)) == f.coefficient((-1, 3)) == f.coefficient((255,)) == 0
+    # the same packed dict over more variables is another polynomial
+    assert Polynomial._from_packed(3, {256: 1}) != narrow
+    # a sum whose other terms cancel is equal and hashed as a kernel result
+    back = ring.sub(ring.add(f, narrow), f)
+    assert back == narrow and hash(back) == hash(narrow)
 
 
 def test_ring_operations_refuse_foreign_operands():
     f = Polynomial.variable(1, 2)
-    for op in (lambda: f * 2.5, lambda: 2.5 * f, lambda: f + 1, lambda: 1 + f,
-               lambda: f - 1, lambda: 1 - f, lambda: f * "x"):
+    # Polynomial carries no ring operators; the reference `ring` takes Polynomials and ints
+    for op in (lambda: f + f, lambda: f * 2, lambda: 2 * f, lambda: f - f, lambda: -f,
+               lambda: ring.scale(f, 2.5), lambda: ring.add(f, 1), lambda: ring.add(1, f),
+               lambda: ring.sub(f, 1), lambda: ring.sub(1, f), lambda: ring.mul(f, "x")):
         with pytest.raises(TypeError):
             op()
-    assert f * 2 == 2 * f == f + f
+    assert ring.scale(f, 2) == ring.add(f, f)
 
 
-def test_format_exponents_of_several_bytes():
-    f = Polynomial(3, {(256, 0, 1): 2, (0, 300, 0): -1, (255, 1, 1): 1, (0, 0, 0): 5,
-                       (1, 0, 65536): 1})
-    assert str(f) == "x1*x3^65536 + -x2^300 + 2*x1^256*x3 + x1^255*x2*x3 + 5" == _reference_str(f)
-    assert f.sorted_terms() == _reference_sorted_terms(f)
-
-
-def _reference_product(f, g):
-    out = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+def _evaluate(f, point):
+    return sum(c * prod(v**e for v, e in zip(point, es)) for es, c in f.terms.items())
 
 
 @given(polynomials(max_terms=8), st.data())
 def test_kernels_keep_terms_canonical(f, data):
     # (x1 - x2) * f and d_i of it cancel terms; no zero may survive
     g = data.draw(polynomials(min_vars=f.nvars, max_vars=f.nvars, max_terms=8))
-    assert (f * g).terms == _reference_product(f, g)
+    point = (2, 3, 5, 7, 11)[: f.nvars]  # the reference product, checked by evaluation
+    assert _evaluate(ring.mul(f, g), point) == _evaluate(f, point) * _evaluate(g, point)
     i = data.draw(st.integers(1, f.nvars - 1))
-    diff = x(1, f.nvars) - x(2, f.nvars)
-    for h in (f * g, f * diff, divided_difference(i, f), demazure(i, f * diff)):
+    diff = ring.sub(x(1, f.nvars), x(2, f.nvars))
+    for h in (divided_difference(i, f), divided_difference(i, ring.mul(f, diff)),
+              demazure(i, ring.mul(f, diff))):
         assert 0 not in h.terms.values()
         assert all(len(e) == f.nvars for e in h.terms)
-
-
-def test_substitute_zero():
-    f = x(1, 3) * x(3, 3)
-    assert f.substitute_zero(3).is_zero()
-    assert f.substitute_zero(2) == f

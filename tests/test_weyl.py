@@ -38,6 +38,8 @@ from zeroone.weyl import (
 )
 import zeroone.weyl as weyl
 
+import ring
+
 
 def test_column_leq():
     assert column_leq((1, 3), (2, 3))
@@ -61,6 +63,11 @@ def test_minor_examples():
     assert diag == {frozenset({((1, 1), 1), ((2, 2), 1), ((3, 3), 1)}): 1}
     with pytest.raises(ValueError):
         minor((1, 2), (1,))
+    # a repeated row or column makes two equal lines: the determinant is 0
+    assert minor((1, 1), (1, 2)) == minor((1, 2), (2, 2)) == minor((2, 2), (3, 3)) == ()
+    for rows, cols in [((0,), (1,)), ((1, 2), (0, 2)), ((-1,), (-1,))]:
+        with pytest.raises(ValueError, match="from 1"):
+            minor(rows, cols)
 
 
 def test_minor_refuses_more_rows_than_a_byte():
@@ -327,7 +334,7 @@ def test_pattern_dominance_check_empty_hook():
     result = pattern_dominance_check(d, 5, 3)  # row 5 and column 3 hold no boxes
     assert result.monomial == Polynomial.one(5)
     chi = dual_character(d)
-    assert result.remainder == chi - chi.substitute_zero(5)
+    assert result.remainder == ring.sub(chi, ring.substitute_zero(5, chi))
     assert result.ok
 
 
@@ -374,7 +381,8 @@ def test_dominance_remainder_matches_full_frame_oracle():
         chi = dual_character(d)
         for k, l in product(range(1, d.n + 1), repeat=2):
             result = pattern_dominance_check(d, k, l)
-            oracle = chi - result.monomial * dual_character(delete_row_col(d, k, l)).substitute_zero(k)
+            hat = ring.substitute_zero(k, dual_character(delete_row_col(d, k, l)))
+            oracle = ring.sub(chi, ring.mul(result.monomial, hat))
             assert result.remainder == oracle, (d.columns, k, l)
             assert result.ok == all(c > 0 for c in oracle.terms.values())
             every = set(range(1, d.n + 1))
@@ -459,7 +467,7 @@ def _reindexed(f, positions, nvars):
 
 
 def test_lifted_weight_matches_tuple_product():
-    # M * S_sigma(x_P) on packed keys against public tuple-keyed operations:
+    # M * S_sigma(x_P) on packed keys against the tuple-keyed reference `ring`:
     # M counted from the boxes of D(w), the reindexing loop and the product
     pairs = 0
     for n in range(1, 6):
@@ -474,7 +482,7 @@ def test_lifted_weight_matches_tuple_product():
                         if i not in kept or j not in cols:
                             e[i - 1] += 1
                     sigma = schubert_classic(pattern_at(w, kept))
-                    oracle = Polynomial.monomial(tuple(e)) * _reindexed(sigma, kept, n)
+                    oracle = ring.mul(Polynomial.monomial(tuple(e)), _reindexed(sigma, kept, n))
                     m_key = weyl._deleted_weight(rows, _mask(kept), _mask(cols))
                     lifted = _lift(sigma._packed, kept, m_key)
                     assert Polynomial._from_packed(n, lifted) == oracle, (w, kept)
