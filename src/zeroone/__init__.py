@@ -3,9 +3,6 @@
 from .perms import (
     Diagram,
     Permutation,
-    contains_pattern,
-    delete_row_col,
-    has_northwest_property,
     one_step_pattern,
     parse_diagram,
     parse_permutation,
@@ -17,21 +14,18 @@ from .poly import (
     demazure,
     divided_difference,
     is_zero_one,
-    max_coefficient,
     schubert_all,
     schubert_classic,
 )
 from .orthodontia import (
     OrthodonticTrace,
     build_D_im,
-    column_equivalent,
     is_multiplicity_free,
     orthodontic_sequence,
     schubert_orthodontic,
 )
 from .tableaux import (
     FillingView,
-    quantized_demazure,
     read_words_into_diagram,
     root_operator,
     schubert_from_tableaux,
@@ -40,7 +34,6 @@ from .tableaux import (
     tau_reindexing,
 )
 from .weyl import (
-    diagram_leq,
     dual_character,
     pattern_dominance_check,
     schubert_pattern_inequality,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import classify, orthodontia, perms, poly, tableaux, weyl
@@ -236,7 +237,17 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(argv)
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point fd 1 at devnull, so the interpreter's
+        # own flush at exit finds nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ __all__ = [
     "OrthodonticTrace",
     "orthodontic_sequence",
     "build_D_im",
-    "column_equivalent",
     "schubert_orthodontic",
     "is_multiplicity_free",
 ]
@@ -220,13 +219,6 @@ def build_D_im(trace: OrthodonticTrace) -> Diagram:
         raise AssertionError("more columns than the ambient size")
     cols.extend([()] * (n - len(cols)))
     return Diagram(tuple(cols))
-
-
-def column_equivalent(d1: Diagram, d2: Diagram) -> bool:
-    """Equality of the multisets of nonempty columns."""
-    left = sorted(col for col in d1.columns if col)
-    right = sorted(col for col in d2.columns if col)
-    return left == right
 
 
 def is_multiplicity_free(w: Permutation) -> bool:

@@ -20,10 +20,7 @@ __all__ = [
     "rothe_masks",
     "rothe_rows",
     "mask_rows",
-    "has_northwest_property",
-    "contains_pattern",
     "first_pattern",
-    "delete_row_col",
     "one_step_pattern",
     "pattern_at",
     "parse_permutation",
@@ -68,14 +65,6 @@ class Permutation:
             inv[v - 1] = i
         return Permutation(tuple(inv))
 
-    def swap_positions(self, i: int) -> "Permutation":
-        """Right multiplication by s_i: exchange the entries in positions i, i+1."""
-        if not 1 <= i < self.n:
-            raise ValueError(f"position index {i} out of range for n={self.n}")
-        e = list(self.entries)
-        e[i - 1], e[i] = e[i], e[i - 1]
-        return Permutation(tuple(e))
-
     def inversions(self) -> int:
         e = self.entries
         return sum(1 for i, j in combinations(range(self.n), 2) if e[i] > e[j])
@@ -88,10 +77,6 @@ class Permutation:
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def longest(n: int) -> "Permutation":
-        return Permutation(tuple(range(n, 0, -1)))
 
     def __str__(self) -> str:
         if self.n <= 9:
@@ -144,9 +129,6 @@ class Diagram:
         for j, col in enumerate(self.columns, start=1):
             for i in col:
                 yield (i, j)
-
-    def box_count(self) -> int:
-        return sum(len(col) for col in self.columns)
 
     def __contains__(self, box: tuple[int, int]) -> bool:
         i, j = box
@@ -223,21 +205,6 @@ def rothe_diagram(w: Permutation) -> Diagram:
     return Diagram(tuple(mask_rows(mask) for mask in rothe_masks(w.entries)))
 
 
-def has_northwest_property(d: Diagram) -> bool:
-    """True iff (r, c') and (r', c) in D with r < r', c < c' force (r, c) in D.
-
-    Equivalent columnwise test: whenever column c has a box strictly below
-    some box of column c' > c, row r of column c' must appear in column c.
-    """
-    cols = [set(col) for col in d.columns]
-    for c in range(d.n):
-        for cp in range(c + 1, d.n):
-            for r in cols[cp]:
-                if r not in cols[c] and any(rp > r for rp in cols[c]):
-                    return False
-    return True
-
-
 @lru_cache(maxsize=64)
 def _depth_plan(s: tuple[int, ...]) -> tuple[tuple, ...]:
     """Per depth k of s (m = len(s)): the depths of the nearest earlier entries
@@ -255,12 +222,6 @@ def _depth_plan(s: tuple[int, ...]) -> tuple[tuple, ...]:
             tuple(tuple((lo_of[t], hi_of[t], t - k - 1) for t in range(k + 1, m)
                         if {lo_of[t], hi_of[t]} <= {*range(k + 1), m, m + 1})
                   for k in range(m)))
-
-
-def contains_pattern(w: Permutation, sigma: Permutation) -> Optional[tuple[int, ...]]:
-    """Lexicographically least realization of sigma in w, or None."""
-    hit = first_pattern(w, (sigma,))
-    return None if hit is None else hit[1]
 
 
 def first_pattern(w: Permutation, patterns) -> Optional[tuple[Permutation, tuple[int, ...]]]:
@@ -332,17 +293,6 @@ def one_step_pattern(w: Permutation, k: int) -> Permutation:
     if not 1 <= k <= w.n:
         raise ValueError(f"position {k} out of range for n={w.n}")
     return pattern_at(w, tuple(p for p in range(1, w.n + 1) if p != k))
-
-
-def delete_row_col(d: Diagram, k: int, l: int) -> Diagram:
-    """Drop the boxes in row k and column l, keeping the [n] x [n] frame."""
-    n = d.n
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise ValueError(f"row/column ({k}, {l}) out of range for n={n}")
-    return Diagram(tuple(
-        () if j == l else tuple(i for i in col if i != k)
-        for j, col in enumerate(d.columns, start=1)
-    ))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

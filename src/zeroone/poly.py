@@ -34,7 +34,6 @@ __all__ = [
     "schubert_classic",
     "schubert_all",
     "is_zero_one",
-    "max_coefficient",
 ]
 
 
@@ -106,14 +105,6 @@ class Polynomial:
         return hash((self.nvars, frozenset(self._packed.items())))
 
     # -- queries ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._packed
-
-    def coefficient(self, exponents: tuple[int, ...]) -> int:
-        if len(exponents) != self.nvars or not all(0 <= e <= 255 for e in exponents):
-            return 0  # no one-byte key holds that exponent vector
-        return self._packed.get(int.from_bytes(bytes(exponents), "little"), 0)
 
     def _graded(self) -> list[tuple[int, str, int]]:
         """(weight, text, coefficient) per term, descending in graded-lex order (`_HalfTable`)."""
@@ -356,8 +347,4 @@ def schubert_all(n: int) -> Iterator[tuple[Permutation, Polynomial]]:
 def is_zero_one(f: Polynomial) -> bool:
     """True iff every coefficient is 0 or 1."""
     return all(c == 1 for c in f._packed.values())
-
-
-def max_coefficient(f: Polynomial) -> int:
-    return max(f._packed.values(), default=0)
 

@@ -16,13 +16,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .perms import Permutation, _is_numeral, rothe_diagram
+from .perms import Permutation, rothe_diagram
 from .poly import Polynomial, _omega
 from .orthodontia import OrthodonticTrace, build_D_im, orthodontic_sequence
 
 __all__ = [
     "root_operator",
-    "quantized_demazure",
     "tableaux_set",
     "tableaux_stages",
     "schubert_from_tableaux",
@@ -30,8 +29,6 @@ __all__ = [
     "read_words_into_diagram",
     "FillingView",
     "FillingError",
-    "word_weight",
-    "parse_word",
     "format_word",
 ]
 
@@ -108,18 +105,6 @@ def _orbits(i: int, stage: dict[bytes, int]) -> dict[bytes, int]:
     return out
 
 
-def quantized_demazure(i: int, words: Iterable[Word]) -> set[Word]:
-    """Union of the full f_i orbits {T, f_i(T), f_i^2(T), ...}; letters must lie in 0..255."""
-    return set(map(tuple, _orbits(i, dict.fromkeys(map(bytes, words), 0))))
-
-
-def word_weight(word: Word, n: int) -> tuple[int, ...]:
-    wt = [0] * n
-    for letter in word:
-        wt[letter - 1] += 1
-    return tuple(wt)
-
-
 def _column_word(j: int, copies: int) -> tuple[bytes, int]:
     """The word (1, ..., j)^copies and its packed weight."""
     return bytes(range(1, j + 1)) * copies, copies * _omega(j)
@@ -191,9 +176,6 @@ class FillingView:
     column_order: tuple[int, ...]
     entries: tuple[tuple[tuple[int, int], int], ...]
 
-    def entry(self, i: int, j: int) -> int:
-        return dict(self.entries)[(i, j)]
-
     def is_column_strict(self) -> bool:
         cells = sorted((c, r, v) for (r, c), v in self.entries)
         return all(a[2] < b[2] for a, b in zip(cells, cells[1:]) if a[0] == b[0])
@@ -231,12 +213,3 @@ def format_word(word: Word) -> str:
         return "".join(str(letter) for letter in word)
     return ",".join(str(letter) for letter in word)
 
-
-def parse_word(text: str) -> Word:
-    """Parse a word: one digit per letter, comma-separated letters otherwise;
-    every field, stripped of spaces, must be nonempty ASCII digits."""
-    text = text.strip()
-    fields = [f.strip() for f in text.split(",")] if "," in text else list(text)
-    if not fields or not all(map(_is_numeral, fields)):
-        raise ValueError(f"bad word text: {text!r}")
-    return tuple(map(int, fields))

@@ -28,8 +28,6 @@ from .perms import Diagram, Permutation, pattern_at, rothe_rows
 from .poly import Polynomial, _lift, schubert_classic
 
 __all__ = [
-    "column_leq",
-    "diagram_leq",
     "minor",
     "dual_character",
     "pattern_dominance_check",
@@ -57,18 +55,6 @@ YPoly = dict[int, int]
 
 class SizeLimitError(ValueError):
     """Diagram too large for the configured dual-character limit."""
-
-
-def column_leq(r: tuple[int, ...] | frozenset, s: tuple[int, ...] | frozenset) -> bool:
-    """R <= S: equal size and the k-th least element of R is at most that of S."""
-    rs, ss = sorted(r), sorted(s)
-    return len(rs) == len(ss) and all(a <= b for a, b in zip(rs, ss))
-
-
-def diagram_leq(c: Diagram, d: Diagram) -> bool:
-    if c.n != d.n:
-        return False
-    return all(column_leq(cj, dj) for cj, dj in zip(c.columns, d.columns))
 
 
 def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[tuple[frozenset, int], ...]:

@@ -2,7 +2,7 @@
 
 Every subsequence of each pattern length is ranked, in lexicographic order
 of its index set, so the first index set found for a pattern is its least
-realization.  `zeroone.perms.contains_pattern` is swept against this.
+realization.  `zeroone.perms.first_pattern` is swept against this.
 """
 
 from functools import cache
@@ -23,11 +23,6 @@ def scan_patterns(entries, patterns):
             if pattern is not None and pattern not in found:
                 found[pattern] = tuple(i + 1 for i in idxs)
     return found
-
-
-def scan_realization(entries, pattern):
-    """Least realization of pattern in entries, or None."""
-    return scan_patterns(entries, [pattern]).get(tuple(pattern))
 
 
 def scan_witness(w, patterns):

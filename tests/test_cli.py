@@ -447,6 +447,17 @@ def test_console_entry_point():
     assert proc.stdout == EXPAND_31542
 
 
+@pytest.mark.parametrize("argv", [["expand", "31542"], ["survey", "3"]])
+def test_closed_stdout_pipe_exits_1_without_traceback(argv):
+    # the reader is gone before the first byte, as under `zeroone ... | head -c 0`
+    proc = subprocess.Popen([sys.executable, "-m", "zeroone.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_output_independent_of_hash_seed():
     # no set/dict iteration order may leak into the output
     import os

@@ -7,7 +7,6 @@ import pytest
 from zeroone.orthodontia import (
     _engine,
     build_D_im,
-    column_equivalent,
     is_multiplicity_free,
     orthodontic_sequence,
     schubert_orthodontic,
@@ -16,7 +15,6 @@ from zeroone.perms import (
     Diagram,
     Permutation,
     all_permutations,
-    has_northwest_property,
     mask_rows,
     parse_permutation,
     rothe_diagram,
@@ -24,6 +22,7 @@ from zeroone.perms import (
 )
 from zeroone.poly import Polynomial, is_zero_one, schubert_classic
 
+from diagram_lemma import has_northwest_property
 from straightening import straighten
 
 
@@ -98,7 +97,7 @@ def test_build_D_im_paper_example():
     rebuilt = build_D_im(orthodontic_sequence(w))
     # the paper's figure: columns {1}, {1,3,4}, {3}, padded with empties
     assert rebuilt.columns == ((1,), (1, 3, 4), (3,), (), ())
-    assert column_equivalent(rebuilt, rothe_diagram(w))
+    assert sorted(filter(None, rebuilt.columns)) == sorted(filter(None, rothe_diagram(w).columns))
 
 
 def test_build_D_im_empty():
@@ -109,15 +108,8 @@ def test_build_D_im_empty():
 def test_build_D_im_column_equivalent_exhaustive():
     for w in all_permutations(5):
         tr = orthodontic_sequence(w)
-        assert column_equivalent(build_D_im(tr), rothe_diagram(w))
-
-
-def test_column_equivalent_basics():
-    a = Diagram(((), (1,)))
-    b = Diagram(((1,), ()))
-    assert column_equivalent(a, b)
-    assert column_equivalent(a, a)
-    assert not column_equivalent(a, Diagram(((2,), ())))
+        rebuilt, d = build_D_im(tr).columns, rothe_diagram(w).columns
+        assert sorted(filter(None, rebuilt)) == sorted(filter(None, d))
 
 
 def test_impact_paper_examples():

@@ -13,7 +13,6 @@ from zeroone.poly import (
     demazure,
     divided_difference,
     is_zero_one,
-    max_coefficient,
     schubert_all,
     schubert_classic,
 )
@@ -37,7 +36,7 @@ def test_polynomial_canonical():
     f = Polynomial(2, {(1, 0): 1, (0, 1): 0})
     assert (0, 1) not in f.terms
     assert f == x(1, 2)
-    assert ring.sub(f, f).is_zero()
+    assert not ring.sub(f, f).terms
     with pytest.raises(ValueError):
         Polynomial(2, {(1, 0, 0): 1})
 
@@ -49,14 +48,14 @@ def test_polynomial_rejects_negative_exponents():
     with pytest.raises(ValueError, match="negative exponent"):
         Polynomial.monomial((0, -2))
     assert str(Polynomial(2, {(1, 0): 2, (0, 0): 3})) == "2*x1 + 3"
-    assert Polynomial(0, {(): 5}).coefficient(()) == 5
+    assert Polynomial(0, {(): 5}).terms == {(): 5}
 
 
 def test_divided_difference_basics():
     n = 3
     assert divided_difference(1, x(1, n)) == Polynomial.one(n)
     x1x2 = ring.mul(x(1, n), x(2, n))
-    assert divided_difference(1, x1x2).is_zero()
+    assert not divided_difference(1, x1x2).terms
     assert divided_difference(1, ring.mul(x(1, n), x1x2)) == x1x2
     with pytest.raises(ValueError):
         divided_difference(3, x(1, n))
@@ -73,7 +72,7 @@ def test_divided_difference_exact_quotient(f, data):
 @given(polynomials(), st.data())
 def test_divided_difference_squares_to_zero(f, data):
     i = data.draw(st.integers(1, f.nvars - 1))
-    assert divided_difference(i, divided_difference(i, f)).is_zero()
+    assert not divided_difference(i, divided_difference(i, f)).terms
 
 
 @given(polynomials(min_vars=3, max_vars=5), st.data())
@@ -200,7 +199,7 @@ def test_schubert_paper_example():
 
 
 def test_schubert_longest_and_identity():
-    assert schubert_classic(Permutation.longest(4)) == Polynomial.monomial((3, 2, 1, 0))
+    assert schubert_classic(parse_permutation("4321")) == Polynomial.monomial((3, 2, 1, 0))
     assert schubert_classic(Permutation.identity(4)) == Polynomial.one(4)
     assert schubert_classic(Permutation.identity(1)) == Polynomial.one(1)
 
@@ -222,7 +221,9 @@ def rightmost_descent(w):
     if not ascents:
         return Polynomial.monomial(tuple(range(w.n - 1, -1, -1)))
     i = ascents[-1]
-    return divided_difference(i, rightmost_descent(w.swap_positions(i)))
+    e = list(w.entries)
+    e[i - 1 : i + 1] = e[i], e[i - 1]  # w s_i, one inversion more
+    return divided_difference(i, rightmost_descent(Permutation(tuple(e))))
 
 
 def test_schubert_strategies_agree():
@@ -241,7 +242,7 @@ def test_schubert_contains_code_monomial():
         )
 
     for w, f in schubert_all(5):
-        assert f.coefficient(code(w.entries)) == 1
+        assert f.terms.get(code(w.entries)) == 1
 
 
 def test_schubert_all_matches_classic():
@@ -260,11 +261,11 @@ def test_classic_memo_over_S6(schubert_table_6):
 def test_coefficient_predicates():
     s = schubert_classic(parse_permutation("31542"))
     assert is_zero_one(s)
-    assert max_coefficient(s) == 1
-    assert max_coefficient(Polynomial.zero(3)) == 0
+    assert max(s.terms.values()) == 1
+    assert not Polynomial.zero(3).terms
     d = schubert_classic(parse_permutation("12543"))
     assert not is_zero_one(d)
-    assert max_coefficient(d) == 2
+    assert max(d.terms.values()) == 2
 
 
 def test_format_graded_lex():
@@ -369,9 +370,8 @@ def test_width_takes_part_in_equality():
     born = Polynomial._from_packed(2, {255 + (3 << 8): 1})
     assert f == born and hash(f) == hash(born)
     narrow = Polynomial._from_packed(2, {256: 1})
-    assert narrow == Polynomial.variable(2, 2) and narrow.coefficient((0, 1)) == 1
-    assert f.coefficient((255, 3)) == 1
-    assert f.coefficient((256, 3)) == f.coefficient((-1, 3)) == f.coefficient((255,)) == 0
+    assert narrow == Polynomial.variable(2, 2) and narrow.terms == {(0, 1): 1}
+    assert f.terms == {(255, 3): 1}
     # the same packed dict over more variables is another polynomial
     assert Polynomial._from_packed(3, {256: 1}) != narrow
     # a sum whose other terms cancel is equal and hashed as a kernel result

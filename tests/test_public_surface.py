@@ -1,0 +1,118 @@
+"""Every public name of the package has a reader outside the tests.
+
+The modules are read as text, not imported.  A function or class in a
+module's `__all__` must be referenced in `src/` outside its own definition,
+or be named in `scripts/` or `perfbench/run.py`, or sit in KEPT with the
+reason it stays.  A public method of such a class must be read as an
+attribute in `src/` outside its own definition, or sit in KEPT.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "zeroone"
+
+KEPT = {
+    "one_step_pattern": "the paper's one-step pattern, which criterion 9 checks",
+    "find_configuration": "the configuration witness; ROADMAP item 2 prints it",
+    "Permutation.identity": "value-type builder",
+    "Permutation.inverse": "value-type builder",
+    "Permutation.ascents": "value-type builder",
+    "Polynomial.zero": "value-type builder",
+    "Polynomial.one": "value-type builder",
+    "Polynomial.variable": "value-type builder",
+    "Diagram.from_boxes": "value-type builder",
+    "Diagram.boxes": "value-type reader",
+}
+
+
+def exported(tree):
+    """The names in a module's `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and "__all__" in {getattr(t, "id", None) for t in node.targets}:
+            return ast.literal_eval(node.value)
+    return []
+
+
+def defined(tree):
+    """The names a module binds at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def unread(sources, external=""):
+    """The public functions, classes and methods of sources ({module: text})
+    that nothing in sources reads outside their own definition and that
+    external does not name, as "name" or "Class.method"."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    reads = [(mod, node.lineno, node.id if isinstance(node, ast.Name) else node.attr,
+              isinstance(node, ast.Attribute))
+             for mod, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+
+    def read(mod, node, attribute_only):
+        inside = range(node.lineno, node.end_lineno + 1)
+        return any(name == node.name and (attr or not attribute_only)
+                   and not (m == mod and line in inside) for m, line, name, attr in reads)
+
+    out = []
+    for mod, tree in trees.items():
+        public = exported(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name not in public:
+                continue
+            if not read(mod, node, False) and not re.search(rf"\b{node.name}\b", external):
+                out.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                out += [f"{node.name}.{f.name}" for f in node.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                        and not read(mod, f, True)]
+    return out
+
+
+def package_sources():
+    return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+
+
+def test_every_exported_name_exists():
+    for mod, text in package_sources().items():
+        tree = ast.parse(text)
+        assert set(exported(tree)) <= defined(tree), mod
+
+
+def test_package_imports_only_exported_names():
+    sources = package_sources()
+    imports = [node for node in ast.parse(sources["__init__"]).body
+               if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        public = exported(ast.parse(sources[node.module]))
+        assert {alias.name for alias in node.names} <= set(public), node.module
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    external = "".join(p.read_text() for p in sorted((ROOT / "scripts").glob("*.py")))
+    external += (ROOT / "perfbench" / "run.py").read_text()
+    found = set(unread(package_sources(), external))
+    assert sorted(found - KEPT.keys()) == [], "only the tests read these: delete them, or keep them"
+    assert sorted(KEPT.keys() - found) == [], "KEPT names a name that has a reader now"
+
+
+def test_a_name_only_the_tests_read_is_found():
+    source = (
+        '__all__ = ["f", "g", "C"]\n'
+        "def f():\n    return C().m()\n"
+        "def g():\n    return f() + g()\n"
+        "class C:\n    def m(self):\n        return 1\n    def gone(self):\n        return 2\n"
+    )
+    assert unread({"m": source}) == ["g", "C.gone"]
+    assert unread({"m": source}, external="run(g)") == ["C.gone"]
