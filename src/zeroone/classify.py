@@ -11,14 +11,13 @@ stays an executable check.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, permutations as it_perms
+from itertools import accumulate
 from operator import or_
 from typing import Iterator, Optional
 
-from .perms import Permutation, first_pattern, rothe_masks, rothe_rows
+from .perms import Permutation, first_pattern, rothe_rows
 from .poly import _all_packed, is_zero_one, schubert_classic
 from .orthodontia import _StateTable, is_multiplicity_free
 
@@ -72,34 +71,44 @@ class ConfigurationInstance:
     indices: tuple[int, ...]  # (r1, c1, r2, c2, r3) or (r1, c1, r2, c2, r3, r4)
 
 
+def _pending(row: int, least: int, second: int) -> tuple[int, int, int]:
+    """The columns that row r1 of an inversion diagram leaves pending, as masks
+    (A, B, B'): a box of a later row in one of them completes an instance of
+    that kind whose (r1, c1) box lies in row r1.
+
+    row is the row mask (bit c-1: box (r1, c)); least and second are the two
+    least of w_1..w_{r1-1} (n + 1 for none).  Rows r3, r4 above r1 exist iff
+    the least (for B', the second least) of them is below c1 and, for B, the
+    second least is below c2.  The least admissible c1 leaves the most room
+    for c2, so with c1 the least column of the row above least:
+      A: (r1,c1),(r2,c2) boxes, r3<r1<r2, c1<c2, (r1,c2) missing, w_{r3}<c1:
+         the columns above c1 outside the row;
+      B: (r1,c1),(r1,c2),(r2,c2) boxes, r4 != r3 both above r1 < r2,
+         w_{r3} < c1, w_{r4} < c2: the row's columns above max(c1, second);
+      B': (r1,c1),(r1,c2),(r2,c1) boxes, r4<r3<r1<r2, c1<c2, w_{r3}<c1,
+         w_{r4}<c1: the row's columns above second but its last.
+    """
+    a = b = 0
+    c1s = row >> least << least
+    if c1s:
+        c1 = (c1s & -c1s).bit_length()
+        a = ~row >> c1 << c1
+        floor = max(c1, second)
+        b = row >> floor << floor
+    return a, b, row >> second << second & ~(1 << row.bit_length() >> 1)
+
+
 def _configuration_rows(entries: tuple[int, ...]) -> Iterator[tuple[int, str]]:
     """(r1, kind) for every row r1 holding the (r1, c1) box of some instance
-    of kind A, B or B', in row order (kinds in that order within a row).
-
-    One scan over the rows of the inversion diagram.  Rows r3, r4 above r1
-    exist iff the least (for B', the second least) of w_1..w_{r1-1} is below
-    c1 and, for B, the second least is below c2.  The least admissible c1 of
-    a row leaves the most room for c2, so each kind takes one mask test.
-    """
+    of kind A, B or B', in row order (kinds in that order within a row):
+    the rows whose pending columns (`_pending`) hold a box further down."""
     rows = rothe_rows(entries)  # bit c-1 of rows[r-1]: box (r, c)
     unders = list(accumulate(rows[:0:-1], or_, initial=0))  # columns with a box below
     least = second = len(entries) + 1  # the two least of w_1..w_{r1-1}
     for r1, (v, row, under) in enumerate(zip(entries, rows, reversed(unders)), 1):
-        if row:
-            c1s = row >> least << least
-            if c1s:
-                c1 = (c1s & -c1s).bit_length()
-                # A: (r1,c1),(r2,c2) boxes, r3<r1<r2, c1<c2, (r1,c2) missing, w_{r3}<c1
-                if (under & ~row) >> c1:
-                    yield r1, "A"
-                # B: (r1,c1),(r1,c2),(r2,c2) boxes, r4 != r3 both above r1 < r2,
-                #    w_{r3} < c1, w_{r4} < c2
-                if (row & under) >> max(c1, second):
-                    yield r1, "B"
-            # B': (r1,c1),(r1,c2),(r2,c1) boxes, r4<r3<r1<r2, c1<c2, w_{r3}<c1, w_{r4}<c1
-            c1s = (row & under) >> second << second
-            if c1s and row >> (c1s & -c1s).bit_length():
-                yield r1, "B'"
+        for kind, pending in zip(("A", "B", "B'"), _pending(row, least, second)):
+            if pending & under:
+                yield r1, kind
         if v < second:
             least, second = (v, least) if v < least else (least, v)
 
@@ -109,11 +118,12 @@ def _instance(entries: tuple[int, ...], r1: int, kind: str) -> ConfigurationInst
     `_configuration_rows` must have yielded."""
     n = len(entries)
     rows = rothe_rows(entries)
-    row, under = rows[r1 - 1], reduce(or_, rows[r1:], 0)
+    row = rows[r1 - 1]
     least, second = sorted(entries[: r1 - 1] + (n + 1, n + 1))[:2]
+    a, b, b_prime = _pending(row, least, second)
 
     def first_box(cmask: int) -> tuple[int, int]:
-        """Least box (r2, c2) with r2 > r1 and bit c2-1 set in cmask (within under)."""
+        """Least box (r2, c2) with r2 > r1 and bit c2-1 set in cmask."""
         for r2 in range(r1 + 1, n + 1):
             hit = rows[r2 - 1] & cmask
             if hit:
@@ -124,7 +134,7 @@ def _instance(entries: tuple[int, ...], r1: int, kind: str) -> ConfigurationInst
         return (r for r in range(1, r1) if entries[r - 1] < c)
 
     if kind == "B'":
-        c1s = (row & under) >> second << second
+        c1s = b_prime & reduce(or_, rows[r1:], 0)
         c1 = (c1s & -c1s).bit_length()
         c2s = row >> c1
         r2 = first_box(1 << (c1 - 1))[0]
@@ -135,10 +145,8 @@ def _instance(entries: tuple[int, ...], r1: int, kind: str) -> ConfigurationInst
     c1 = (c1s & -c1s).bit_length()
     r3 = next(above(c1))
     if kind == "A":
-        r2, c2 = first_box((under & ~row) >> c1 << c1)
-        return ConfigurationInstance(kind, (r1, c1, r2, c2, r3))
-    floor = max(c1, second)
-    r2, c2 = first_box((row & under) >> floor << floor)
+        return ConfigurationInstance(kind, (r1, c1, *first_box(a), r3))
+    r2, c2 = first_box(b)
     r4 = next(r for r in above(c2) if r != r3)
     return ConfigurationInstance(kind, (r1, c1, r2, c2, r3, r4))
 
@@ -161,8 +169,20 @@ def find_configuration(w: Permutation) -> Optional[ConfigurationInstance]:
 
 
 def has_configuration(entries: tuple[int, ...]) -> bool:
-    """True iff the inversion diagram of entries holds a configuration."""
-    return next(_configuration_rows(entries), None) is not None
+    """True iff the inversion diagram of entries holds a configuration: one
+    pass down the rows, stopping at the first box in a column that an
+    earlier row left pending."""
+    pending = 0
+    least = second = len(entries) + 1  # the two least of the entries passed
+    for v, row in zip(entries, rothe_rows(entries)):
+        if row:
+            if row & pending:
+                return True
+            a, b, b_prime = _pending(row, least, second)
+            pending |= a | b | b_prime
+        if v < second:
+            least, second = (v, least) if v < least else (least, v)
+    return False
 
 
 def avoids_multiplicitous(w: Permutation) -> bool:
@@ -271,28 +291,81 @@ def _avoider_class(n: int) -> set[bytes]:
     return level
 
 
-def _fast_votes(n: int):
-    """The survey's pattern, configuration and multiplicity-free votes on S_n,
-    as one function of the one-line entries."""
-    tables = _deletion_tables(n)
-    below = _avoider_class(n - 1)
-    states = _StateTable(n)
-
-    def votes(entries: tuple[int, ...]) -> tuple[bool, bool, bool]:
-        pat = _sieve_avoids(bytes(entries), below, tables)
-        conf = not has_configuration(entries)
-        mult = states(rothe_masks(entries))
-        return pat, conf, mult
-
-    return votes
+def _survey_context(n: int):
+    """What a survey of S_n builds once per process for `_survey_votes`: n, the
+    deletion tables, the avoiders of S_{n-1}, the state table and the memo of
+    column spreads, filled as rows turn up rather than for all 2^n masks."""
+    return n, _deletion_tables(n), _avoider_class(n - 1), _StateTable(n), {}
 
 
-def _block_entries(n: int, first: Optional[int]):
-    """S_n in lexicographic order; only the permutations starting with first if given."""
-    if first is None:
-        return it_perms(range(1, n + 1))
-    rest = [v for v in range(1, n + 1) if v != first]
-    return ((first,) + e for e in it_perms(rest))
+def _survey_votes(context, first: Optional[int] = None):
+    """(one-line entries as bytes, (pattern, configuration, multiplicity-free
+    vote)) for every w in S_n, in lexicographic order; only for those
+    starting with first if given.  context comes from `_survey_context(n)`.
+
+    One odometer over the prefixes of S_n (Knuth, TAOCP 4A, 7.2.1.2): a node
+    places v at depth d, and with avail the values not yet placed,
+    row = avail & (bit(v) - 1) is both row d+1 of D(w) (bit c-1: box (d+1, c))
+    and the set of still-open columns that gain row d+1.  So each node does
+    O(1) big-integer work for the row it adds:
+    - the configuration vote ORs in the columns the row leaves pending
+      (`_pending`) and falls at the first later box in one of them;
+    - the state key, in `_StateTable._key`'s layout, adds the row's spread
+      (bit d in each open column below v) and then empties column v, which
+      is complete, if it is a nonzero interval mask.
+    Each leaf runs the sieve on its entries and looks its key up.
+    """
+    n, tables, below, states, spread = context
+    if not n:
+        yield b"", (_sieve_avoids(b"", below, tables), True, states.vote(0))
+        return
+    field, last, top = (1 << n) - 1, n - 1, n + 1
+    singles = [bytes((v,)) for v in range(top)]
+    entries = bytearray(n)
+    # one frame per depth: the values to try there, then the prefix state above
+    # it: the unplaced values (as bytes and as a mask), the key, the pending
+    # columns (None once a configuration is found), the two least entries
+    values = bytes(range(1, top))
+    frames = [(iter(values if first is None else singles[first]), values, field, 0, 0, top, top)]
+    while frames:
+        untried, values, avail, key, pending, least, second = frames[-1]
+        v = next(untried, 0)
+        if not v:
+            frames.pop()
+            continue
+        d = len(frames) - 1
+        while True:  # place v at depth d, then the one value left if that is all
+            entries[d] = v
+            bit = 1 << v - 1
+            avail ^= bit
+            row = avail & bit - 1
+            if row:
+                grow = spread.get(row)
+                if grow is None:
+                    grow = spread[row] = sum(1 << n * c for c in range(n) if row >> c & 1)
+                key += grow << d
+                if pending is not None:
+                    if row & pending:
+                        pending = None
+                    else:
+                        a, b, b_prime = _pending(row, least, second)
+                        pending |= a | b | b_prime
+            shift = n * (v - 1)
+            done = key >> shift & field
+            if not done & done + 1:
+                key ^= done << shift
+            if d == last:
+                e = bytes(entries)
+                yield e, (_sieve_avoids(e, below, tables), pending is not None, states.vote(key))
+                break
+            if d + 1 == last:  # row n is empty, so least and second no longer matter
+                d, v = last, avail.bit_length()
+                continue
+            if v < second:
+                least, second = (v, least) if v < least else (least, v)
+            values = values.replace(singles[v], b"")
+            frames.append((iter(values), values, avail, key, pending, least, second))
+            break
 
 
 def _pool_size(workers: int, blocks: int) -> int:
@@ -300,7 +373,7 @@ def _pool_size(workers: int, blocks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, blocks))
 
 
-def _tally(pairs: Iterator[tuple[tuple[int, ...], tuple[bool, ...]]]):
+def _tally(pairs: Iterator[tuple[bytes | tuple[int, ...], tuple[bool, ...]]]):
     """(zero-one, disagreements, total, first disagreeing entries or None)
     over the (one-line entries, vote tuple) pairs of a survey."""
     zero_one = disagreements = total = 0
@@ -316,19 +389,18 @@ def _tally(pairs: Iterator[tuple[tuple[int, ...], tuple[bool, ...]]]):
     return zero_one, disagreements, total, first
 
 
-_worker_votes = None  # (n, _fast_votes(n)) in a survey worker, set by _start_worker
+_worker_context = None  # `_survey_context(n)` in a survey worker, set by _start_worker
 
 
 def _start_worker(n: int):
-    """Pool initializer: build the votes of S_n, and so the avoider class, once per process."""
-    global _worker_votes
-    _worker_votes = n, _fast_votes(n)
+    """Pool initializer: build the survey context of S_n, and so the avoider class, once per process."""
+    global _worker_context
+    _worker_context = _survey_context(n)
 
 
 def _survey_block(first: int):
-    """Tally the block of S_n starting with first, with the worker's votes."""
-    n, votes = _worker_votes
-    return _tally((e, votes(e)) for e in _block_entries(n, first))
+    """Tally the block of S_n starting with first, with the worker's context."""
+    return _tally(_survey_votes(_worker_context, first))
 
 
 def survey(
@@ -352,8 +424,16 @@ def survey(
     containment is transitive; it assumes nothing about zero-one-ness, so
     the vote stays independent of the other predicates.  Permutations are
     held as bytes, each one-step pattern is one bytes.translate, and so n
-    must be at most 255.  With workers > 1, S_n is split into one block per
-    first entry, on at most as many processes as there are cores and blocks.
+    must be at most 255.
+
+    All three votes come from one odometer over the prefixes of S_n in
+    lexicographic order (`_survey_votes`): each node adds one row of the
+    inversion diagram, so the configuration vote and the multiplicity-free
+    state key are built prefix by prefix, and each leaf runs the sieve and
+    looks its key up in the state table.  With workers > 1, S_n is split into
+    one block per first entry, on at most as many processes as there are
+    cores and blocks; each process builds its context once.  methods="all"
+    collects the votes by entries, then tallies them in the expansion's order.
 
     The summary names the first permutation on which the votes disagree (in
     lexicographic order, or in `schubert_all`'s order for methods="all").
@@ -374,23 +454,25 @@ def survey(
         raise ValueError(f"survey size {n} exceeds limit {cap}")
     pool_size = _pool_size(workers, n)
     if methods == "all":
-        votes = _fast_votes(n)  # the expansion vote reads the packed coefficients
+        # the votes by entries, tallied in `_all_packed`'s order; the expansion
+        # vote reads the packed coefficients
+        votes = dict(_survey_votes(_survey_context(n)))
         zero_one, disagreements, total, first = _tally(
-            (e, (all(c == 1 for c in terms.values()), *votes(e))) for e, terms in _all_packed(n)
+            (e, (all(c == 1 for c in terms.values()), *votes[bytes(e)]))
+            for e, terms in _all_packed(n)
         )
     elif pool_size == 1:
-        votes = _fast_votes(n)
-        zero_one, disagreements, total, first = _tally(
-            (e, votes(e)) for e in _block_entries(n, None)
-        )
+        zero_one, disagreements, total, first = _tally(_survey_votes(_survey_context(n)))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
+
         with ProcessPoolExecutor(
             max_workers=pool_size, initializer=_start_worker, initargs=(n,)
         ) as pool:
             zero_ones, counts, totals, firsts = zip(*pool.map(_survey_block, range(1, n + 1)))
         zero_one, disagreements, total = sum(zero_ones), sum(counts), sum(totals)
         first = min((e for e in firsts if e is not None), default=None)
-    disagreement = None if first is None else Permutation(first)
+    disagreement = None if first is None else Permutation(tuple(first))
     if checked and disagreements:
         raise InternalCheckError(
             f"survey of S_{n}: the votes disagree on {disagreements} permutations,"

@@ -97,9 +97,11 @@ class _StateTable(dict):
     columns keep their place, so impact bits name the same columns along a chain.
     A value sums up the chain from its state to the empty diagram (key 0): n + 1
     bits per letter i at offset (i-1)(n+1), a seen bit under i's impact mask, or
-    None once a repeat breaks `_repeat_ok`.  A vote walks to a known state, then
-    folds the new steps back in.  Once CAP states are stored, a vote from an
-    unknown state is `_walk_forward`, which can stop at the first bad repeat.
+    None once a repeat breaks `_repeat_ok`.  The survey builds each key prefix by
+    prefix and calls `vote`, which decodes the column masks only for a key it
+    lacks; it walks to a known state, then folds the new steps back in.  Once
+    CAP states are stored, a vote from an unknown state is `_walk_forward`, which
+    can stop at the first bad repeat.  Called on column masks, it packs them first.
     """
 
     CAP = 1 << 18  # about 80 bytes a state; S_9 has 155739 states, S_10 more than CAP
@@ -115,17 +117,23 @@ class _StateTable(dict):
         return key
 
     def __call__(self, masks: list[int]) -> bool:
-        walked, key = [], self._key(masks)
-        if key not in self:
-            if len(self) >= self.CAP:
-                return _walk_forward(masks)
-            steps = _engine(masks)
-            next(steps)  # later steps leave no interval column but [i_r], which _key empties
-            for letter, imp, work in steps:
-                walked.append((key, letter, imp))
-                key = self._key(work)
-                if key in self:
-                    break
+        return self.vote(self._key(masks))
+
+    def vote(self, key: int) -> bool:
+        """The vote from a packed key; the column masks are decoded only if it is new."""
+        if key in self:
+            return self[key] is not None
+        n, walked = self.n, []
+        masks = [key >> shift & (1 << n) - 1 for shift in range(0, n * n, n)]
+        if len(self) >= self.CAP:
+            return _walk_forward(masks)
+        steps = _engine(masks)
+        next(steps)  # later steps leave no interval column but [i_r], which _key empties
+        for letter, imp, work in steps:
+            walked.append((key, letter, imp))
+            key = self._key(work)
+            if key in self:
+                break
         summary, width = self[key], self.n + 1
         for key, letter, imp in reversed(walked):
             if summary is not None:

@@ -1,6 +1,8 @@
 """Configurations, the twelve patterns, and the zero-one predicates."""
 
+import concurrent.futures
 import random
+from itertools import permutations as it_perms
 
 import pytest
 
@@ -14,10 +16,11 @@ from zeroone.classify import (
     witness_pattern,
     zero_one_status,
     _avoider_class,
-    _block_entries,
     _deletion_tables,
     _pool_size,
     _sieve_avoids,
+    _survey_context,
+    _survey_votes,
 )
 from zeroone.orthodontia import _StateTable, is_multiplicity_free, orthodontic_sequence
 from zeroone.perms import (
@@ -249,8 +252,51 @@ def test_sieve_matches_pattern_scan():
 
 def test_survey_blocks_split_by_first_entry():
     for n in range(1, 6):
-        blocks = [e for first in range(1, n + 1) for e in _block_entries(n, first)]
-        assert blocks == list(_block_entries(n, None))
+        context = _survey_context(n)
+        blocks = [e for first in range(1, n + 1) for e, _ in _survey_votes(context, first)]
+        assert blocks == [e for e, _ in _survey_votes(context)]
+
+
+def test_survey_odometer_runs_in_lexicographic_order():
+    for n in range(8):
+        context = _survey_context(n)
+        perms = [bytes(e) for e in it_perms(range(1, n + 1))]
+        assert [e for e, _ in _survey_votes(context)] == perms
+        for first in range(1, n + 1):
+            block = [e for e, _ in _survey_votes(context, first)]
+            assert block == [e for e in perms if e[0] == first]
+
+
+def test_survey_odometer_votes_match_the_predicates():
+    # the prefix-incremental votes against each predicate on the whole permutation
+    for n in range(1, 8):
+        below, tables = _avoider_class(n - 1), _deletion_tables(n)
+        for e, votes in _survey_votes(_survey_context(n)):
+            w = Permutation(tuple(e))
+            expected = (
+                _sieve_avoids(e, below, tables),
+                not has_configuration(w.entries),
+                is_multiplicity_free(w),
+            )
+            assert votes == expected, w
+
+
+def test_survey_odometer_looks_up_the_state_keys(monkeypatch):
+    import zeroone.classify as classify_mod
+
+    keys = []
+
+    class Recorded(_StateTable):
+        def vote(self, key):  # records the key only, so a wrong key cannot hide behind a crash
+            keys.append(key)
+            return True
+
+    monkeypatch.setattr(classify_mod, "_StateTable", Recorded)
+    for n in range(1, 8):
+        keys.clear()
+        perms = [e for e, _ in _survey_votes(_survey_context(n))]
+        reference = _StateTable(n)
+        assert keys == [reference._key(rothe_masks(tuple(e))) for e in perms]
 
 
 def test_survey_pool_clamped(monkeypatch):
@@ -283,7 +329,7 @@ def test_survey_pool_clamped(monkeypatch):
             return map(fn, blocks)
 
     monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(classify_mod, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     assert survey(5, workers=10**6) == survey(5)
     assert started == [3]
 
@@ -300,8 +346,13 @@ def flip_configuration_vote(monkeypatch, flipped):
     """Make the survey's configuration vote wrong on the entries in flipped."""
     import zeroone.classify as classify_mod
 
-    real = classify_mod.has_configuration
-    monkeypatch.setattr(classify_mod, "has_configuration", lambda e: real(e) != (e in flipped))
+    real = classify_mod._survey_votes
+
+    def flipped_votes(*args):
+        for e, (pattern, configuration, multfree) in real(*args):
+            yield e, (pattern, configuration != (tuple(e) in flipped), multfree)
+
+    monkeypatch.setattr(classify_mod, "_survey_votes", flipped_votes)
 
 
 def test_survey_names_its_first_disagreement(monkeypatch):
@@ -335,7 +386,7 @@ def test_survey_blocks_merge_to_the_least_disagreement(monkeypatch):
             return reversed(list(map(fn, blocks)))
 
     monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(classify_mod, "ProcessPoolExecutor", BackwardsPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BackwardsPool)
     flip_configuration_vote(monkeypatch, {(4, 1, 2, 3, 5), (2, 1, 5, 4, 3), (2, 5, 1, 3, 4)})
     s = survey(5, workers=2)
     assert s == survey(5)

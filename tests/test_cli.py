@@ -252,9 +252,13 @@ def test_survey_output():
 def test_survey_names_a_disagreement(methods, monkeypatch):
     import zeroone.classify as classify_mod
 
-    real = classify_mod.has_configuration
-    flip = lambda e: real(e) != (e == (1, 3, 2, 5, 4))  # a wrong vote on 13254 only
-    monkeypatch.setattr(classify_mod, "has_configuration", flip)
+    real = classify_mod._survey_votes
+
+    def flip(*args):  # a wrong configuration vote on 13254 only
+        for e, (pattern, configuration, multfree) in real(*args):
+            yield e, (pattern, configuration != (tuple(e) == (1, 3, 2, 5, 4)), multfree)
+
+    monkeypatch.setattr(classify_mod, "_survey_votes", flip)
     report = "n 5\ntotal 120\nzero_one 115\ndisagreements 1\ndisagreement 13254\n"
     assert invoke("survey", "5", "--methods", methods) == (0, report, "")
     code, out, err = invoke("--checked", "survey", "5", "--methods", methods)
@@ -307,6 +311,13 @@ def test_parser_built_on_first_run():
     probe = "import zeroone.cli as c; print(c._build_parser.cache_info().currsize)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+def test_cli_start_leaves_the_process_pool_unimported():
+    # only a survey with a pool imports concurrent.futures, with its multiprocessing
+    probe = "import sys, zeroone.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def test_deep_descent_ends_cleanly():
