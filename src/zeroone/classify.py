@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from operator import or_
 from typing import Iterator, Optional
@@ -98,57 +97,56 @@ def _pending(row: int, least: int, second: int) -> tuple[int, int, int]:
     return a, b, row >> second << second & ~(1 << row.bit_length() >> 1)
 
 
-def _configuration_rows(entries: tuple[int, ...]) -> Iterator[tuple[int, str]]:
-    """(r1, kind) for every row r1 holding the (r1, c1) box of some instance
-    of kind A, B or B', in row order (kinds in that order within a row):
-    the rows whose pending columns (`_pending`) hold a box further down."""
-    rows = rothe_rows(entries)  # bit c-1 of rows[r-1]: box (r, c)
+def _configurations(entries: tuple[int, ...]) -> Iterator[tuple[int, str, int, int, list[int]]]:
+    """(r1, kind, hits, least, rows) for every row r1 holding the (r1, c1) box
+    of some instance of kind A, B or B', in row order (kinds in that order
+    within a row).  hits are the row's pending columns (`_pending`) that hold
+    a box further down, least is the least of w_1..w_{r1-1} (n + 1 for none)
+    and rows are the row masks (bit c-1 of rows[r-1]: box (r, c))."""
+    rows = rothe_rows(entries)
     unders = list(accumulate(rows[:0:-1], or_, initial=0))  # columns with a box below
     least = second = len(entries) + 1  # the two least of w_1..w_{r1-1}
     for r1, (v, row, under) in enumerate(zip(entries, rows, reversed(unders)), 1):
-        for kind, pending in zip(("A", "B", "B'"), _pending(row, least, second)):
-            if pending & under:
-                yield r1, kind
+        if row:
+            for kind, pending in zip(("A", "B", "B'"), _pending(row, least, second)):
+                if hits := pending & under:
+                    yield r1, kind, hits, least, rows
         if v < second:
             least, second = (v, least) if v < least else (least, v)
 
 
-def _instance(entries: tuple[int, ...], r1: int, kind: str) -> ConfigurationInstance:
-    """The least instance of kind whose (r1, c1) box lies in row r1, which
-    `_configuration_rows` must have yielded."""
-    n = len(entries)
-    rows = rothe_rows(entries)
-    row = rows[r1 - 1]
-    least, second = sorted(entries[: r1 - 1] + (n + 1, n + 1))[:2]
-    a, b, b_prime = _pending(row, least, second)
+def _instance(
+    entries: tuple[int, ...], r1: int, kind: str, hits: int, least: int, rows: list[int]
+) -> ConfigurationInstance:
+    """The least instance of kind whose (r1, c1) box lies in row r1, from a
+    hit of `_configurations`.
 
-    def first_box(cmask: int) -> tuple[int, int]:
-        """Least box (r2, c2) with r2 > r1 and bit c2-1 set in cmask."""
-        for r2 in range(r1 + 1, n + 1):
-            hit = rows[r2 - 1] & cmask
-            if hit:
-                return r2, (hit & -hit).bit_length()
+    Its (r2, c2) box (for B', its (r2, c1) box) lies in h, the least hit
+    column, and in the first row below r1 with a box there: a box (r, c')
+    above a box (r', c) with c < c' makes (r, c) a box too (c < c' < w_r and
+    w^-1(c) > r' > r), so the first row below r1 with a box in any hit
+    column has one in h.
+    """
+    row = rows[r1 - 1]
+    h = (hits & -hits).bit_length()
+    r2 = next(r for r, below in enumerate(rows[r1:], r1 + 1) if below >> h - 1 & 1)
 
     def above(c: int) -> Iterator[int]:
         """Rows r < r1 with w_r < c, in increasing order."""
         return (r for r in range(1, r1) if entries[r - 1] < c)
 
     if kind == "B'":
-        c1s = b_prime & reduce(or_, rows[r1:], 0)
-        c1 = (c1s & -c1s).bit_length()
-        c2s = row >> c1
-        r2 = first_box(1 << (c1 - 1))[0]
-        rs = above(c1)
+        c2s = row >> h
+        rs = above(h)
         r4, r3 = next(rs), next(rs)
-        return ConfigurationInstance(kind, (r1, c1, r2, c1 + (c2s & -c2s).bit_length(), r3, r4))
+        return ConfigurationInstance(kind, (r1, h, r2, h + (c2s & -c2s).bit_length(), r3, r4))
     c1s = row >> least << least
     c1 = (c1s & -c1s).bit_length()
     r3 = next(above(c1))
     if kind == "A":
-        return ConfigurationInstance(kind, (r1, c1, *first_box(a), r3))
-    r2, c2 = first_box(b)
-    r4 = next(r for r in above(c2) if r != r3)
-    return ConfigurationInstance(kind, (r1, c1, r2, c2, r3, r4))
+        return ConfigurationInstance(kind, (r1, c1, r2, h, r3))
+    r4 = next(r for r in above(h) if r != r3)
+    return ConfigurationInstance(kind, (r1, c1, r2, h, r3, r4))
 
 
 def find_configuration(w: Permutation) -> Optional[ConfigurationInstance]:
@@ -157,32 +155,15 @@ def find_configuration(w: Permutation) -> Optional[ConfigurationInstance]:
     Kinds are searched in the order A, B, B'; within a kind, index tuples
     (r1, c1, r2, c2, r3[, r4]) are least in lexicographic order.
     """
-    first_row = {}
-    for r1, kind in _configuration_rows(w.entries):
-        first_row.setdefault(kind, r1)
-        if kind == "A":
-            break
-    for kind in ("A", "B", "B'"):
-        if kind in first_row:
-            return _instance(w.entries, first_row[kind], kind)
-    return None
+    # the least hit by kind, then row: "A" < "B" < "B'" as strings
+    hit = min(_configurations(w.entries), key=lambda h: (h[1], h[0]), default=None)
+    return None if hit is None else _instance(w.entries, *hit)
 
 
 def has_configuration(entries: tuple[int, ...]) -> bool:
-    """True iff the inversion diagram of entries holds a configuration: one
-    pass down the rows, stopping at the first box in a column that an
-    earlier row left pending."""
-    pending = 0
-    least = second = len(entries) + 1  # the two least of the entries passed
-    for v, row in zip(entries, rothe_rows(entries)):
-        if row:
-            if row & pending:
-                return True
-            a, b, b_prime = _pending(row, least, second)
-            pending |= a | b | b_prime
-        if v < second:
-            least, second = (v, least) if v < least else (least, v)
-    return False
+    """True iff the inversion diagram of entries holds a configuration: does
+    `_configurations` yield at all?"""
+    return next(_configurations(entries), None) is not None
 
 
 def avoids_multiplicitous(w: Permutation) -> bool:

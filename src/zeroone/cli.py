@@ -117,8 +117,7 @@ def _cmd_expand(args, out) -> int:
     elif args.method == "tableaux":
         f = tableaux.schubert_from_tableaux(w)
     else:
-        limit = args.limit if args.limit is not None else weyl.DEFAULT_SIZE_LIMIT
-        f = weyl.dual_character(perms.rothe_diagram(w), limit=limit)
+        f = weyl.dual_character(perms.rothe_diagram(w), limit=args.limit)
     _print_poly(f, out, args.structured)
     return 0
 
@@ -151,16 +150,14 @@ def _cmd_tableaux(args, out) -> int:
 
 def _cmd_char(args, out) -> int:
     d = _read_diagram(args.diagram)
-    limit = args.limit if args.limit is not None else weyl.DEFAULT_SIZE_LIMIT
-    f = weyl.dual_character(d, limit=limit)
+    f = weyl.dual_character(d, limit=args.limit)
     _print_poly(f, out, args.structured)
     return 0
 
 
 def _cmd_dominance(args, out) -> int:
     d = _read_diagram(args.diagram)
-    limit = args.limit if args.limit is not None else weyl.DEFAULT_SIZE_LIMIT
-    result = weyl.pattern_dominance_check(d, args.row, args.col, limit=limit)
+    result = weyl.pattern_dominance_check(d, args.row, args.col, limit=args.limit)
     print(f"M {result.monomial}", file=out)
     print(f"ok {'true' if result.ok else 'false'}", file=out)
     if args.show_remainder:

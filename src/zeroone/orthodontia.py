@@ -101,7 +101,7 @@ class _StateTable(dict):
     prefix and calls `vote`, which decodes the column masks only for a key it
     lacks; it walks to a known state, then folds the new steps back in.  Once
     CAP states are stored, a vote from an unknown state is `_walk_forward`, which
-    can stop at the first bad repeat.  Called on column masks, it packs them first.
+    can stop at the first bad repeat.
     """
 
     CAP = 1 << 18  # about 80 bytes a state; S_9 has 155739 states, S_10 more than CAP
@@ -115,9 +115,6 @@ class _StateTable(dict):
         for mask in reversed(masks):
             key = key << n | (0 if mask in intervals else mask)
         return key
-
-    def __call__(self, masks: list[int]) -> bool:
-        return self.vote(self._key(masks))
 
     def vote(self, key: int) -> bool:
         """The vote from a packed key; the column masks are decoded only if it is new."""

@@ -230,13 +230,15 @@ def _character(cols: tuple[tuple[int, ...], ...]) -> dict[int, int]:
     return {wt: len(b) for wt, b in spans.items()}
 
 
-def dual_character(d: Diagram, limit: int = DEFAULT_SIZE_LIMIT) -> Polynomial:
+def dual_character(d: Diagram, limit: int | None = None) -> Polynomial:
     """The dual character of the flagged Weyl module of d.
 
     Every coefficient is the exact rank of the span of determinant products
     for one weight group; for inversion diagrams this recovers the Schubert
     polynomial.  Recent results are kept per multiset of nonempty columns.
+    limit caps d.n, DEFAULT_SIZE_LIMIT if None.
     """
+    limit = DEFAULT_SIZE_LIMIT if limit is None else limit
     if d.n > limit:
         raise SizeLimitError(
             f"diagram size {d.n} exceeds limit {limit}; raise the limit explicitly to proceed"
@@ -272,7 +274,7 @@ def _deleted_weight(rows: list[int], kept_rows: int, kept_cols: int) -> int:
 
 
 def pattern_dominance_check(
-    d: Diagram, k: int, l: int, limit: int = DEFAULT_SIZE_LIMIT
+    d: Diagram, k: int, l: int, limit: int | None = None
 ) -> DominanceResult:
     """Check chi_D >= M * chi_{D-hat}(x_k := 0) coefficientwise.
 

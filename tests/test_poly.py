@@ -362,6 +362,21 @@ def test_packed_born_polynomials_print_as_their_twins(pair):
     assert born == twin and hash(born) == hash(twin)
 
 
+def test_full_half_tables_print_as_unbounded_ones(monkeypatch):
+    # a full table makes each new half on lookup and keeps none of them
+    import zeroone.poly as poly_mod
+
+    fs = [schubert_classic(parse_permutation(w)) for w in ("1473625", "2574163", "3162754")]
+    unbounded = [(str(f), f.sorted_terms()) for f in fs]
+    poly_mod._half_tables.cache_clear()
+    monkeypatch.setattr(poly_mod, "_TABLE_CAP", 3)
+    try:
+        assert [(str(f), f.sorted_terms()) for f in fs] == unbounded
+        assert [len(table) for table in poly_mod._half_tables(7)] == [3, 3]
+    finally:
+        poly_mod._half_tables.cache_clear()
+
+
 def test_width_takes_part_in_equality():
     # a key holds one byte per exponent, x1 lowest: packed 256 is x2, and x1^256 has no key
     with pytest.raises(ValueError, match="255"):

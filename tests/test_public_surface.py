@@ -3,8 +3,9 @@
 The modules are read as text, not imported.  A function or class in a
 module's `__all__` must be referenced in `src/` outside its own definition,
 or be named in `scripts/` or `perfbench/run.py`, or sit in KEPT with the
-reason it stays.  A public method of such a class must be read as an
-attribute in `src/` outside its own definition, or sit in KEPT.
+reason it stays.  A public method of such a class must be called in `src/`
+outside its own definition (a property read there), or sit in KEPT: a read
+of a field that shares the method's name does not count.
 """
 
 import ast
@@ -23,6 +24,7 @@ KEPT = {
     "Polynomial.zero": "value-type builder",
     "Polynomial.one": "value-type builder",
     "Polynomial.variable": "value-type builder",
+    "Polynomial.monomial": "value-type builder",
     "Diagram.from_boxes": "value-type builder",
     "Diagram.boxes": "value-type reader",
 }
@@ -54,15 +56,23 @@ def unread(sources, external=""):
     that nothing in sources reads outside their own definition and that
     external does not name, as "name" or "Class.method"."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    called = {id(node.func) for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
     reads = [(mod, node.lineno, node.id if isinstance(node, ast.Name) else node.attr,
-              isinstance(node, ast.Attribute))
+              "name" if isinstance(node, ast.Name) else "call" if id(node) in called else "attribute")
              for mod, tree in trees.items() for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))]
 
-    def read(mod, node, attribute_only):
+    def read(mod, node, ways):
         inside = range(node.lineno, node.end_lineno + 1)
-        return any(name == node.name and (attr or not attribute_only)
-                   and not (m == mod and line in inside) for m, line, name, attr in reads)
+        return any(name == node.name and way in ways
+                   and not (m == mod and line in inside) for m, line, name, way in reads)
+
+    def ways(method):
+        """How a method is read: called, or for a property, read as an attribute."""
+        if any(getattr(d, "id", None) == "property" for d in method.decorator_list):
+            return {"attribute", "call"}
+        return {"call"}
 
     out = []
     for mod, tree in trees.items():
@@ -70,12 +80,13 @@ def unread(sources, external=""):
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name not in public:
                 continue
-            if not read(mod, node, False) and not re.search(rf"\b{node.name}\b", external):
+            named = re.search(rf"\b{node.name}\b", external)
+            if not named and not read(mod, node, {"name", "attribute", "call"}):
                 out.append(node.name)
             if isinstance(node, ast.ClassDef):
                 out += [f"{node.name}.{f.name}" for f in node.body
                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
-                        and not read(mod, f, True)]
+                        and not read(mod, f, ways(f))]
     return out
 
 
@@ -110,9 +121,10 @@ def test_every_public_name_has_a_reader_outside_the_tests():
 def test_a_name_only_the_tests_read_is_found():
     source = (
         '__all__ = ["f", "g", "C"]\n'
-        "def f():\n    return C().m()\n"
+        "def f():\n    return C().m() + C().gone + C().p\n"
         "def g():\n    return f() + g()\n"
         "class C:\n    def m(self):\n        return 1\n    def gone(self):\n        return 2\n"
+        "    @property\n    def p(self):\n        return 3\n"
     )
     assert unread({"m": source}) == ["g", "C.gone"]
     assert unread({"m": source}, external="run(g)") == ["C.gone"]
