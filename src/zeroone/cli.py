@@ -89,9 +89,7 @@ def _format_tuple(values) -> str:
 
 def _print_poly(f: poly.Polynomial, out, structured: bool):
     if structured:
-        print(f"nvars {f.nvars}", file=out)
-        for e, c in f.sorted_terms():
-            print("term " + ",".join(map(str, e)) + f" {c}", file=out)
+        out.write(f"nvars {f.nvars}\n" + f.records("term"))
     else:
         print(str(f), file=out)
 
@@ -162,8 +160,7 @@ def _cmd_dominance(args, out) -> int:
     print(f"ok {'true' if result.ok else 'false'}", file=out)
     if args.show_remainder:
         if args.structured:
-            for e, c in result.remainder.sorted_terms():
-                print("F_term " + ",".join(map(str, e)) + f" {c}", file=out)
+            out.write(result.remainder.records("F_term"))
         else:
             print(f"F {result.remainder}", file=out)
     return 0

@@ -162,9 +162,10 @@ def parse_diagram(text: str) -> Diagram:
         if not _is_numeral(head.strip()) or int(head) != expected_j:
             raise ValueError(f"expected column label {expected_j} in line {line!r}")
         rows = tail.split()
-        if not all(map(_is_numeral, rows)):
+        # split() yields nonempty fields, so one test of their concatenation covers each
+        if rows and not _is_numeral("".join(rows)):
             raise ValueError(f"bad row indices in line {line!r}")
-        cols.append(tuple(int(r) for r in rows))
+        cols.append(tuple(map(int, rows)))
     return Diagram(tuple(cols))
 
 

@@ -106,9 +106,10 @@ class Polynomial:
 
     # -- queries ------------------------------------------------------
 
-    def _graded(self) -> list[tuple[int, str, int]]:
-        """(weight, text, coefficient) per term, descending in graded-lex order (`_HalfTable`)."""
-        low, high = _half_tables(self.nvars)
+    def _graded(self, fields: bool = False) -> list[tuple[int, str, int]]:
+        """(weight, text, coefficient) per term, descending in graded-lex order;
+        the text is the product, or with `fields` the exponent fields (`_HalfTable`)."""
+        low, high = _half_tables(self.nvars, fields)
         shift = 8 * high.first
         mask = (1 << shift) - 1
         rows = []
@@ -124,6 +125,10 @@ class Polynomial:
         n = self.nvars
         rank = (1 << 8 * n) - 1
         return [(tuple((weight & rank).to_bytes(n, "big")), c) for weight, _, c in self._graded()]
+
+    def records(self, label: str) -> str:
+        """One line "label e_1,...,e_n c" per term, in graded-lex order."""
+        return "".join(f"{label} {text[:-1]} {c}\n" for _, text, c in self._graded(fields=True))
 
     def __str__(self) -> str:
         rows = self._graded()
@@ -160,15 +165,16 @@ class _HalfTable(dict):
     sit in the whole key read that way.  So the weights of a key's two
     halves add up to a number that orders monomials by degree, then
     lexicographically.  Its text is "*x3^2*x5": one factor per nonzero
-    exponent, each after a "*".  Entries are made on first lookup; at most
-    _TABLE_CAP of them are kept.
+    exponent, each after a "*"; in a table of `fields` it is "2,0,": each
+    exponent, zeros too, followed by a ",".  Entries are made on first
+    lookup; at most _TABLE_CAP of them are kept.
     """
 
-    __slots__ = ("first", "count", "rank_shift", "degree_shift")
+    __slots__ = ("first", "count", "rank_shift", "degree_shift", "fields")
 
-    def __init__(self, first: int, count: int, nvars: int):
+    def __init__(self, first: int, count: int, nvars: int, fields: bool):
         super().__init__()
-        self.first, self.count = first, count
+        self.first, self.count, self.fields = first, count, fields
         self.rank_shift = 8 * (nvars - first - count)
         self.degree_shift = 8 * nvars
 
@@ -176,23 +182,27 @@ class _HalfTable(dict):
         exps = half.to_bytes(self.count, "little")
         rank = int.from_bytes(exps, "big")
         weight = sum(exps) << self.degree_shift | rank << self.rank_shift
-        text = "".join(f"*x{v}^{e}" if e > 1 else f"*x{v}"
-                       for v, e in enumerate(exps, self.first + 1) if e)
+        if self.fields:
+            text = "".join(f"{e}," for e in exps)
+        else:
+            text = "".join(f"*x{v}^{e}" if e > 1 else f"*x{v}"
+                           for v, e in enumerate(exps, self.first + 1) if e)
         if len(self) < _TABLE_CAP:
             self[half] = weight, text
         return weight, text
 
 
 @lru_cache(maxsize=16)
-def _half_tables(nvars: int) -> tuple[_HalfTable, _HalfTable]:
+def _half_tables(nvars: int, fields: bool) -> tuple[_HalfTable, _HalfTable]:
     """The tables of x_1..x_s and of x_{s+1}..x_nvars, s = nvars // 3.
 
     Small variables carry the large exponents (x_i has degree at most n - i
     in a Schubert polynomial of S_n), so a short first half keeps both
-    tables small.
+    tables small.  Plain text and structured records each have their own
+    pair, so neither path's entries carry the other's text.
     """
     split = nvars // 3
-    return _HalfTable(0, split, nvars), _HalfTable(split, nvars - split, nvars)
+    return _HalfTable(0, split, nvars, fields), _HalfTable(split, nvars - split, nvars, fields)
 
 
 def _packed_dd(i: int, terms: dict[int, int], times: int = 0) -> dict[int, int]:

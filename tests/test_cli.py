@@ -151,6 +151,18 @@ def test_char_refuses_non_ascii_digits(tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1: \u0663", "bad row indices in line '1: \u0663'"),  # Arabic-Indic three
+    ("1: 1,2", "bad row indices in line '1: 1,2'"),
+    ("1: a", "bad row indices in line '1: a'"),
+    ("1: 1\n2: 2 \u00b2 3", "bad row indices in line '2: 2 \u00b2 3'"),
+    ("1: 1\n\u0662: 1", "expected column label 2 in line '\u0662: 1'"),
+])
+def test_bad_diagram_text_refused(text, message):
+    with mock.patch("sys.stdin", io.StringIO(text + "\n")):
+        assert invoke("char", "-") == (1, "", f"error: {message}\n")
+
+
 def test_char_missing_file():
     code, _, err = invoke("char", "/nonexistent/diagram.txt")
     assert code == 1 and err.startswith("error:")

@@ -286,6 +286,10 @@ def _reference_sorted_terms(f):
     return sorted(f.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
 
+def _reference_records(f, label):
+    return "".join(f"{label} {','.join(map(str, e))} {c}\n" for e, c in _reference_sorted_terms(f))
+
+
 def _reference_str(f):
     """The formatter written out factor by factor, as the definition."""
     if not f.terms:
@@ -335,6 +339,7 @@ def printable_polynomials(draw):
 def test_format_matches_reference(f):
     assert f.sorted_terms() == _reference_sorted_terms(f)
     assert str(f) == _reference_str(f)
+    assert f.records("term") == _reference_records(f, "term")
 
 
 @st.composite
@@ -372,7 +377,26 @@ def test_full_half_tables_print_as_unbounded_ones(monkeypatch):
     monkeypatch.setattr(poly_mod, "_TABLE_CAP", 3)
     try:
         assert [(str(f), f.sorted_terms()) for f in fs] == unbounded
-        assert [len(table) for table in poly_mod._half_tables(7)] == [3, 3]
+        assert [len(table) for table in poly_mod._half_tables(7, False)] == [3, 3]
+    finally:
+        poly_mod._half_tables.cache_clear()
+
+
+def test_records_match_the_decoded_reference(schubert_table_5, schubert_table_6, monkeypatch):
+    import zeroone.poly as poly_mod
+
+    fs = [f for n in range(5) for _, f in schubert_all(n)]
+    fs += [*schubert_table_5.values(), *schubert_table_6.values()]
+    # nvars 0, 1 and 2 leave the low half without fields; zero has no record
+    fs += [Polynomial.zero(4), Polynomial(0, {(): -3}), Polynomial(1, {(0,): -2, (255,): 1}),
+           Polynomial(2, {(0, 12): 2, (1, 1): -1, (3, 0): 1})]
+    expected = [_reference_records(f, "F_term") for f in fs]
+    assert [f.records("F_term") for f in fs] == expected
+    poly_mod._half_tables.cache_clear()
+    monkeypatch.setattr(poly_mod, "_TABLE_CAP", 3)
+    try:
+        assert [f.records("F_term") for f in fs] == expected
+        assert [len(table) for table in poly_mod._half_tables(6, True)] == [3, 3]
     finally:
         poly_mod._half_tables.cache_clear()
 
