@@ -25,7 +25,6 @@ from .orthodontia import (
     schubert_orthodontic,
 )
 from .tableaux import (
-    FillingView,
     read_words_into_diagram,
     root_operator,
     schubert_from_tableaux,

@@ -226,8 +226,7 @@ class SurveySummary:
     total: int
     zero_one: int
     disagreements: int
-    methods: str
-    disagreement: Optional[Permutation] = None  # the first one, in the survey's order
+    disagreement: Optional[Permutation] = None  # the least one, in lexicographic order
 
 
 def _deletion_tables(n: int) -> list[tuple[bytes, bytes]]:
@@ -354,7 +353,7 @@ def _pool_size(workers: int, blocks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, blocks))
 
 
-def _tally(pairs: Iterator[tuple[bytes | tuple[int, ...], tuple[bool, ...]]]):
+def _tally(pairs: Iterator[tuple[bytes, tuple[bool, ...]]]):
     """(zero-one, disagreements, total, first disagreeing entries or None)
     over the (one-line entries, vote tuple) pairs of a survey."""
     zero_one = disagreements = total = 0
@@ -414,11 +413,11 @@ def survey(
     looks its key up in the state table.  With workers > 1, S_n is split into
     one block per first entry, on at most as many processes as there are
     cores and blocks; each process builds its context once.  methods="all"
-    collects the votes by entries, then tallies them in the expansion's order.
+    collects the expansion votes by entries, then tallies in the odometer's order.
 
-    The summary names the first permutation on which the votes disagree (in
-    lexicographic order, or in `schubert_all`'s order for methods="all").
-    In checked mode any disagreement raises InternalCheckError naming it.
+    The summary names the least permutation, in lexicographic order, on which
+    the votes disagree.  In checked mode any disagreement raises
+    InternalCheckError naming it.
     """
     if methods not in ("fast", "all"):
         raise ValueError(f"unknown methods {methods!r}")
@@ -435,12 +434,10 @@ def survey(
         raise ValueError(f"survey size {n} exceeds limit {cap}")
     pool_size = _pool_size(workers, n)
     if methods == "all":
-        # the votes by entries, tallied in `_all_packed`'s order; the expansion
-        # vote reads the packed coefficients
-        votes = dict(_survey_votes(_survey_context(n)))
+        # the expansion votes by entries, from the packed coefficients
+        expansion = {bytes(e): all(c == 1 for c in terms.values()) for e, terms in _all_packed(n)}
         zero_one, disagreements, total, first = _tally(
-            (e, (all(c == 1 for c in terms.values()), *votes[bytes(e)]))
-            for e, terms in _all_packed(n)
+            (e, (expansion[e], *vote)) for e, vote in _survey_votes(_survey_context(n))
         )
     elif pool_size == 1:
         zero_one, disagreements, total, first = _tally(_survey_votes(_survey_context(n)))
@@ -459,4 +456,4 @@ def survey(
             f"survey of S_{n}: the votes disagree on {disagreements} permutations,"
             f" first on {disagreement}"
         )
-    return SurveySummary(n, total, zero_one, disagreements, methods, disagreement)
+    return SurveySummary(n, total, zero_one, disagreements, disagreement)

@@ -140,7 +140,7 @@ def _cmd_tableaux(args, out) -> int:
         raise ValueError(f"stage {args.stage} out of range 0..{trace.length}")
     words = sorted(stages[args.stage])
     if args.check:
-        list(tableaux.read_words_into_diagram(words, trace, args.stage))
+        tableaux.read_words_into_diagram(words, trace, args.stage)
     for word in words:
         print(tableaux.format_word(word), file=out)
     return 0

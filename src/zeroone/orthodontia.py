@@ -149,12 +149,10 @@ class _StateTable(dict):
 class OrthodonticTrace:
     """Sequence data (i, k, m) together with the full straightening trace."""
 
-    perm: Permutation
     i: tuple[int, ...]
     k: tuple[int, ...]
     m: tuple[int, ...]
     _stage_masks: tuple[tuple[int, ...], ...]
-    removed: tuple[tuple[int, ...], ...]
     impacts: tuple[frozenset[int], ...]
 
     @property
@@ -172,6 +170,8 @@ class OrthodonticTrace:
 def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
     """The orthodontic sequence of w with every stage of its straightening.
 
+    k_j counts the interval columns [j] of stage 0 and m_r the columns [i_r]
+    of stage r, the only interval columns the engine lets stage r hold.
     The trace keeps up to n(n-1)/2 stages of n columns each, so it is
     refused before straightening when n > 255, the bound every route that
     reads it needs for its bytes and packed fields.
@@ -180,24 +180,15 @@ def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
         raise ValueError("the orthodontic trace needs n <= 255, since it keeps every stage")
     steps = [(letter, imp, tuple(work)) for letter, imp, work in _engine(rothe_masks(w.entries))]
     letters, impacts, stages = zip(*steps)
-    # removed[r]: the interval columns [j] of stage r, which the engine empties
-    # next; it raises unless at every step r >= 1 they all are [i_r]
-    intervals = _intervals(w.n)
-    removed = tuple(
-        () if intervals.isdisjoint(stage)
-        else tuple([j for j, mask in enumerate(stage, 1) if mask in intervals])
-        for stage in stages
-    )
-    k = [0] * w.n
-    for j in removed[0]:
-        k[stages[0][j - 1].bit_length() - 1] += 1
+    intervals, k = _intervals(w.n), [0] * w.n
+    for mask in stages[0]:
+        if mask in intervals:
+            k[mask.bit_length() - 1] += 1
     return OrthodonticTrace(
-        perm=w,
         i=letters[1:],
         k=tuple(k),
-        m=tuple(len(rec) for rec in removed[1:]),
+        m=tuple(stage.count((1 << i) - 1) for i, stage in zip(letters[1:], stages[1:])),
         _stage_masks=stages,
-        removed=removed,
         impacts=tuple(frozenset(mask_rows(imp)) for imp in impacts[1:]),
     )
 
@@ -207,23 +198,24 @@ def build_D_im(trace: OrthodonticTrace) -> Diagram:
 
     Zero multiplicities contribute no column; the result is column-equivalent
     to the inversion diagram the trace came from, padded to its n columns.
+    The columns are built as masks (bit p is row p+1).
     """
-    n = len(trace.k)
-    cols: list[tuple[int, ...]] = []
+    masks: list[int] = []
     for j, kj in enumerate(trace.k, start=1):
-        cols.extend([tuple(range(1, j + 1))] * kj)
+        masks += [(1 << j) - 1] * kj
     for r, mr in enumerate(trace.m, start=1):
         if mr == 0:
             continue
-        col = set(range(1, trace.i[r - 1] + 1))
-        for t in range(r, 0, -1):
-            it = trace.i[t - 1]
-            col = {it if v == it + 1 else it + 1 if v == it else v for v in col}
-        cols.extend([tuple(sorted(col))] * mr)
-    if len(cols) > n:
+        mask = (1 << trace.i[r - 1]) - 1
+        for it in reversed(trace.i[:r]):  # s_{i_r} acts first, s_{i_1} last
+            flip = 3 << it - 1
+            if (mask & flip) not in (0, flip):
+                mask ^= flip
+        masks += [mask] * mr
+    n = len(trace.k)
+    if len(masks) > n:
         raise AssertionError("more columns than the ambient size")
-    cols.extend([()] * (n - len(cols)))
-    return Diagram(tuple(cols))
+    return Diagram(tuple(mask_rows(mask) for mask in masks + [0] * (n - len(masks))))
 
 
 def is_multiplicity_free(w: Permutation) -> bool:

@@ -121,9 +121,6 @@ class Diagram:
     def n(self) -> int:
         return len(self.columns)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.columns[j - 1]
-
     def boxes(self) -> Iterator[tuple[int, int]]:
         """All boxes (i, j), column by column."""
         for j, col in enumerate(self.columns, start=1):
@@ -133,9 +130,6 @@ class Diagram:
     def __contains__(self, box: tuple[int, int]) -> bool:
         i, j = box
         return 1 <= j <= self.n and i in self.columns[j - 1]
-
-    def nonempty_columns(self) -> list[int]:
-        return [j for j, col in enumerate(self.columns, start=1) if col]
 
     @staticmethod
     def from_boxes(n: int, boxes) -> "Diagram":

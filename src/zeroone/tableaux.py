@@ -5,18 +5,18 @@ n <= 255, which `orthodontic_sequence` demands).  The set T_w is built
 from one orthodontic trace by alternately prepending minimal column words
 (1, 2, ..., j) and closing under a root operator f_i, which changes the
 leftmost unmatched i to i+1 after the usual parenthesis matching of
-(i, i+1) pairs.  A function that reads the stages
-takes that trace and nothing else (`trace.perm` is w); one that starts from
-w straightens it itself, through `orthodontic_sequence`.
+(i, i+1) pairs.  A function that reads the stages takes that trace and
+nothing else, D(w) being its stage 0; one that starts from w straightens
+it itself, through `orthodontic_sequence`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from operator import gt
 from typing import Iterable, Optional
 
-from .perms import Permutation, rothe_diagram
+from .perms import Permutation
 from .poly import Polynomial, _omega
 from .orthodontia import OrthodonticTrace, build_D_im, orthodontic_sequence
 
@@ -27,7 +27,6 @@ __all__ = [
     "schubert_from_tableaux",
     "tau_reindexing",
     "read_words_into_diagram",
-    "FillingView",
     "FillingError",
     "format_word",
 ]
@@ -151,14 +150,15 @@ def schubert_from_tableaux(w: Permutation) -> Polynomial:
 def tau_reindexing(trace: OrthodonticTrace) -> Permutation:
     """The unique stable matching of columns of D(w) onto the rebuilt diagram.
 
-    tau(c) = p means column c of D(w) equals column p of the rebuilt diagram
-    (padded with empty columns); equal columns keep their relative order.
+    tau(c) = p means column c of D(w) (stage 0 of the trace) equals column p
+    of the rebuilt diagram (padded with empty columns); equal columns keep
+    their relative order.
     """
     slots: dict[tuple[int, ...], list[int]] = {}
     for p, col in enumerate(build_D_im(trace).columns, start=1):
         slots.setdefault(col, []).append(p)
     try:  # each column of D(w) takes the leftmost free position of its equals
-        tau = [slots[col].pop(0) for col in rothe_diagram(trace.perm).columns]
+        tau = [slots[col].pop(0) for col in trace.stage(0).columns]
     except (KeyError, IndexError):
         raise AssertionError("rebuilt diagram is not column-equivalent to the original") from None
     return Permutation(tuple(tau))
@@ -168,44 +168,32 @@ class FillingError(ValueError):
     """A word does not read into its target diagram as a valid filling."""
 
 
-@dataclass(frozen=True)
-class FillingView:
-    """A word placed into an intermediate diagram under the tau fill order."""
-
-    word: Word
-    column_order: tuple[int, ...]
-    entries: tuple[tuple[tuple[int, int], int], ...]
-
-    def is_column_strict(self) -> bool:
-        cells = sorted((c, r, v) for (r, c), v in self.entries)
-        return all(a[2] < b[2] for a, b in zip(cells, cells[1:]) if a[0] == b[0])
-
-    def is_row_flagged(self) -> bool:
-        return all(v <= r for (r, _), v in self.entries)
-
-
-def read_words_into_diagram(words: Iterable[Word], trace: OrthodonticTrace, r: int):
-    """Place each stage-r word into the stage-r diagram of the trace.
+def read_words_into_diagram(
+    words: Iterable[Word], trace: OrthodonticTrace, r: int
+) -> list[tuple[int, int]]:
+    """Check that each stage-r word fills the stage-r diagram of the trace,
+    and return the reading cells: position p of a word fills cell p (row, column).
 
     Columns are filled top to bottom, taken in the order their rebuilt
     counterparts were laid down (increasing tau position); a word is
-    consumed left to right.  The reading order is built once for all the
-    words.  A word of the wrong length, or one that violates
-    column-strictness or row-flagging, raises FillingError.
+    consumed left to right.  The cells are built once for all the words.  A
+    word of the wrong length, or one that violates column-strictness (a
+    letter not above the next one down its column) or row-flagging (a letter
+    above its row), raises FillingError.
     """
-    stage = trace.stage(r)
-    tau = tau_reindexing(trace)
-    order = tuple(sorted(stage.nonempty_columns(), key=lambda c: tau[c]))
-    cells = [(row, c) for c in order for row in stage.column(c)]
+    columns, tau = trace.stage(r).columns, tau_reindexing(trace)
+    order = sorted((c for c, col in enumerate(columns, start=1) if col), key=tau.__getitem__)
+    cells = [(row, c) for c in order for row in columns[c - 1]]
+    below = [p for p in range(1, len(cells)) if cells[p][1] == cells[p - 1][1]]
+    rows = [row for row, _ in cells]
     for word in words:
         if len(word) != len(cells):
             raise FillingError(f"word length {len(word)} != box count {len(cells)} at stage {r}")
-        view = FillingView(tuple(word), order, tuple(zip(cells, word)))
-        if not view.is_column_strict():
+        if any(word[p - 1] >= word[p] for p in below):
             raise FillingError(f"word {word} is not column-strict in stage {r}")
-        if not view.is_row_flagged():
+        if any(map(gt, word, rows)):
             raise FillingError(f"word {word} is not row-flagged in stage {r}")
-        yield view
+    return cells
 
 
 def format_word(word: Word) -> str:

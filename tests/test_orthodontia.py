@@ -53,7 +53,8 @@ def test_stages_keep_original_indexing():
     assert tr.stage(1).columns == ((), (1, 2, 4), (), (2,), ())
     assert tr.stage(2).columns == ((), (1, 2, 3), (), (2,), ())
     assert tr.stage(3).columns == ((), (), (), (1,), ())
-    assert tr.removed[0] == (1,)  # the k-step empties column 1
+    # the k-step empties column 1, stage 0's one interval column: [1]
+    assert tr.stage(0).columns[0] == (1,) and tr.k == (1, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         tr.stage(4)
 
@@ -73,15 +74,29 @@ def engine_steps(w):
     ]
 
 
+def reference_k_m(steps, n):
+    """k and m counted off the reference straightening's steps: k_j is the
+    number of columns [j] in stage 0, m_r the number of columns [i_r] in stage r."""
+    interval = [frozenset(range(1, j + 1)) for j in range(n + 1)]
+    k = tuple(steps[0][2].count(interval[j]) for j in range(1, n + 1))
+    m = tuple(stage.count(interval[i]) for i, _, stage in steps[1:])
+    return k, m
+
+
 def test_engine_matches_reference_straightening():
+    def check(w):
+        steps = straighten(w)
+        assert engine_steps(w) == steps, w
+        tr = orthodontic_sequence(w)
+        assert (tr.k, tr.m) == reference_k_m(steps, w.n), w
+
     for n in range(1, 7):
         for w in all_permutations(n):
-            assert engine_steps(w) == straighten(w), w
+            check(w)
     # one seeded permutation of each size 10, 13, ..., 40 (lengths up to about 400)
     rng = random.Random(13)
     for n in range(10, 41, 3):
-        w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
-        assert engine_steps(w) == straighten(w), w
+        check(Permutation(tuple(rng.sample(range(1, n + 1), n))))
 
 
 def test_orthodontic_trace_refuses_sizes_beyond_a_byte():
@@ -106,10 +121,11 @@ def test_build_D_im_empty():
 
 
 def test_build_D_im_column_equivalent_exhaustive():
-    for w in all_permutations(5):
-        tr = orthodontic_sequence(w)
-        rebuilt, d = build_D_im(tr).columns, rothe_diagram(w).columns
-        assert sorted(filter(None, rebuilt)) == sorted(filter(None, d))
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            tr = orthodontic_sequence(w)
+            rebuilt, d = build_D_im(tr).columns, rothe_diagram(w).columns
+            assert sorted(filter(None, rebuilt)) == sorted(filter(None, d)), w
 
 
 def test_impact_paper_examples():

@@ -5,7 +5,12 @@ module's `__all__` must be referenced in `src/` outside its own definition,
 or be named in `scripts/` or `perfbench/run.py`, or sit in KEPT with the
 reason it stays.  A public method of such a class must be called in `src/`
 outside its own definition (a property read there), or sit in KEPT: a read
-of a field that shares the method's name does not count.
+of a field that shares the method's name does not count.  A public field of
+a dataclass must be read as an attribute in `src/` outside its class, or be
+named as an attribute (`.field`) in `scripts/` or `perfbench/run.py`, or sit
+in KEPT.  Both checks match by name alone, so a read of another object's
+attribute of the same name counts: `args.perm` and `args.methods` in the CLI
+would hide fields called `perm` or `methods`.
 """
 
 import ast
@@ -28,6 +33,9 @@ KEPT = {
     "Polynomial.sorted_terms": "perfbench/run.py times it by name; the tests read graded order through it",
     "Diagram.from_boxes": "value-type builder",
     "Diagram.boxes": "value-type reader",
+    "OrthodonticTrace.impacts": "the tests check the multiplicity-free rule on the impacts",
+    "ConfigurationInstance.kind": "the configuration witness; ROADMAP item 2 prints it",
+    "ConfigurationInstance.indices": "the configuration witness; ROADMAP item 2 prints it",
 }
 
 
@@ -52,10 +60,15 @@ def defined(tree):
     return names
 
 
+def is_dataclass(node):
+    return any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+
+
 def unread(sources, external=""):
-    """The public functions, classes and methods of sources ({module: text})
-    that nothing in sources reads outside their own definition and that
-    external does not name, as "name" or "Class.method"."""
+    """The public functions, classes, methods and dataclass fields of sources
+    ({module: text}) that nothing in sources reads outside their own
+    definition (a field: outside its class) and that external does not name,
+    as "name", "Class.method" or "Class.field"."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     called = {id(node.func) for tree in trees.values() for node in ast.walk(tree)
               if isinstance(node, ast.Call)}
@@ -64,10 +77,11 @@ def unread(sources, external=""):
              for mod, tree in trees.items() for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))]
 
-    def read(mod, node, ways):
-        inside = range(node.lineno, node.end_lineno + 1)
-        return any(name == node.name and way in ways
-                   and not (m == mod and line in inside) for m, line, name, way in reads)
+    def read(mod, node, ways, name=None):
+        """Is name (node's own by default) read in one of ways outside node?"""
+        name, inside = name or node.name, range(node.lineno, node.end_lineno + 1)
+        return any(n == name and way in ways
+                   and not (m == mod and line in inside) for m, line, n, way in reads)
 
     def ways(method):
         """How a method is read: called, or for a property, read as an attribute."""
@@ -88,6 +102,10 @@ def unread(sources, external=""):
                 out += [f"{node.name}.{f.name}" for f in node.body
                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
                         and not read(mod, f, ways(f))]
+                fields = [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)]
+                out += [f"{node.name}.{field}" for field in fields if is_dataclass(node)
+                        and not field.startswith("_") and not re.search(rf"\.{field}\b", external)
+                        and not read(mod, node, {"attribute", "call"}, field)]
     return out
 
 
@@ -129,3 +147,14 @@ def test_a_name_only_the_tests_read_is_found():
     )
     assert unread({"m": source}) == ["g", "C.gone"]
     assert unread({"m": source}, external="run(g)") == ["C.gone"]
+    record = (
+        '__all__ = ["R", "f"]\n'
+        "@dataclass(frozen=True)\nclass R:\n"
+        "    seen: int\n    own: int\n    named: int\n    _private: int\n"
+        "    def total(self):\n        return self.own + self._private\n"
+        "def f(r):\n    return r.seen + r.total() + named\n"
+        "def main():\n    return f(R(1, 2, 3, 4))\n"
+    )
+    # own is read only inside its class, named only as a bare name
+    assert unread({"m": record}) == ["R.own", "R.named"]
+    assert unread({"m": record}, external="print(r.named)") == ["R.own"]

@@ -174,34 +174,31 @@ def test_tau_stability_for_equal_columns():
 
 
 def read_one(word, w, r):
-    (view,) = read_words_into_diagram([word], orthodontic_sequence(w), r)
-    return view
+    """The filling of the stage-r diagram by word, as {(row, column): letter}."""
+    return dict(zip(read_words_into_diagram([word], orthodontic_sequence(w), r), word))
 
 
 def test_read_into_diagram_paper_elements():
     w = parse_permutation("31542")
     for r, word in [(3, (1,)), (2, (1, 2, 3, 2)), (1, (1, 2, 4, 2)), (0, (1, 1, 3, 4, 2))]:
-        view = read_one(word, w, r)
-        assert view.is_column_strict()
-        assert view.is_row_flagged()
-    # stage 2 fills column 2 before column 4
-    view = read_one((1, 2, 3, 2), w, 2)
-    assert view.column_order == (2, 4)
-    assert dict(view.entries)[(2, 4)] == 2
-    assert dict(view.entries)[(1, 2)] == 1
+        assert len(read_one(word, w, r)) == len(word)
+    # stage 2 fills column 2 top to bottom, then column 4
+    filling = read_one((1, 2, 3, 2), w, 2)
+    assert list(filling.items()) == [((1, 2), 1), ((2, 2), 2), ((3, 2), 3), ((2, 4), 2)]
 
 
 def test_read_into_diagram_empty():
-    view = read_one((), Permutation.identity(3), 0)
-    assert view.entries == ()
+    assert read_one((), Permutation.identity(3), 0) == {}
 
 
 def test_read_into_diagram_rejects_bad_input():
     w = parse_permutation("31542")
-    with pytest.raises(FillingError):
+    with pytest.raises(FillingError, match=r"^word length 2 != box count 5 at stage 0$"):
         read_one((1, 2), w, 0)
-    with pytest.raises(FillingError):
-        read_one((1, 1, 1, 1, 1), w, 0)  # not column-strict
+    with pytest.raises(FillingError, match=r"^word \(1, 1, 1, 1, 1\) is not column-strict in stage 0$"):
+        read_one((1, 1, 1, 1, 1), w, 0)
+    with pytest.raises(FillingError, match=r"^word \(1, 1, 3, 4, 4\) is not row-flagged in stage 0$"):
+        read_one((1, 1, 3, 4, 4), w, 0)
 
 
 def test_root_operators_touch_only_the_impact_column():
@@ -226,14 +223,13 @@ def test_root_operators_touch_only_the_impact_column():
             (c,) = tuple(tr.impacts[r - 1])
             for j in range(r, s + 1):
                 assert tr.impacts[j - 1] == frozenset({c})
-                for view in read_words_into_diagram(stages[j], tr, j):
-                    word = view.word
+                cells = read_words_into_diagram(stages[j], tr, j)
+                for word in stages[j]:
                     image = root_operator(letters[j - 1], word)
                     if image is None:
                         continue
                     pos = next(p for p in range(len(word)) if word[p] != image[p])
-                    (box, _) = view.entries[pos]
-                    assert box[1] == c
+                    assert cells[pos][1] == c
                     checked += 1
     assert checked > 0
 
@@ -257,13 +253,13 @@ def test_tau_uniqueness_by_enumeration():
         rebuilt = build_D_im(tr)
         matches = []
         for cand in it_perms(range(1, 6)):
-            if any(d.column(c) != rebuilt.column(cand[c - 1]) for c in range(1, 6)):
+            if any(d.columns[c - 1] != rebuilt.columns[cand[c - 1] - 1] for c in range(1, 6)):
                 continue
             stable = all(
                 cand[c - 1] < cand[cp - 1]
                 for c in range(1, 6)
                 for cp in range(c + 1, 6)
-                if d.column(c) == d.column(cp)
+                if d.columns[c - 1] == d.columns[cp - 1]
             )
             if stable:
                 matches.append(cand)

@@ -302,8 +302,8 @@ def assert_augmentation(d, k, l):
     """Every row-k-free C <= D-hat, augmented by the boxes of D in row k and
     column l, lands below D (D-hat drops those boxes and keeps the frame)."""
     dhat = delete_row_col(d, k, l)
-    row_boxes = [(k, j) for j in range(1, d.n + 1) if k in d.column(j)]
-    col_boxes = [(i, l) for i in d.column(l)]
+    row_boxes = [(k, j) for j in range(1, d.n + 1) if k in d.columns[j - 1]]
+    col_boxes = [(i, l) for i in d.columns[l - 1]]
     for choice in product(*[_column_choices(col) for col in dhat.columns]):
         if any(k in col for col in choice):
             continue
