@@ -135,14 +135,11 @@ def _cmd_orthodontia(args, out) -> int:
 
 def _cmd_tableaux(args, out) -> int:
     trace = orthodontia.orthodontic_sequence(perms.parse_permutation(args.perm))
-    stages = tableaux.tableaux_stages(trace)
-    if not 0 <= args.stage < len(stages):
-        raise ValueError(f"stage {args.stage} out of range 0..{trace.length}")
-    words = sorted(stages[args.stage])
+    words = sorted(tableaux.tableaux_stage(trace, args.stage))
     if args.check:
         tableaux.read_words_into_diagram(words, trace, args.stage)
     for word in words:
-        print(tableaux.format_word(word), file=out)
+        print(perms.format_word(word), file=out)
     return 0
 
 

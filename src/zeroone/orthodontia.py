@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .perms import Diagram, Permutation, mask_rows, rothe_masks
-from .poly import Polynomial, _omega, _packed_dd
+from .poly import Polynomial, _omega, _packed_dd, _x
 
 __all__ = [
     "OrthodonticTrace",
@@ -159,11 +159,15 @@ class OrthodonticTrace:
     def length(self) -> int:
         return len(self.i)
 
+    def _check_stage(self, r: int) -> None:
+        """Refuse a stage index outside 0..length."""
+        if not 0 <= r <= self.length:
+            raise ValueError(f"stage {r} out of range 0..{self.length}")
+
     def stage(self, r: int) -> Diagram:
         """The intermediate diagram after the first r row swaps, with the
         original column indexing (emptied columns stay at their index)."""
-        if not 0 <= r <= self.length:
-            raise ValueError(f"stage {r} out of range 0..{self.length}")
+        self._check_stage(r)
         return Diagram(tuple(mask_rows(mask) for mask in self._stage_masks[r]))
 
 
@@ -238,6 +242,6 @@ def schubert_orthodontic(w: Permutation) -> Polynomial:
     trace = orthodontic_sequence(w)
     cur = {0: 1}
     for i, m in zip(reversed(trace.i), reversed(trace.m)):
-        cur = _packed_dd(i, cur, m * _omega(i) + (1 << 8 * (i - 1)))
+        cur = _packed_dd(i, cur, m * _omega(i) + _x(i))
     omega = sum(k * _omega(j) for j, k in enumerate(trace.k, start=1))
     return Polynomial._from_packed(n, {key + omega: c for key, c in cur.items()})

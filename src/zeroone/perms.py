@@ -25,6 +25,7 @@ __all__ = [
     "pattern_at",
     "parse_permutation",
     "parse_diagram",
+    "format_word",
 ]
 
 
@@ -79,9 +80,13 @@ class Permutation:
         return Permutation(tuple(range(1, n + 1)))
 
     def __str__(self) -> str:
-        if self.n <= 9:
-            return "".join(str(v) for v in self.entries)
-        return ",".join(str(v) for v in self.entries)
+        return format_word(self.entries)
+
+
+def format_word(word: tuple[int, ...]) -> str:
+    """One-line text: digits if every letter is at most 9 (for w in S_n, n <= 9), else commas."""
+    sep = "" if all(letter <= 9 for letter in word) else ","
+    return sep.join(map(str, word))
 
 
 def _is_numeral(field: str) -> bool:

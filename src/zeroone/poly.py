@@ -11,12 +11,12 @@ sum, never through rational functions:
 which is the exact quotient of the antisymmetrized numerator.
 
 A Polynomial keys its terms by packed ints, one byte per exponent, x_1
-lowest, as in `weyl` and `tableaux`: the key of an exponent vector e is
-int.from_bytes(bytes(e), "little"), so no exponent exceeds 255.  Every route
-refuses n > 255, and no exponent of theirs exceeds n - 1.  The
-divided-difference kernel `_packed_dd` and the reindexing `_lift` run on
-these keys; printing reads them through one graded-lex formatter, and
-`terms` decodes them on each read.
+lowest, like every x-weight, which is built from `_x` and `_omega`: the key
+of an exponent vector e is int.from_bytes(bytes(e), "little"), so no
+exponent exceeds 255.  Every route refuses n > 255, and no exponent of
+theirs exceeds n - 1.  The divided-difference kernel `_packed_dd` and the
+reindexing `_lift` run on these keys; printing reads them through one
+graded-lex formatter, and `terms` decodes them on each read.
 """
 
 from __future__ import annotations
@@ -148,6 +148,11 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.terms!r})"
 
 
+def _x(i: int) -> int:
+    """x_i, packed in one-byte fields."""
+    return 1 << 8 * (i - 1)
+
+
 def _omega(j: int) -> int:
     """x_1 x_2 ... x_j, packed in one-byte fields."""
     return ((1 << 8 * j) - 1) // 255
@@ -275,7 +280,7 @@ def divided_difference(i: int, f: Polynomial) -> Polynomial:
 
 def demazure(i: int, f: Polynomial) -> Polynomial:
     """pi_i(f) = d_i(x_i * f)."""
-    return _through_kernel(i, f, 1 << 8 * (i - 1))
+    return _through_kernel(i, f, _x(i))
 
 
 # -- the classic descent ---------------------------------------------

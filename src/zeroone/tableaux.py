@@ -5,9 +5,10 @@ n <= 255, which `orthodontic_sequence` demands).  The set T_w is built
 from one orthodontic trace by alternately prepending minimal column words
 (1, 2, ..., j) and closing under a root operator f_i, which changes the
 leftmost unmatched i to i+1 after the usual parenthesis matching of
-(i, i+1) pairs.  A function that reads the stages takes that trace and
-nothing else, D(w) being its stage 0; one that starts from w straightens
-it itself, through `orthodontic_sequence`.
+(i, i+1) pairs.  Stage r is reached by one walk down from the innermost
+stage l that keeps only the stage at hand.  A function that reads the
+stages takes that trace and nothing else, D(w) being its stage 0; one that
+starts from w straightens it itself, through `orthodontic_sequence`.
 """
 
 from __future__ import annotations
@@ -17,22 +18,20 @@ from operator import gt
 from typing import Iterable, Optional
 
 from .perms import Permutation
-from .poly import Polynomial, _omega
+from .poly import Polynomial, _omega, _x
 from .orthodontia import OrthodonticTrace, build_D_im, orthodontic_sequence
 
 __all__ = [
     "root_operator",
     "tableaux_set",
-    "tableaux_stages",
+    "tableaux_stage",
     "schubert_from_tableaux",
     "tau_reindexing",
     "read_words_into_diagram",
     "FillingError",
-    "format_word",
 ]
 
 Word = tuple[int, ...]
-_BITS = 8  # a packed weight has one 8-bit field per letter
 _LETTERS = bytes(range(256))
 
 
@@ -81,7 +80,7 @@ def _orbits(i: int, stage: dict[bytes, int]) -> dict[bytes, int]:
     bracket scan.
     """
     out: dict[bytes, int] = {}
-    up = (255 << _BITS * i) >> _BITS  # (1 << 8i) - (1 << 8(i-1)) for i >= 1
+    up = _x(i + 1) - _x(i)
     shape_of = bytearray(256)  # a translate table keeping i and i+1, mapping the rest to 0
     shape_of[i : i + 2] = _LETTERS[i : i + 2]
     scans: dict[bytes, list[int]] = {}
@@ -109,42 +108,44 @@ def _column_word(j: int, copies: int) -> tuple[bytes, int]:
     return bytes(range(1, j + 1)) * copies, copies * _omega(j)
 
 
-def _stages(trace: OrthodonticTrace) -> list[dict[bytes, int]]:
-    """Every stage [T_w(0), ..., T_w(l)], as bytes words mapped to packed weights.
+def _stage(trace: OrthodonticTrace, r: int) -> dict[bytes, int]:
+    """Stage T_w(r), as bytes words mapped to packed weights.
 
-    Stage l is the single minimal word for the innermost column block;
-    stage r-1 prepends the m_{r-1} block and closes under f_{i_r}; stage 0
-    additionally carries the interval-column prefix recorded by the k's.
-    A packed weight holds the count of letter t in bits 8(t-1)..8t-1.  The
-    fields never carry: every stage word is a column-strict filling of a
-    diagram with n columns, so a letter occurs at most n times, and n <= 255
-    (for larger n the word of column [256] does not fit in bytes and raises).
+    The walk starts from the empty word at stage l.  Stage q closes stage
+    q+1 under f_{i_{q+1}} (stage l has nothing to close) and prepends its
+    block (1, ..., i_q)^{m_q}; stage 0 prepends instead the interval-column
+    prefix recorded by the k's.  Only the stage at hand is kept.  A packed
+    weight holds the count of letter t in bits 8(t-1)..8t-1.  The fields
+    never carry: every stage word is a column-strict filling of a diagram
+    with n columns, so a letter occurs at most n times, and n <= 255 (for
+    larger n the word of column [256] does not fit in bytes and raises).
     """
-    blocks = [_column_word(j, kj) for j, kj in enumerate(trace.k, start=1)]
-    k_prefix, k_weight = b"".join(b for b, _ in blocks), sum(wt for _, wt in blocks)
-    l = trace.length
-    if l == 0:
-        return [{k_prefix: k_weight}]
-    stages = [{}] * l + [dict([_column_word(trace.i[-1], trace.m[-1])])]
-    for r in range(l - 1, -1, -1):
-        prefix, pw = _column_word(trace.i[r - 1], trace.m[r - 1]) if r else (k_prefix, k_weight)
-        closed = _orbits(trace.i[r], stages[r + 1])
-        stages[r] = {prefix + word: pw + wt for word, wt in closed.items()}
-    return stages
+    trace._check_stage(r)
+    stage = {b"": 0}
+    for q in range(trace.length, r - 1, -1):
+        if q < trace.length:
+            stage = _orbits(trace.i[q], stage)
+        if q:
+            prefix, pw = _column_word(trace.i[q - 1], trace.m[q - 1])
+        else:
+            blocks = [_column_word(j, kj) for j, kj in enumerate(trace.k, start=1)]
+            prefix, pw = b"".join(b for b, _ in blocks), sum(wt for _, wt in blocks)
+        stage = {prefix + word: pw + wt for word, wt in stage.items()}
+    return stage
 
 
-def tableaux_stages(trace: OrthodonticTrace) -> list[set[Word]]:
-    """All partial stages [T_w(0), ..., T_w(l)], index r = stage r."""
-    return [set(map(tuple, stage)) for stage in _stages(trace)]
+def tableaux_stage(trace: OrthodonticTrace, r: int) -> set[Word]:
+    """The partial stage T_w(r), for 0 <= r <= l."""
+    return set(map(tuple, _stage(trace, r)))
 
 
 def tableaux_set(w: Permutation) -> set[Word]:
-    return set(map(tuple, _stages(orthodontic_sequence(w))[0]))
+    return tableaux_stage(orthodontic_sequence(w), 0)
 
 
 def schubert_from_tableaux(w: Permutation) -> Polynomial:
     """Sum of x^{wt(T)} over T_w."""
-    return Polynomial._from_packed(w.n, Counter(_stages(orthodontic_sequence(w))[0].values()))
+    return Polynomial._from_packed(w.n, Counter(_stage(orthodontic_sequence(w), 0).values()))
 
 
 def tau_reindexing(trace: OrthodonticTrace) -> Permutation:
@@ -194,10 +195,3 @@ def read_words_into_diagram(
         if any(map(gt, word, rows)):
             raise FillingError(f"word {word} is not row-flagged in stage {r}")
     return cells
-
-
-def format_word(word: Word) -> str:
-    if all(letter <= 9 for letter in word):
-        return "".join(str(letter) for letter in word)
-    return ",".join(str(letter) for letter in word)
-

@@ -25,7 +25,7 @@ from math import gcd, prod
 from operator import gt
 
 from .perms import Diagram, Permutation, pattern_at, rothe_rows
-from .poly import Polynomial, _lift, schubert_classic
+from .poly import Polynomial, _lift, _x, schubert_classic
 
 __all__ = [
     "minor",
@@ -176,7 +176,7 @@ def _choice_count(col: tuple[int, ...]) -> int:
 def _column_minors(col: tuple[int, ...]) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
     """(packed weight, leading key, det Y[S; col]) for every choice S <= col."""
     minors = [(s, _packed_minor(s, col)) for s in _column_choices(col)]
-    return tuple((sum(1 << (i - 1) * BITS for i in s), max(t)[0], t) for s, t in minors)
+    return tuple((sum(map(_x, s)), max(t)[0], t) for s, t in minors)
 
 
 def _times(row: YPoly, terms: tuple[tuple[int, int], ...]) -> YPoly:
@@ -255,7 +255,6 @@ def dual_character(d: Diagram, limit: int | None = None) -> Polynomial:
             f"diagram has {count} subdiagrams C <= D, more than the {MAX_SUBDIAGRAMS} "
             "the determinant route accepts"
         )
-    # BITS is 8, so the fields of a packed weight are its little-endian bytes.
     return Polynomial._from_packed(d.n, _character(tuple(sorted(filter(None, d.columns)))))
 
 
@@ -269,8 +268,8 @@ class DominanceResult:
 def _deleted_weight(rows: list[int], kept_rows: int, kept_cols: int) -> int:
     """Packed weight of the boxes in a deleted row or column, each once: bit j-1 of
     rows[i-1] is box (i, j), bit i-1 of kept_rows keeps row i, bit j-1 of kept_cols column j."""
-    return sum((row & ~kept_cols if kept_rows >> i & 1 else row).bit_count() << BITS * i
-               for i, row in enumerate(rows))
+    return sum((row & ~kept_cols if kept_rows >> i - 1 & 1 else row).bit_count() * _x(i)
+               for i, row in enumerate(rows, start=1))
 
 
 def pattern_dominance_check(
@@ -297,11 +296,11 @@ def pattern_dominance_check(
     chi_minor = dual_character(d_minor, limit=limit)._packed
     rows = [sum(1 << j for j, col in enumerate(d.columns) if i in col) for i in range(1, d.n + 1)]
     m_key = _deleted_weight(rows, ~(1 << k - 1), ~(1 << l - 1))  # all but row k, column l
-    at = BITS * (k - 1)  # the fields of x_k..x_{n-1} move up one, x_k's reads 0
+    low, up = _x(k) - 1, _x(2)  # the fields of x_k..x_{n-1} move up one, x_k's reads 0
     remainder = dict(chi._packed)  # the shared character stays as it is
     ok = True
     for key, c in chi_minor.items():
-        key = (key & (1 << at) - 1 | key >> at << at + BITS) + m_key
+        key = (key & low | (key & ~low) * up) + m_key
         if v := remainder.get(key, 0) - c:
             remainder[key] = v
             ok = ok and v > 0

@@ -35,7 +35,7 @@ from zeroone.tableaux import (
     read_words_into_diagram,
     root_operator,
     schubert_from_tableaux,
-    tableaux_stages,
+    tableaux_stage,
 )
 from zeroone.weyl import (
     dual_character,
@@ -160,7 +160,8 @@ def test_criterion_8_filling_lemmas():
         total = 0
         for w in all_permutations(5):
             trace = orthodontic_sequence(w)
-            for r, words in enumerate(tableaux_stages(trace)):
+            for r in range(trace.length + 1):
+                words = tableaux_stage(trace, r)
                 assert has_northwest_property(trace.stage(r)), (w, r)
                 read_words_into_diagram(words, trace, r)  # raises on a bad filling
                 total += len(words)

@@ -21,6 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
     (["scripts/cli_digest.py", "--max-n", "3"],
      "calls 298 sha256 68a8920828d89ae7b164ea3a873e25b8be018a89c8c06dc708586f527dd97e45"),
     (["scripts/pattern_dominance.py", "--max-n", "5"], "n=5: 3840 occurrences, 0 failures"),
+    (["scripts/cli_digest.py", "--max-n", "4"],
+     "calls 1549 sha256 c75474387ca8680ae877f62f7751907730d9770d3983760267fc320b2ba4a9c9"),
 ])
 def test_script_exits_zero(argv, last_line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -1,23 +1,23 @@
 """Root operators, word sets, and readings into intermediate diagrams."""
 
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from zeroone.orthodontia import is_multiplicity_free, orthodontic_sequence
-from zeroone.perms import Permutation, all_permutations, parse_permutation
+from zeroone.perms import Permutation, all_permutations, format_word, parse_permutation
 from zeroone.poly import Polynomial, schubert_classic
 from zeroone.tableaux import (
     FillingError,
     _orbits,
-    _stages,
-    format_word,
+    _stage,
     read_words_into_diagram,
     root_operator,
     schubert_from_tableaux,
     tableaux_set,
-    tableaux_stages,
+    tableaux_stage,
     tau_reindexing,
 )
 
@@ -89,10 +89,33 @@ def test_quantized_demazure_matches_closure_on_every_stage():
     for n in range(1, 7):
         for w in all_permutations(n):
             trace = orthodontic_sequence(w)
-            stages = tableaux_stages(trace)
             for r in range(1, trace.length + 1):
-                i = trace.i[r - 1]
-                assert quantized_demazure(i, stages[r]) == _orbit_closure(i, stages[r])
+                i, stage = trace.i[r - 1], tableaux_stage(trace, r)
+                assert quantized_demazure(i, stage) == _orbit_closure(i, stage)
+
+
+def block(j, copies):
+    """The column word (1, ..., j), copies times over."""
+    return tuple(range(1, j + 1)) * copies
+
+
+def test_every_stage_follows_the_recursion():
+    # stage l is the block (1..i_l)^{m_l}; stage r-1 is the block
+    # (1..i_{r-1})^{m_{r-1}}, or the k prefix when r = 1, prepended to each
+    # word of the f_{i_r} closure of stage r
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            trace = orthodontic_sequence(w)
+            l = trace.length
+            prefixes = [sum((block(j, kj) for j, kj in enumerate(trace.k, 1)), ())]
+            prefixes += [block(i, m) for i, m in zip(trace.i, trace.m)]
+            stage = tableaux_stage(trace, l)
+            assert stage == {prefixes[l]}, w
+            for r in range(l, 0, -1):
+                below = tableaux_stage(trace, r - 1)
+                closed = _orbit_closure(trace.i[r - 1], stage)
+                assert below == {prefixes[r - 1] + t for t in closed}, (w, r)
+                stage = below
 
 
 def test_quantized_demazure_examples():
@@ -121,7 +144,8 @@ def test_tableaux_identity():
 
 
 def test_tableaux_stages_match_paper_chain():
-    stages = tableaux_stages(orthodontic_sequence(parse_permutation("31542")))
+    trace = orthodontic_sequence(parse_permutation("31542"))
+    stages = [tableaux_stage(trace, r) for r in range(trace.length + 1)]
     as_str = [sorted(format_word(t) for t in s) for s in stages]
     assert len(as_str) == 4
     assert as_str[3] == ["1"]
@@ -133,14 +157,16 @@ def test_tableaux_stages_match_paper_chain():
 def test_carried_weights_decode_to_word_weights():
     for n in range(1, 7):
         for w in all_permutations(n):
-            for stage in _stages(orthodontic_sequence(w)):
-                for word, packed in stage.items():
+            trace = orthodontic_sequence(w)
+            for r in range(trace.length + 1):
+                for word, packed in _stage(trace, r).items():
                     assert Counter(word) == Counter(dict(enumerate(packed.to_bytes(n, "little"), 1)))
 
 
 def test_public_word_sets_hold_int_tuples():
     w = parse_permutation("31542")
-    results = [tableaux_set(w), *tableaux_stages(orthodontic_sequence(w))]
+    trace = orthodontic_sequence(w)
+    results = [tableaux_set(w), *(tableaux_stage(trace, r) for r in range(trace.length + 1))]
     for words in results:
         assert isinstance(words, set) and words
         for word in words:
@@ -218,7 +244,7 @@ def test_root_operators_touch_only_the_impact_column():
         ]
         if not pairs:
             continue
-        stages = tableaux_stages(tr)
+        stages = [tableaux_stage(tr, r) for r in range(tr.length + 1)]
         for r, s in pairs:
             (c,) = tuple(tr.impacts[r - 1])
             for j in range(r, s + 1):
@@ -269,3 +295,9 @@ def test_tau_uniqueness_by_enumeration():
 def test_word_text_round_trip():
     assert format_word((1, 1, 2, 3, 1)) == "11231"
     assert format_word((10, 2, 11)) == "10,2,11"
+    assert str(Permutation((9, 1, 2, 3, 4, 5, 6, 7, 8))) == "912345678"
+    assert str(Permutation((10, 1, 2, 3, 4, 5, 6, 7, 8, 9))) == "10,1,2,3,4,5,6,7,8,9"
+    rng = random.Random(20)
+    for n in range(1, 21):
+        w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+        assert parse_permutation(str(w)) == w
