@@ -51,35 +51,42 @@ def _build_parser() -> _Parser:
     p.add_argument("perm")
     p.add_argument("--method", choices=["classic", "orthodontia", "tableaux", "weyl"],
                    default="classic")
+    p.set_defaults(run=_cmd_expand)
 
     p = sub.add_parser("orthodontia", help="orthodontic sequence (i, k, m)")
     p.add_argument("perm")
     p.add_argument("--trace", action="store_true", help="print the intermediate diagrams")
+    p.set_defaults(run=_cmd_orthodontia)
 
     p = sub.add_parser("tableaux", help="tableau words of a permutation")
     p.add_argument("perm")
     p.add_argument("--stage", type=int, default=0)
     p.add_argument("--check", action="store_true",
                    help="verify every word reads into its diagram as a valid filling")
+    p.set_defaults(run=_cmd_tableaux)
 
     p = sub.add_parser("char", help="dual character of a diagram file")
     p.add_argument("diagram", help="path to a diagram file, or - for stdin")
+    p.set_defaults(run=_cmd_char)
 
     p = sub.add_parser("dominance", help="coefficientwise dominance after a row/column deletion")
     p.add_argument("diagram", help="path to a diagram file, or - for stdin")
     p.add_argument("--row", type=int, required=True)
     p.add_argument("--col", type=int, required=True)
     p.add_argument("--show-remainder", action="store_true")
+    p.set_defaults(run=_cmd_dominance)
 
     p = sub.add_parser("zero-one", help="is the Schubert polynomial zero-one?")
     p.add_argument("perm")
     p.add_argument("--all-methods", action="store_true",
                    help="also expand the polynomial (slower)")
+    p.set_defaults(run=_cmd_zero_one)
 
     p = sub.add_parser("survey", help="classify all of S_n")
     p.add_argument("n", type=int)
     p.add_argument("--methods", choices=["fast", "all"], default="fast")
     p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(run=_cmd_survey)
     return parser
 
 
@@ -138,8 +145,7 @@ def _cmd_tableaux(args, out) -> int:
     words = sorted(tableaux.tableaux_stage(trace, args.stage))
     if args.check:
         tableaux.read_words_into_diagram(words, trace, args.stage)
-    for word in words:
-        print(perms.format_word(word), file=out)
+    out.write("".join(perms.format_word(word) + "\n" for word in words))
     return 0
 
 
@@ -195,17 +201,6 @@ def _cmd_survey(args, out) -> int:
     return 0
 
 
-_COMMANDS = {
-    "expand": _cmd_expand,
-    "orthodontia": _cmd_orthodontia,
-    "tableaux": _cmd_tableaux,
-    "char": _cmd_char,
-    "dominance": _cmd_dominance,
-    "zero-one": _cmd_zero_one,
-    "survey": _cmd_survey,
-}
-
-
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -218,7 +213,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         out.write(str(exc))
         return 0
     try:
-        return _COMMANDS[args.command](args, out)
+        return args.run(args, out)
     except (tableaux.FillingError, AssertionError) as exc:
         print(f"internal-error: {exc}", file=err)
         return 2

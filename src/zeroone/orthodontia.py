@@ -153,7 +153,6 @@ class OrthodonticTrace:
     k: tuple[int, ...]
     m: tuple[int, ...]
     _stage_masks: tuple[tuple[int, ...], ...]
-    impacts: tuple[frozenset[int], ...]
 
     @property
     def length(self) -> int:
@@ -182,8 +181,8 @@ def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
     """
     if w.n > 255:
         raise ValueError("the orthodontic trace needs n <= 255, since it keeps every stage")
-    steps = [(letter, imp, tuple(work)) for letter, imp, work in _engine(rothe_masks(w.entries))]
-    letters, impacts, stages = zip(*steps)
+    steps = [(letter, tuple(work)) for letter, _, work in _engine(rothe_masks(w))]
+    letters, stages = zip(*steps)
     intervals, k = _intervals(w.n), [0] * w.n
     for mask in stages[0]:
         if mask in intervals:
@@ -193,7 +192,6 @@ def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
         k=tuple(k),
         m=tuple(stage.count((1 << i) - 1) for i, stage in zip(letters[1:], stages[1:])),
         _stage_masks=stages,
-        impacts=tuple(frozenset(mask_rows(imp)) for imp in impacts[1:]),
     )
 
 
@@ -208,8 +206,6 @@ def build_D_im(trace: OrthodonticTrace) -> Diagram:
     for j, kj in enumerate(trace.k, start=1):
         masks += [(1 << j) - 1] * kj
     for r, mr in enumerate(trace.m, start=1):
-        if mr == 0:
-            continue
         mask = (1 << trace.i[r - 1]) - 1
         for it in reversed(trace.i[:r]):  # s_{i_r} acts first, s_{i_1} last
             flip = 3 << it - 1
@@ -226,7 +222,7 @@ def is_multiplicity_free(w: Permutation) -> bool:
     """Every repeated letter of i must have all its impacts equal to one
     common singleton column.  The straightening stops at the first repeated
     letter that breaks this."""
-    return _walk_forward(rothe_masks(w.entries))
+    return _walk_forward(rothe_masks(w))
 
 
 def schubert_orthodontic(w: Permutation) -> Polynomial:

@@ -64,20 +64,11 @@ class Permutation:
         inv = [0] * self.n
         for i, v in enumerate(self.entries, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation._adopt(tuple(inv))
 
     def inversions(self) -> int:
         e = self.entries
         return sum(1 for i, j in combinations(range(self.n), 2) if e[i] > e[j])
-
-    def ascents(self) -> list[int]:
-        """Positions i with w_i < w_{i+1}."""
-        e = self.entries
-        return [i for i in range(1, self.n) if e[i - 1] < e[i]]
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
 
     def __str__(self) -> str:
         return format_word(self.entries)
@@ -183,16 +174,13 @@ def rothe_rows(entries: tuple[int, ...]) -> list[int]:
     return rows
 
 
-def rothe_masks(entries: tuple[int, ...]) -> list[int]:
-    """Columns of the inversion diagram of w = entries, as bitmasks.
+def rothe_masks(w: Permutation) -> list[int]:
+    """Columns of the inversion diagram of w, as bitmasks.
 
     Bit i-1 of mask j-1 is set iff box (i, j) is present.  D(w) is the
     transpose of D(w^-1), so these are the rows of the inverse's diagram.
     """
-    inverse = [0] * len(entries)
-    for i, v in enumerate(entries, 1):
-        inverse[v - 1] = i
-    return rothe_rows(inverse)
+    return rothe_rows(w.inverse().entries)
 
 
 def mask_rows(mask: int) -> tuple[int, ...]:
@@ -202,7 +190,7 @@ def mask_rows(mask: int) -> tuple[int, ...]:
 
 def rothe_diagram(w: Permutation) -> Diagram:
     """Inversion diagram of w: box (i, j) present iff i < (w^-1)_j and j < w_i."""
-    return Diagram(tuple(mask_rows(mask) for mask in rothe_masks(w.entries)))
+    return Diagram(tuple(mask_rows(mask) for mask in rothe_masks(w)))
 
 
 @lru_cache(maxsize=64)

@@ -75,28 +75,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero(nvars: int) -> "Polynomial":
-        return Polynomial(nvars, {})
-
-    @staticmethod
-    def one(nvars: int) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: 1})
-
-    @staticmethod
-    def monomial(exponents: tuple[int, ...], coefficient: int = 1) -> "Polynomial":
-        return Polynomial(len(exponents), {tuple(exponents): coefficient})
-
-    @staticmethod
-    def variable(i: int, nvars: int) -> "Polynomial":
-        if not 1 <= i <= nvars:
-            raise ValueError(f"variable index {i} out of range")
-        e = [0] * nvars
-        e[i - 1] = 1
-        return Polynomial(nvars, {tuple(e): 1})
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.nvars == other.nvars
                 and self._packed == other._packed)
@@ -323,7 +301,10 @@ def schubert_classic(w: Permutation) -> Polynomial:
     by rightmost ascents.  The 16 most recently used results are kept; a hit
     returns the same Polynomial.
     The route refuses n > 255, so that exponents fit in a byte, and a chain of
-    more than 990 steps (n(n-1)/2 - inversions(w)), so that its cost is bounded.
+    more than 990 steps (n(n-1)/2 - inversions(w)).  The step cap bounds the
+    chain's length, not its cost: it is left over from the frame budget of a
+    recursive descent, and the terms along an accepted chain can still run
+    into the hundreds of thousands.
     """
     if w.n > 255:
         raise ValueError("the classic route needs n <= 255, so that exponents fit in a byte")

@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 Word = tuple[int, ...]
-_LETTERS = bytes(range(256))
 
 
 def _unmatched(i: int, word: Word | bytes) -> list[int]:
@@ -82,7 +81,7 @@ def _orbits(i: int, stage: dict[bytes, int]) -> dict[bytes, int]:
     out: dict[bytes, int] = {}
     up = _x(i + 1) - _x(i)
     shape_of = bytearray(256)  # a translate table keeping i and i+1, mapping the rest to 0
-    shape_of[i : i + 2] = _LETTERS[i : i + 2]
+    shape_of[i : i + 2] = bytes((i, i + 1))
     scans: dict[bytes, list[int]] = {}
     for word, wt in stage.items():
         if word in out:

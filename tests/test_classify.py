@@ -22,10 +22,11 @@ from zeroone.classify import (
     _survey_context,
     _survey_votes,
 )
-from zeroone.orthodontia import _StateTable, is_multiplicity_free, orthodontic_sequence
+from zeroone.orthodontia import _StateTable, _engine, is_multiplicity_free
 from zeroone.perms import (
     Permutation,
     all_permutations,
+    mask_rows,
     one_step_pattern,
     parse_permutation,
     rothe_diagram,
@@ -69,7 +70,7 @@ def test_find_configuration_spec_example():
 
 
 def test_find_configuration_absent_for_identity():
-    assert find_configuration(Permutation.identity(5)) is None
+    assert find_configuration(Permutation((1, 2, 3, 4, 5))) is None
 
 
 def definitional_configuration(w):
@@ -144,11 +145,14 @@ def test_configuration_scanner_matches_definition_beyond_S7():
     assert kinds == {"A", "B", "B'", None}
 
 
-def multiplicity_free_by_definition(trace):
-    """Every letter that repeats in i has all its impacts equal to one singleton column."""
-    for letter in set(trace.i):
-        impacts = {imp for a, imp in zip(trace.i, trace.impacts) if a == letter}
-        if trace.i.count(letter) > 1 and (len(impacts) > 1 or len(impacts.pop()) > 1):
+def multiplicity_free_by_definition(w):
+    """Every letter that repeats in i has all its impacts equal to one singleton
+    column; the letters and impact columns are read off the engine's steps."""
+    steps = [(a, frozenset(mask_rows(imp))) for a, imp, _ in _engine(rothe_masks(w))][1:]
+    letters = [a for a, _ in steps]
+    for letter in set(letters):
+        impacts = {imp for a, imp in steps if a == letter}
+        if letters.count(letter) > 1 and (len(impacts) > 1 or len(impacts.pop()) > 1):
             return False
     return True
 
@@ -161,8 +165,8 @@ def test_multfree_early_exit_matches_trace_and_patterns():
         states = _StateTable(n)  # the survey's vote, one table over S_n in survey order
         for w in all_permutations(n):
             free = is_multiplicity_free(w)
-            assert free == multiplicity_free_by_definition(orthodontic_sequence(w)), w
-            assert states.vote(states._key(rothe_masks(w.entries))) == free, w
+            assert free == multiplicity_free_by_definition(w), w
+            assert states.vote(states._key(rothe_masks(w))) == free, w
             if witnesses is not None:
                 assert free == (witnesses[w] is None), w
 
@@ -187,7 +191,7 @@ def test_witness_pattern():
     pattern, realization = witness_pattern(w)
     assert pattern.entries == (1, 2, 5, 4, 3)
     assert realization == (1, 2, 3, 4, 5)
-    assert witness_pattern(Permutation.identity(6)) is None
+    assert witness_pattern(Permutation((1, 2, 3, 4, 5, 6))) is None
 
 
 def test_zero_one_status_examples():
@@ -212,9 +216,9 @@ def test_zero_one_status_checked_raises_on_disagreement(monkeypatch):
     # a forged witness makes the pattern vote "not zero-one"
     monkeypatch.setattr(classify_mod, "witness_pattern", lambda w: (w, (1, 2, 3, 4, 5)))
     with pytest.raises(InternalCheckError):
-        zero_one_status(Permutation.identity(5), checked=True)
+        zero_one_status(Permutation((1, 2, 3, 4, 5)), checked=True)
     # unchecked mode reports the (forced) disagreement without raising
-    status = zero_one_status(Permutation.identity(5))
+    status = zero_one_status(Permutation((1, 2, 3, 4, 5)))
     assert not status.agree()
 
 
@@ -296,7 +300,7 @@ def test_survey_odometer_looks_up_the_state_keys(monkeypatch):
         keys.clear()
         perms = [e for e, _ in _survey_votes(_survey_context(n))]
         reference = _StateTable(n)
-        assert keys == [reference._key(rothe_masks(tuple(e))) for e in perms]
+        assert keys == [reference._key(rothe_masks(Permutation(tuple(e)))) for e in perms]
 
 
 def test_survey_pool_clamped(monkeypatch):

@@ -204,6 +204,8 @@ def test_determinant_cost_guard(tmp_path):
 @pytest.mark.parametrize("argv, usage", [
     (["--help"], "usage: zeroone [-h]"),
     (["expand", "--help"], "usage: zeroone expand [-h]"),
+    *[([cmd, "--help"], f"usage: zeroone {cmd} [-h]")
+      for cmd in ("orthodontia", "tableaux", "char", "dominance", "zero-one", "survey")],
 ])
 def test_help_written_to_out(argv, usage, capsys):
     code, out, err = invoke(*argv)

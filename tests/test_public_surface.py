@@ -26,17 +26,9 @@ SRC = ROOT / "src" / "zeroone"
 KEPT = {
     "one_step_pattern": "the paper's one-step pattern, which criterion 9 checks",
     "find_configuration": "the configuration witness; ROADMAP item 2 prints it",
-    "Permutation.identity": "value-type builder",
-    "Permutation.inverse": "value-type builder",
-    "Permutation.ascents": "value-type builder",
-    "Polynomial.zero": "value-type builder",
-    "Polynomial.one": "value-type builder",
-    "Polynomial.variable": "value-type builder",
-    "Polynomial.monomial": "value-type builder",
     "Polynomial.sorted_terms": "perfbench/run.py times it by name; the tests read graded order through it",
-    "Diagram.from_boxes": "value-type builder",
-    "Diagram.boxes": "value-type reader",
-    "OrthodonticTrace.impacts": "the tests check the multiplicity-free rule on the impacts",
+    "Diagram.from_boxes": "the tests build arbitrary diagrams from box lists at seven call sites",
+    "Diagram.boxes": "the tests read diagrams back as box lists at four call sites",
     "ConfigurationInstance.kind": "the configuration witness; ROADMAP item 2 prints it",
     "ConfigurationInstance.indices": "the configuration witness; ROADMAP item 2 prints it",
 }

@@ -199,9 +199,9 @@ def test_dual_character_matches_definition():
 
 
 def test_dual_character_trivial_diagrams():
-    assert dual_character(Diagram(((), (), ()))) == Polynomial.one(3)
+    assert dual_character(Diagram(((), (), ()))) == Polynomial(3, {(0, 0, 0): 1})
     single = Diagram(((1, 2, 3), (), ()))
-    assert dual_character(single) == Polynomial.monomial((1, 1, 1))
+    assert dual_character(single) == Polynomial(3, {(1, 1, 1): 1})
 
 
 def test_dual_character_is_schubert_S4():
@@ -213,7 +213,7 @@ def test_dual_character_size_limit():
     big = Diagram(tuple(() for _ in range(7)))
     with pytest.raises(SizeLimitError):
         dual_character(big)
-    assert dual_character(big, limit=7) == Polynomial.one(7)
+    assert dual_character(big, limit=7) == Polynomial(7, {(0,) * 7: 1})
 
 
 def test_exponent_fields_hold_n():
@@ -238,7 +238,8 @@ def test_exponent_width_guard(monkeypatch):
         raise AssertionError("the width guard must act before the column pass")
 
     wide = weyl._FIELD + 1
-    assert dual_character(Diagram(((),) * (wide - 1)), limit=wide) == Polynomial.one(wide - 1)
+    empty = Diagram(((),) * (wide - 1))
+    assert dual_character(empty, limit=wide) == Polynomial(wide - 1, {(0,) * (wide - 1): 1})
     # the empty diagram's character is cached by now: refusing the cached
     # column pass also shows that the guard acts before the cache
     monkeypatch.setattr(weyl, "_character", refuse)
@@ -314,7 +315,7 @@ def assert_augmentation(d, k, l):
 def test_pattern_dominance_check_empty_hook():
     d = rothe_diagram(parse_permutation("31542"))
     result = pattern_dominance_check(d, 5, 3)  # row 5 and column 3 hold no boxes
-    assert result.monomial == Polynomial.one(5)
+    assert result.monomial == Polynomial(5, {(0, 0, 0, 0, 0): 1})
     chi = dual_character(d)
     assert result.remainder == ring.sub(chi, ring.substitute_zero(5, chi))
     assert result.ok
@@ -369,7 +370,7 @@ def test_dominance_remainder_matches_full_frame_oracle():
             assert result.ok == all(c > 0 for c in oracle.terms.values())
             every = set(range(1, d.n + 1))
             m_key = weyl._deleted_weight(_row_masks(d), _mask(every - {k}), _mask(every - {l}))
-            assert result.monomial == Polynomial.monomial(tuple(m_key.to_bytes(d.n, "little")))
+            assert result.monomial == Polynomial(d.n, {tuple(m_key.to_bytes(d.n, "little")): 1})
 
 
 def test_dominance_bounds_the_minor_diagram_not_d_hat(monkeypatch):
@@ -412,7 +413,7 @@ def test_dominance_leaves_the_shared_character_intact():
 
 
 def test_schubert_pattern_inequality_examples():
-    assert schubert_pattern_inequality(Permutation.identity(4), (1, 3, 4))
+    assert schubert_pattern_inequality(Permutation((1, 2, 3, 4)), (1, 3, 4))
     for w in all_permutations(5):
         for k in range(1, 6):
             assert schubert_pattern_inequality(w, tuple(p for p in range(1, 6) if p != k))
@@ -464,7 +465,7 @@ def test_lifted_weight_matches_tuple_product():
                         if i not in kept or j not in cols:
                             e[i - 1] += 1
                     sigma = schubert_classic(pattern_at(w, kept))
-                    oracle = ring.mul(Polynomial.monomial(tuple(e)), _reindexed(sigma, kept, n))
+                    oracle = ring.mul(Polynomial(n, {tuple(e): 1}), _reindexed(sigma, kept, n))
                     m_key = weyl._deleted_weight(rows, _mask(kept), _mask(cols))
                     lifted = _lift(sigma._packed, kept, m_key)
                     assert Polynomial._from_packed(n, lifted) == oracle, (w, kept)
