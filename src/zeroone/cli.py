@@ -8,90 +8,13 @@ input).
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from . import classify, orthodontia, perms, poly, tableaux, weyl
 
 __all__ = ["main", "run"]
-
-
-class _CliError(Exception):
-    pass
-
-
-class _HelpRequested(Exception):
-    """`--help` was given; carries the help text for `run` to print."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _CliError(message)
-
-    def print_help(self, file=None):
-        # argparse would print to sys.stdout and then exit the process
-        raise _HelpRequested(self.format_help())
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built on the first `run` and reused for every later call."""
-    parser = _Parser(prog="zeroone", description=__doc__)
-    parser.add_argument("--structured", action="store_true",
-                        help="emit polynomials as (exponent vector, coefficient) records")
-    parser.add_argument("--checked", action="store_true",
-                        help="abort loudly when equivalent predicates disagree")
-    parser.add_argument("--limit", type=int, default=None,
-                        help="override the module size limits")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="Schubert polynomial of a permutation")
-    p.add_argument("perm")
-    p.add_argument("--method", choices=["classic", "orthodontia", "tableaux", "weyl"],
-                   default="classic")
-    p.set_defaults(run=_cmd_expand)
-
-    p = sub.add_parser("orthodontia", help="orthodontic sequence (i, k, m)")
-    p.add_argument("perm")
-    p.add_argument("--trace", action="store_true", help="print the intermediate diagrams")
-    p.set_defaults(run=_cmd_orthodontia)
-
-    p = sub.add_parser("tableaux", help="tableau words of a permutation")
-    p.add_argument("perm")
-    p.add_argument("--stage", type=int, default=0)
-    p.add_argument("--check", action="store_true",
-                   help="verify every word reads into its diagram as a valid filling")
-    p.set_defaults(run=_cmd_tableaux)
-
-    p = sub.add_parser("char", help="dual character of a diagram file")
-    p.add_argument("diagram", help="path to a diagram file, or - for stdin")
-    p.set_defaults(run=_cmd_char)
-
-    p = sub.add_parser("dominance", help="coefficientwise dominance after a row/column deletion")
-    p.add_argument("diagram", help="path to a diagram file, or - for stdin")
-    p.add_argument("--row", type=int, required=True)
-    p.add_argument("--col", type=int, required=True)
-    p.add_argument("--show-remainder", action="store_true")
-    p.set_defaults(run=_cmd_dominance)
-
-    p = sub.add_parser("zero-one", help="is the Schubert polynomial zero-one?")
-    p.add_argument("perm")
-    p.add_argument("--all-methods", action="store_true",
-                   help="also expand the polynomial (slower)")
-    p.set_defaults(run=_cmd_zero_one)
-
-    p = sub.add_parser("survey", help="classify all of S_n")
-    p.add_argument("n", type=int)
-    p.add_argument("--methods", choices=["fast", "all"], default="fast")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(run=_cmd_survey)
-    return parser
-
-
-def _format_tuple(values) -> str:
-    return "(" + ",".join(str(v) for v in values) + ")"
 
 
 def _print_poly(f: poly.Polynomial, out, structured: bool):
@@ -113,7 +36,8 @@ def _read_diagram(source: str) -> perms.Diagram:
     return perms.parse_diagram(text)
 
 
-def _cmd_expand(args, out) -> int:
+def _cmd_expand(args, out) -> None:
+    """Schubert polynomial of a permutation"""
     w = perms.parse_permutation(args.perm)
     if args.method == "classic":
         f = poly.schubert_classic(w)
@@ -124,39 +48,36 @@ def _cmd_expand(args, out) -> int:
     else:
         f = weyl.dual_character(perms.rothe_diagram(w), limit=args.limit)
     _print_poly(f, out, args.structured)
-    return 0
 
 
-def _cmd_orthodontia(args, out) -> int:
-    w = perms.parse_permutation(args.perm)
-    trace = orthodontia.orthodontic_sequence(w)
-    print(f"i {_format_tuple(trace.i)}", file=out)
-    print(f"k {_format_tuple(trace.k)}", file=out)
-    print(f"m {_format_tuple(trace.m)}", file=out)
+def _cmd_orthodontia(args, out) -> None:
+    """orthodontic sequence (i, k, m); --trace prints the intermediate diagrams"""
+    trace = orthodontia.orthodontic_sequence(perms.parse_permutation(args.perm))
+    for name in ("i", "k", "m"):
+        print(f"{name} ({','.join(map(str, getattr(trace, name)))})", file=out)
     if args.trace:
         for r in range(trace.length + 1):
             print(f"stage {r}", file=out)
             print(str(trace.stage(r)), file=out)
-    return 0
 
 
-def _cmd_tableaux(args, out) -> int:
+def _cmd_tableaux(args, out) -> None:
+    """tableau words of a permutation; --check reads each into its diagram"""
     trace = orthodontia.orthodontic_sequence(perms.parse_permutation(args.perm))
     words = sorted(tableaux.tableaux_stage(trace, args.stage))
     if args.check:
         tableaux.read_words_into_diagram(words, trace, args.stage)
     out.write("".join(perms.format_word(word) + "\n" for word in words))
-    return 0
 
 
-def _cmd_char(args, out) -> int:
-    d = _read_diagram(args.diagram)
-    f = weyl.dual_character(d, limit=args.limit)
+def _cmd_char(args, out) -> None:
+    """dual character of a diagram file (a path, or - for stdin)"""
+    f = weyl.dual_character(_read_diagram(args.diagram), limit=args.limit)
     _print_poly(f, out, args.structured)
-    return 0
 
 
-def _cmd_dominance(args, out) -> int:
+def _cmd_dominance(args, out) -> None:
+    """coefficientwise dominance after a row/column deletion"""
     d = _read_diagram(args.diagram)
     result = weyl.pattern_dominance_check(d, args.row, args.col, limit=args.limit)
     print(f"M {result.monomial}", file=out)
@@ -166,14 +87,12 @@ def _cmd_dominance(args, out) -> int:
             out.write(result.remainder.records("F_term"))
         else:
             print(f"F {result.remainder}", file=out)
-    return 0
 
 
-def _cmd_zero_one(args, out) -> int:
+def _cmd_zero_one(args, out) -> None:
+    """is the Schubert polynomial zero-one? --all-methods also expands it"""
     w = perms.parse_permutation(args.perm)
-    status = classify.zero_one_status(
-        w, include_expansion=args.all_methods, checked=args.checked
-    )
+    status = classify.zero_one_status(w, include_expansion=args.all_methods, checked=args.checked)
     verdict = status.verdict()
     print("true" if verdict else "false", file=out)
     if not verdict and status.witness is not None:
@@ -184,36 +103,115 @@ def _cmd_zero_one(args, out) -> int:
         print(f"by_multiplicity_free {'true' if status.by_multiplicity_free else 'false'}",
               file=out)
         print(f"by_expansion {'true' if status.by_expansion else 'false'}", file=out)
-    return 0
 
 
-def _cmd_survey(args, out) -> int:
-    summary = classify.survey(
-        args.n, methods=args.methods, workers=args.workers, limit=args.limit,
-        checked=args.checked,
-    )
-    print(f"n {summary.n}", file=out)
-    print(f"total {summary.total}", file=out)
-    print(f"zero_one {summary.zero_one}", file=out)
-    print(f"disagreements {summary.disagreements}", file=out)
+def _cmd_survey(args, out) -> None:
+    """classify all of S_n"""
+    summary = classify.survey(args.n, methods=args.methods, workers=args.workers,
+                              limit=args.limit, checked=args.checked)
+    for field in ("n", "total", "zero_one", "disagreements"):
+        print(f"{field} {getattr(summary, field)}", file=out)
     if summary.disagreements:
         print(f"disagreement {summary.disagreement}", file=out)
-    return 0
+
+
+# The grammar of a call: zeroone [global options] <command> [its arguments, in
+# any order], each option as --name value or --name=value.  Each argument maps
+# to what it reads: False a flag, a tuple one of its values (the first is the
+# default), str or int a required text or integer, an int or None an integer
+# with that default.  Names without dashes are positionals, read in order.
+_GLOBALS = {"--structured": False, "--checked": False, "--limit": None, "command": str}
+_COMMANDS = {
+    "expand": (_cmd_expand, {"perm": str,
+                             "--method": ("classic", "orthodontia", "tableaux", "weyl")}),
+    "orthodontia": (_cmd_orthodontia, {"perm": str, "--trace": False}),
+    "tableaux": (_cmd_tableaux, {"perm": str, "--stage": 0, "--check": False}),
+    "char": (_cmd_char, {"diagram": str}),
+    "dominance": (_cmd_dominance, {"diagram": str, "--row": int, "--col": int,
+                                   "--show-remainder": False}),
+    "zero-one": (_cmd_zero_one, {"perm": str, "--all-methods": False}),
+    "survey": (_cmd_survey, {"n": int, "--methods": ("fast", "all"), "--workers": 1}),
+}
+
+
+def _is_value(word: str) -> bool:
+    """Can `word` stand where a value goes?  `-` and negative numerals can."""
+    return word[:1] != "-" or word == "-" or perms._is_numeral(word[1:])
+
+
+def _read(name: str, spec, text: str):
+    """`text` as argument `name`: one of its choices, as is, or an ASCII integer."""
+    if isinstance(spec, tuple) and text not in spec:
+        choices = ", ".join(map(repr, spec))
+        raise ValueError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    if spec is str or isinstance(spec, tuple):
+        return text
+    if not perms._is_numeral(text.removeprefix("-")):
+        raise ValueError(f"argument {name}: invalid int value: {text!r}")
+    return int(text)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The namespace of one call, read left to right, or the help text it asks for."""
+    table, values, positionals, extras, words = _GLOBALS, {}, ["command"], [], iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return _help(values.get("command"))
+        name, eq, text = word.partition("=")
+        if name[:2] == "--" and name in table:
+            spec = table[name]
+            if spec is False and eq:
+                raise ValueError(f"argument {name}: ignored explicit argument {text!r}")
+            if spec is not False and not eq:
+                text = next(words, "-h")  # the end of argv holds no value either
+                if not _is_value(text):
+                    raise ValueError(f"argument {name}: expected one argument")
+            values[name] = spec is False or _read(name, spec, text)
+        elif not positionals or not _is_value(word):
+            extras.append(word)
+        elif table is _GLOBALS:  # the command word: its own table from here on
+            values["command"] = _read("command", tuple(_COMMANDS), word)
+            table = _COMMANDS[word][1]
+            positionals = [name for name in table if name[0] != "-"]
+        else:
+            name = positionals.pop(0)
+            values[name] = _read(name, table[name], word)
+    values = {**_GLOBALS, **table, **values}  # the defaults, overridden by what was given
+    missing = ", ".join(name for name, value in values.items() if isinstance(value, type))
+    if missing:
+        raise ValueError(f"the following arguments are required: {missing}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**{
+        name.lstrip("-").replace("-", "_"): value[0] if isinstance(value, tuple) else value
+        for name, value in values.items()})
+
+
+def _help(command: str | None) -> str:
+    """The usage of the top level, or of one command, from the table."""
+    handler, table = _COMMANDS.get(command, (None, _GLOBALS))
+    words = ["usage: zeroone", *([command] if handler else []), "[-h]"]
+    for name, spec in table.items():
+        if name[0] == "-" and spec is not False:
+            name += " " + (f"{{{','.join(spec)}}}" if isinstance(spec, tuple) else name[2:].upper())
+        words.append(name if isinstance(spec, type) else f"[{name}]")
+    if handler:
+        rows = "".join(f"  {name}\n" for name in table if name[0] != "-")
+        return " ".join(words) + f"\n\n{handler.__doc__}\n\npositional arguments:\n{rows}"
+    rows = "".join(f"  {name:<13}{h.__doc__}\n" for name, (h, _) in _COMMANDS.items())
+    return " ".join(words) + f" ...\n\n{__doc__}\npositional arguments:\n{rows}"
 
 
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
-    except _CliError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except _HelpRequested as exc:
-        out.write(str(exc))
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # the help text
+            out.write(args)
+            return 0
+        _COMMANDS[args.command][0](args, out)
         return 0
-    try:
-        return args.run(args, out)
     except (tableaux.FillingError, AssertionError) as exc:
         print(f"internal-error: {exc}", file=err)
         return 2

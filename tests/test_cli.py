@@ -1,6 +1,7 @@
 """Exit codes, output formats, and determinism of the command line."""
 
 import io
+import itertools
 import random
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeroone import cli
+import cli_reference
+from zeroone import cli, perms
 from zeroone.cli import run
 
 
@@ -280,6 +282,24 @@ def test_survey_names_a_disagreement(methods, monkeypatch):
     assert err.startswith("internal-error:") and "13254" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["survey", "1_0"], ["survey", " 3"], ["survey", "+3"], ["survey", "\u0663"],
+    ["tableaux", "21", "--stage", "\u0661"], ["tableaux", "21", "--stage=+1"],
+    ["--limit", "1_0", "survey", "3"], ["survey", "3", "--workers", "1 "],
+    ["dominance", "-", "--row", "1", "--col", "-\u0661"],
+])
+def test_integer_arguments_are_ascii_numerals(argv):
+    # an optional - and ASCII digits, the rule of permutation text and diagram files
+    code, out, err = invoke(*argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_integer_errors_name_the_argument():
+    assert invoke("survey", "1_0") == (1, "", "error: argument n: invalid int value: '1_0'\n")
+    assert invoke("tableaux", "21", "--stage=+1") == (
+        1, "", "error: argument --stage: invalid int value: '+1'\n")
+
+
 def test_invalid_input_exit_codes():
     assert invoke("expand", "3154")[0] == 1
     assert invoke("expand", "31542", "--bogus")[0] == 1
@@ -318,13 +338,13 @@ def test_parser_reused_without_leaking_flags(tmp_path):
     code, out, err = invoke("expand", "31542", "--bogus")
     assert code == 1 and out == "" and err.startswith("error:")
     assert invoke("expand", "31542") == (0, EXPAND_31542, "")
-    assert cli._build_parser() is cli._build_parser()
 
 
-def test_parser_built_on_first_run():
-    probe = "import zeroone.cli as c; print(c._build_parser.cache_info().currsize)"
+def test_cli_start_leaves_argparse_unimported():
+    # the table parser needs neither; their cold import costs about 3.6 ms per process
+    probe = "import sys, zeroone.cli; print('argparse' in sys.modules, 'gettext' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout == "0\n"
+    assert proc.returncode == 0 and proc.stdout == "False False\n"
 
 
 def test_cli_start_leaves_the_process_pool_unimported():
@@ -444,7 +464,10 @@ def _cli_case(draw):
         argv.append(str(draw(st.integers(-2, 5))))
         argv += draw(_flag("--methods", st.sampled_from(["fast", "all", "some"])))
         argv += draw(_flag("--workers", st.integers(-1, 1).map(str)))
-    argv += draw(st.sampled_from([[]] * 5 + [["--bogus"], ["7"], ["--stage"], ["--row"]]))
+    argv += draw(st.sampled_from([[]] * 5 + [
+        ["--bogus"], ["7"], ["--stage"], ["--row"], ["--method"], ["--method=weyl"], ["-h"],
+        ["--"], ["--structured"], ["--struct"], ["--stage", "1_0"],
+    ]))
     return argv, draw(_stdin_text)
 
 
@@ -453,8 +476,90 @@ def _cli_case(draw):
 def test_fuzz_run_ends_with_exit_code(case):
     argv, stdin_text = case
     with mock.patch("sys.stdin", io.StringIO(stdin_text)):
-        code, _, _ = invoke(*argv)
+        code, out, err = invoke(*argv)
     assert code in (0, 1, 2)
+    if code == 1:
+        assert out == "" and err.startswith("error:")
+    # the table refuses what argparse refused, and more only by a documented narrowing
+    ours, theirs = _table(argv), _reference(argv)
+    if ours != theirs:
+        assert ours == ("error",) and _narrowed(argv), (argv, ours, theirs)
+
+
+def _reference(argv):
+    """("ok", namespace fields), ("help",) or ("error",): argparse's reading of argv."""
+    try:
+        fields = vars(cli_reference._build_parser().parse_args(argv))
+    except cli_reference._CliError:
+        return ("error",)
+    except cli_reference._HelpRequested:
+        return ("help",)
+    assert cli._COMMANDS[fields["command"]][0] is fields.pop("run")
+    return ("ok", fields)
+
+
+def _table(argv):
+    """The table's reading of argv, in the form of `_reference`."""
+    try:
+        args = cli._parse(argv)
+    except ValueError:
+        return ("error",)
+    return ("help",) if isinstance(args, str) else ("ok", vars(args))
+
+
+def _narrowed(argv):
+    """Does argv hold a spelling that argparse read and the table refuses: `--`, an
+    abbreviated option, a word that starts with - and holds a space, or an integer
+    other than an optional - and ASCII digits?"""
+    command = next((word for word in argv if word in cli._COMMANDS), None)
+    options = {*cli._GLOBALS, *cli._COMMANDS.get(command, (None, {}))[1]}
+    for word in argv:
+        name, _, value = word.partition("=")
+        if word == "--" or word[:1] == "-" and " " in word:
+            return True
+        if name[:2] == "--" and name not in options and any(o.startswith(name) for o in options):
+            return True
+        for text in (word, value):
+            try:
+                int(text)
+            except ValueError:
+                continue
+            if not perms._is_numeral(text.removeprefix("-")):
+                return True
+    return False
+
+
+def _spelled(name, spec, equals):
+    """argv words that give option `name` a value other than its default."""
+    if spec is False:
+        return [name]
+    value = spec[-1] if isinstance(spec, tuple) else "-1"
+    return [f"{name}={value}"] if equals else [name, value]
+
+
+def _calls(command):
+    """Calls of `command` with each subset of the global options and of its own, each
+    with a value that is not its default, before or after the positional, and each
+    spelled --name value or --name=value."""
+    table = cli._COMMANDS[command][1]
+    positional = {"perm": "31542", "diagram": "-", "n": "-1"}[next(iter(table))]
+    options = [name for name in table if name[0] == "-"]
+    for equals, after in itertools.product((False, True), repeat=2):
+        for globals_on in itertools.product((False, True), repeat=3):
+            head = [w for on, name in zip(globals_on, ("--structured", "--checked", "--limit"))
+                    if on for w in _spelled(name, cli._GLOBALS[name], equals)]
+            for on in itertools.product((False, True), repeat=len(options)):
+                tail = [w for o, name in zip(on, options) if o
+                        for w in _spelled(name, table[name], equals)]
+                yield [*head, command, *(tail + [positional] if after else [positional] + tail)]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_table_reads_every_call_as_argparse_did(command):
+    calls = list(_calls(command))
+    assert len(calls) == 32 * 2 ** (len(cli._COMMANDS[command][1]) - 1)
+    for argv in calls:
+        assert _table(argv) == _reference(argv), argv
 
 
 def test_byte_identical_reruns():
