@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, permutations
 from typing import Iterator, Optional
 
 __all__ = [
@@ -65,10 +65,6 @@ class Permutation:
         for i, v in enumerate(self.entries, start=1):
             inv[v - 1] = i
         return Permutation._adopt(tuple(inv))
-
-    def inversions(self) -> int:
-        e = self.entries
-        return sum(1 for i, j in combinations(range(self.n), 2) if e[i] > e[j])
 
     def __str__(self) -> str:
         return format_word(self.entries)

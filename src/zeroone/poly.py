@@ -22,7 +22,7 @@ graded-lex formatter, and `terms` decodes them on each read.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations as it_perms
+from operator import itemgetter
 from typing import Iterator
 
 from .perms import Permutation
@@ -95,7 +95,7 @@ class Polynomial:
             weight, text = low[k & mask]
             more, rest = high[k >> shift]
             rows.append((weight + more, text + rest, c))
-        rows.sort(reverse=True)
+        rows.sort(key=itemgetter(0), reverse=True)  # weights are unique per monomial
         return rows
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
@@ -109,18 +109,10 @@ class Polynomial:
         return "".join(f"{label} {text[:-1]} {c}\n" for _, text, c in self._graded(fields=True))
 
     def __str__(self) -> str:
-        rows = self._graded()
-        if not rows:
-            return "0"
-        parts = []
-        for _, text, c in rows:
-            if c == 1 and text:
-                parts.append(text[1:])
-            elif c == -1 and text:
-                parts.append("-" + text[1:])
-            else:
-                parts.append(f"{c}{text}")
-        return " + ".join(parts)
+        return " + ".join([
+            text[1:] if c == 1 and text else "-" + text[1:] if c == -1 and text else f"{c}{text}"
+            for _, text, c in self._graded()
+        ]) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self.terms!r})"
@@ -312,20 +304,28 @@ def schubert_classic(w: Permutation) -> Polynomial:
 
 
 def _all_packed(n: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
-    """(one-line entries, packed schubert(w)) for every w in S_n, as `schubert_all` orders them."""
-    by_inv: dict[int, list[tuple[int, ...]]] = {}
-    for e in it_perms(range(1, n + 1)):
-        by_inv.setdefault(Permutation._adopt(e).inversions(), []).append(e)
-    top = n * (n - 1) // 2
-    level = dict.fromkeys(by_inv[top], {_staircase(n): 1})
-    yield from level.items()
-    for inv in range(top - 1, -1, -1):
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for e in by_inv[inv]:
-            i = next(i for i in range(1, n) if e[i - 1] < e[i])
-            nxt[e] = terms = _packed_dd(i, level[e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :]])
-            yield e, terms
-        level = nxt
+    """(one-line entries, packed schubert(w)) for every w in S_n, as `schubert_all` orders them.
+
+    Each level is built from the one above: p * s_i is a child of p when i is
+    a descent of p with p_1 > ... > p_{i-1} > p_{i+1}, exactly when i is the
+    child's leftmost ascent, so every w below w_0 is reached once, by d_i.
+    """
+    top = tuple(range(n, 0, -1))
+    level = {top: {_staircase(n): 1}}
+    yield top, level[top]
+    while level:
+        kids = []
+        for p, terms in level.items():
+            for i in range(1, n):
+                if p[i - 1] > p[i] and (i == 1 or p[i - 2] > p[i]):
+                    kids.append((p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :], i, terms))
+                if i > 1 and p[i - 2] < p[i - 1]:  # p_1 > ... > p_i fails from here on
+                    break
+        kids.sort(key=itemgetter(0))
+        level = {}
+        for e, i, terms in kids:
+            level[e] = out = _packed_dd(i, terms)
+            yield e, out
 
 
 def schubert_all(n: int) -> Iterator[tuple[Permutation, Polynomial]]:

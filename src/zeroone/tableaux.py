@@ -71,26 +71,26 @@ def _orbits(i: int, stage: dict[bytes, int]) -> dict[bytes, int]:
     leftmost unmatched i, so the i+1 that f_i writes there closes nothing,
     and the other unmatched i's stay unmatched.  f_i^k(T) is therefore T with
     its first k unmatched i's raised, each raise moving one unit of weight
-    from field i-1 to field i.  A walk stops at the first member already in
-    the union, whose orbit is in the union too.
+    from field i-1 to field i.  The union starts as a copy of the stage, and
+    a walk from each word with an unmatched i stops at the first member
+    already in the union, the rest of whose orbit some walk covers.
 
     The unmatched positions depend only on where the i's and (i+1)'s sit,
     so words with the same shape (every other letter read as 0) share one
     bracket scan.
     """
-    out: dict[bytes, int] = {}
+    out = dict(stage)
     up = _x(i + 1) - _x(i)
     shape_of = bytearray(256)  # a translate table keeping i and i+1, mapping the rest to 0
     shape_of[i : i + 2] = bytes((i, i + 1))
     scans: dict[bytes, list[int]] = {}
     for word, wt in stage.items():
-        if word in out:
-            continue
-        out[word] = wt
         shape = word.translate(shape_of)
         unmatched = scans.get(shape)
         if unmatched is None:
             unmatched = scans[shape] = _unmatched(i, shape)
+        if not unmatched:
+            continue
         buf = bytearray(word)
         for pos in unmatched:
             buf[pos] = i + 1
@@ -102,9 +102,28 @@ def _orbits(i: int, stage: dict[bytes, int]) -> dict[bytes, int]:
     return out
 
 
-def _column_word(j: int, copies: int) -> tuple[bytes, int]:
-    """The word (1, ..., j)^copies and its packed weight."""
-    return bytes(range(1, j + 1)) * copies, copies * _omega(j)
+def _block(trace: OrthodonticTrace, q: int) -> tuple[bytes, int]:
+    """The block stage q prepends, with its packed weight: (1, ..., i_q)^{m_q},
+    or at q = 0 the interval-column prefix recorded by the k's."""
+    blocks = [(trace.i[q - 1], trace.m[q - 1])] if q else list(enumerate(trace.k, start=1))
+    return (b"".join(bytes(range(1, j + 1)) * c for j, c in blocks),
+            sum(c * _omega(j) for j, c in blocks))
+
+
+def _prepend(stage: dict[bytes, int], block: tuple[bytes, int]) -> dict[bytes, int]:
+    """block + T for each word T of stage; an empty block passes the stage on as it is."""
+    prefix, pw = block
+    return {prefix + word: pw + wt for word, wt in stage.items()} if prefix else stage
+
+
+def _unblocked(trace: OrthodonticTrace, r: int, wt: int = 0) -> dict[bytes, int]:
+    """Stage r without its own block: the f_{i_{r+1}} closure of stage r+1,
+    or the empty word at r = l; every weight carries wt on top."""
+    trace._check_stage(r)
+    stage = {b"": wt}
+    for q in range(trace.length, r, -1):
+        stage = _orbits(trace.i[q - 1], _prepend(stage, _block(trace, q)))
+    return stage
 
 
 def _stage(trace: OrthodonticTrace, r: int) -> dict[bytes, int]:
@@ -113,24 +132,14 @@ def _stage(trace: OrthodonticTrace, r: int) -> dict[bytes, int]:
     The walk starts from the empty word at stage l.  Stage q closes stage
     q+1 under f_{i_{q+1}} (stage l has nothing to close) and prepends its
     block (1, ..., i_q)^{m_q}; stage 0 prepends instead the interval-column
-    prefix recorded by the k's.  Only the stage at hand is kept.  A packed
-    weight holds the count of letter t in bits 8(t-1)..8t-1.  The fields
-    never carry: every stage word is a column-strict filling of a diagram
-    with n columns, so a letter occurs at most n times, and n <= 255 (for
-    larger n the word of column [256] does not fit in bytes and raises).
+    prefix recorded by the k's.  Only the stage at hand is kept; an empty
+    block copies no word.  A packed weight holds the count of letter t in
+    bits 8(t-1)..8t-1.  The fields never carry: every stage word is a
+    column-strict filling of a diagram with n columns, so a letter occurs at
+    most n times, and n <= 255 (for larger n the word of column [256] does
+    not fit in bytes and raises).
     """
-    trace._check_stage(r)
-    stage = {b"": 0}
-    for q in range(trace.length, r - 1, -1):
-        if q < trace.length:
-            stage = _orbits(trace.i[q], stage)
-        if q:
-            prefix, pw = _column_word(trace.i[q - 1], trace.m[q - 1])
-        else:
-            blocks = [_column_word(j, kj) for j, kj in enumerate(trace.k, start=1)]
-            prefix, pw = b"".join(b for b, _ in blocks), sum(wt for _, wt in blocks)
-        stage = {prefix + word: pw + wt for word, wt in stage.items()}
-    return stage
+    return _prepend(_unblocked(trace, r), _block(trace, r))  # r is checked before _block reads it
 
 
 def tableaux_stage(trace: OrthodonticTrace, r: int) -> set[Word]:
@@ -143,8 +152,10 @@ def tableaux_set(w: Permutation) -> set[Word]:
 
 
 def schubert_from_tableaux(w: Permutation) -> Polynomial:
-    """Sum of x^{wt(T)} over T_w."""
-    return Polynomial._from_packed(w.n, Counter(_stage(orthodontic_sequence(w), 0).values()))
+    """Sum of x^{wt(T)} over T_w, counted with the words of stage 0 left unbuilt:
+    the walk below them starts from their prefix's weight."""
+    trace = orthodontic_sequence(w)
+    return Polynomial._from_packed(w.n, Counter(_unblocked(trace, 0, _block(trace, 0)[1]).values()))
 
 
 def tau_reindexing(trace: OrthodonticTrace) -> Permutation:

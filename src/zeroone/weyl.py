@@ -125,6 +125,7 @@ def _insert(basis: Span, row: YPoly) -> None:
     Fraction-free: cancel the lead against the basis row with that lead
     until a new lead is left, then store the row with its content divided
     out.  Leads stay distinct, so len(basis) is the rank of all rows added.
+    The row is taken over: it is edited in place or stored.
     """
     while row:
         lead = max(row)
@@ -135,7 +136,8 @@ def _insert(basis: Span, row: YPoly) -> None:
             return
         g = gcd(top[lead], row[lead])
         a, b = top[lead] // g, row[lead] // g
-        row = {m: a * c for m, c in row.items()}
+        if a != 1:
+            row = {m: a * c for m, c in row.items()}
         get = row.get
         for m, c in top.items():
             if v := get(m, 0) - b * c:

@@ -1,5 +1,6 @@
 """Polynomials and the divided-difference operators."""
 
+from itertools import combinations, permutations
 from math import prod
 from operator import add
 
@@ -250,6 +251,16 @@ def test_schubert_all_matches_classic():
     assert len(table) == 24
     for w, f in table.items():
         assert f == schubert_classic(w)
+
+
+def test_schubert_all_order():
+    # descending inversion count, lexicographic within a level
+    def key(e):
+        return -sum(a > b for a, b in combinations(e, 2)), e
+
+    for n in range(7):
+        order = [w.entries for w, _ in schubert_all(n)]
+        assert order == sorted(permutations(range(1, n + 1)), key=key), n
 
 
 def test_classic_memo_over_S6(schubert_table_6):

@@ -28,6 +28,8 @@ from zeroone.tableaux import (
     tau_reindexing,
 )
 
+import tableaux_reference
+
 words_strategy = st.lists(st.integers(1, 5), min_size=0, max_size=12).map(tuple)
 
 PAPER_WORD = (3, 1, 2, 2, 2, 1, 3, 1, 2, 4, 3, 2, 4, 1, 3, 1)
@@ -168,6 +170,22 @@ def test_carried_weights_decode_to_word_weights():
             for r in range(trace.length + 1):
                 for word, packed in _stage(trace, r).items():
                     assert Counter(word) == Counter(dict(enumerate(packed.to_bytes(n, "little"), 1)))
+
+
+def test_walk_matches_the_reference_that_builds_every_word():
+    # the walk skips empty blocks and never builds stage 0 for the polynomial
+    seen = Counter()
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            trace = orthodontic_sequence(w)
+            for r in range(trace.length + 1):
+                assert _stage(trace, r) == tableaux_reference.stage(trace, r), (w, r)
+            counts = tableaux_reference.weight_counts(trace)
+            assert schubert_from_tableaux(w) == Polynomial._from_packed(n, counts), w
+            seen["empty block"] += 0 in trace.m
+            seen["all-zero k"] += not any(trace.k)
+            seen["identity"] += w.entries == tuple(range(1, n + 1))
+    assert seen["identity"] == 6 < seen["all-zero k"] and seen["empty block"], seen
 
 
 def test_public_word_sets_hold_int_tuples():
