@@ -20,7 +20,15 @@ import time
 from itertools import combinations
 
 from zeroone.perms import all_permutations
-from zeroone.weyl import schubert_pattern_inequality
+from zeroone.poly import _all_packed
+from zeroone.weyl import _pattern_inequality
+
+TABLE = dict(_all_packed(0))  # packed S_w by one-line entries; main adds S_n before it sweeps S_n
+
+
+def schubert_pattern_inequality(w, positions):
+    """`zeroone.weyl.schubert_pattern_inequality`, reading S_w and S_sigma from TABLE."""
+    return _pattern_inequality(w, positions, lambda v: TABLE[v.entries])
 
 
 def main():
@@ -31,6 +39,7 @@ def main():
     failed = False
     for n in range(1, args.max_n + 1):
         t0 = time.perf_counter()
+        TABLE.update(_all_packed(n))
         pairs = failures = 0
         for w in all_permutations(n):
             for m in range(n + 1):

@@ -29,8 +29,8 @@ def _read_diagram(source: str) -> perms.Diagram:
         text = sys.stdin.read()
     else:
         try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(source, "rb", buffering=0) as fh:
+                text = fh.read().decode("utf-8")
         except OSError as exc:
             raise ValueError(f"cannot read diagram file {source}: {exc}") from exc
     return perms.parse_diagram(text)

@@ -167,7 +167,7 @@ class OrthodonticTrace:
         """The intermediate diagram after the first r row swaps, with the
         original column indexing (emptied columns stay at their index)."""
         self._check_stage(r)
-        return Diagram(tuple(mask_rows(mask) for mask in self._stage_masks[r]))
+        return Diagram._adopt(tuple(mask_rows(mask) for mask in self._stage_masks[r]))
 
 
 def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
@@ -215,7 +215,7 @@ def build_D_im(trace: OrthodonticTrace) -> Diagram:
     n = len(trace.k)
     if len(masks) > n:
         raise AssertionError("more columns than the ambient size")
-    return Diagram(tuple(mask_rows(mask) for mask in masks + [0] * (n - len(masks))))
+    return Diagram._adopt(tuple(mask_rows(mask) for mask in masks + [0] * (n - len(masks))))
 
 
 def is_multiplicity_free(w: Permutation) -> bool:

@@ -100,14 +100,15 @@ class Diagram:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.columns)
-        norm = []
-        for col in self.columns:
-            col = tuple(sorted(set(col)))
-            if col and not (1 <= col[0] and col[-1] <= n):
-                raise ValueError(f"row index out of [{n}] in column {col}")
-            norm.append(col)
-        object.__setattr__(self, "columns", tuple(norm))
+        cols = tuple(tuple(sorted(set(col))) for col in self.columns)
+        object.__setattr__(self, "columns", _in_frame(cols))
+
+    @classmethod
+    def _adopt(cls, columns: tuple[tuple[int, ...], ...]) -> "Diagram":
+        """Wrap columns unvalidated: the caller guarantees sorted tuples of distinct rows in [n]."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "columns", columns)
+        return d
 
     @property
     def n(self) -> int:
@@ -143,16 +144,24 @@ def parse_diagram(text: str) -> Diagram:
     if not lines:
         raise ValueError("empty diagram text")
     cols = []
-    for expected_j, line in enumerate(lines, start=1):
+    for j, line in enumerate(lines, start=1):
         head, _, tail = line.partition(":")
-        if not _is_numeral(head.strip()) or int(head) != expected_j:
-            raise ValueError(f"expected column label {expected_j} in line {line!r}")
+        if head.strip() != str(j) and not (_is_numeral(head.strip()) and int(head) == j):
+            raise ValueError(f"expected column label {j} in line {line!r}")
         rows = tail.split()
         # split() yields nonempty fields, so one test of their concatenation covers each
         if rows and not _is_numeral("".join(rows)):
             raise ValueError(f"bad row indices in line {line!r}")
-        cols.append(tuple(map(int, rows)))
-    return Diagram(tuple(cols))
+        cols.append(tuple(sorted(set(map(int, rows)))))
+    return Diagram._adopt(_in_frame(tuple(cols)))  # rows are checked after every label
+
+
+def _in_frame(cols: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """cols as they are, once every row of each sorted column lies in [n], n = len(cols)."""
+    for col in cols:
+        if col and not (1 <= col[0] and col[-1] <= len(cols)):
+            raise ValueError(f"row index out of [{len(cols)}] in column {col}")
+    return cols
 
 
 def rothe_rows(entries: tuple[int, ...]) -> list[int]:
@@ -186,7 +195,7 @@ def mask_rows(mask: int) -> tuple[int, ...]:
 
 def rothe_diagram(w: Permutation) -> Diagram:
     """Inversion diagram of w: box (i, j) present iff i < (w^-1)_j and j < w_i."""
-    return Diagram(tuple(mask_rows(mask) for mask in rothe_masks(w)))
+    return Diagram._adopt(tuple(mask_rows(mask) for mask in rothe_masks(w)))
 
 
 @lru_cache(maxsize=64)

@@ -106,7 +106,7 @@ class Polynomial:
 
     def records(self, label: str) -> str:
         """One line "label e_1,...,e_n c" per term, in graded-lex order."""
-        return "".join(f"{label} {text[:-1]} {c}\n" for _, text, c in self._graded(fields=True))
+        return "".join(f"{label} {text} {c}\n" for _, text, c in self._graded(fields=True))
 
     def __str__(self) -> str:
         return " + ".join([
@@ -141,8 +141,8 @@ class _HalfTable(dict):
     halves add up to a number that orders monomials by degree, then
     lexicographically.  Its text is "*x3^2*x5": one factor per nonzero
     exponent, each after a "*"; in a table of `fields` it is "2,0,": each
-    exponent, zeros too, followed by a ",".  Entries are made on first
-    lookup; at most _TABLE_CAP of them are kept.
+    exponent, zeros too, then a "," unless it ends the key.  Entries are made
+    on first lookup; at most _TABLE_CAP of them are kept.
     """
 
     __slots__ = ("first", "count", "rank_shift", "degree_shift", "fields")
@@ -157,8 +157,8 @@ class _HalfTable(dict):
         exps = half.to_bytes(self.count, "little")
         rank = int.from_bytes(exps, "big")
         weight = sum(exps) << self.degree_shift | rank << self.rank_shift
-        if self.fields:
-            text = "".join(f"{e}," for e in exps)
+        if self.fields:  # the high half has rank_shift 0
+            text = "".join(f"{e}," for e in exps) if self.rank_shift else ",".join(map(str, exps))
         else:
             text = "".join(f"*x{v}^{e}" if e > 1 else f"*x{v}"
                            for v, e in enumerate(exps, self.first + 1) if e)

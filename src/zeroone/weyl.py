@@ -293,10 +293,13 @@ def pattern_dominance_check(
     if not (1 <= k <= d.n and 1 <= l <= d.n):
         raise ValueError(f"row/column ({k}, {l}) out of range for n={d.n}")
     chi = dual_character(d, limit=limit)
-    d_minor = Diagram(tuple(tuple(i - (i > k) for i in col if i != k)
-                            for j, col in enumerate(d.columns, 1) if j != l))
+    d_minor = Diagram._adopt(tuple(tuple(i - (i > k) for i in col if i != k)
+                                   for j, col in enumerate(d.columns, 1) if j != l))
     chi_minor = dual_character(d_minor, limit=limit)._packed
-    rows = [sum(1 << j for j, col in enumerate(d.columns) if i in col) for i in range(1, d.n + 1)]
+    rows = [0] * d.n
+    for j, col in enumerate(d.columns):
+        for i in col:
+            rows[i - 1] |= 1 << j
     m_key = _deleted_weight(rows, ~(1 << k - 1), ~(1 << l - 1))  # all but row k, column l
     low, up = _x(k) - 1, _x(2)  # the fields of x_k..x_{n-1} move up one, x_k's reads 0
     remainder = dict(chi._packed)  # the shared character stays as it is
@@ -319,9 +322,14 @@ def schubert_pattern_inequality(w: Permutation, positions: tuple[int, ...]) -> b
     (see `poly._lift`): S_w is at least c at each key of the product with
     coefficient c, and at least 0 at every other key; the coefficients of
     S_sigma are positive, so S_w >= 0 is checked once for all keys."""
+    return _pattern_inequality(w, positions, lambda v: schubert_classic(v)._packed)
+
+
+def _pattern_inequality(w: Permutation, positions: tuple[int, ...], packed) -> bool:
+    """`schubert_pattern_inequality` with S_v read as packed(v), such as a sweep's table."""
     sigma = pattern_at(w, positions)
-    f = schubert_classic(w)._packed
+    f = packed(w)
     m_key = _deleted_weight(rothe_rows(w.entries), sum(1 << p - 1 for p in positions),
                             sum(1 << w[p] - 1 for p in positions))
-    lifted = _lift(schubert_classic(sigma)._packed, positions, m_key)
+    lifted = _lift(packed(sigma), positions, m_key)
     return min(f.values()) >= 0 and all(f.get(key, 0) >= c for key, c in lifted.items())

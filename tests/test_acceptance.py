@@ -37,11 +37,7 @@ from zeroone.tableaux import (
     schubert_from_tableaux,
     tableaux_stage,
 )
-from zeroone.weyl import (
-    dual_character,
-    pattern_dominance_check,
-    schubert_pattern_inequality,
-)
+from zeroone.weyl import dual_character, pattern_dominance_check
 
 import ring
 from diagram_lemma import delete_row_col, has_northwest_property
@@ -131,12 +127,12 @@ def test_criterion_5_pattern_coefficients(schubert_table_6):
         assert peak == 4  # regression pin, brute force over S_6
 
 
-def test_criterion_6_schubert_dominance():
+def test_criterion_6_schubert_dominance(pattern_inequality):
     with criterion(6, "pattern dominance for Schubert polynomials over S_7"):
         for w in all_permutations(7):
             for k in range(1, 8):
                 positions = tuple(p for p in range(1, 8) if p != k)
-                assert schubert_pattern_inequality(w, positions), (w, k)
+                assert pattern_inequality(w, positions), (w, k)
 
 
 def test_criterion_7_diagram_dominance():
@@ -184,13 +180,13 @@ def test_criterion_9_closure_and_minimality(schubert_table_5, schubert_table_6):
                 assert zero_one_status(sigma, checked=True).verdict()
 
 
-def test_criterion_10_every_occurrence_dominance():
+def test_criterion_10_every_occurrence_dominance(pattern_inequality):
     with criterion(10, "pattern dominance for every occurrence over S_1..S_6"):
         pairs = 0
         for n in range(1, 7):
             for w in all_permutations(n):
                 for m in range(n + 1):
                     for positions in combinations(range(1, n + 1), m):
-                        assert schubert_pattern_inequality(w, positions), (w, positions)
+                        assert pattern_inequality(w, positions), (w, positions)
                         pairs += 1
         assert pairs == 50362  # sum of n! * 2^n; scripts/pattern_dominance.py takes S_7 and up

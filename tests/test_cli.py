@@ -170,6 +170,41 @@ def test_char_missing_file():
     assert code == 1 and err.startswith("error:")
 
 
+def test_diagram_file_prints_what_stdin_prints(tmp_path):
+    # cli_digest.py feeds every diagram on stdin; a path is read as bytes instead
+    text = "\r\n1: 1\r\n2: 4 3 1 3\n\n3:\n04: 3\r5\n"
+    path = tmp_path / "diagram.txt"
+    path.write_bytes(text.encode("utf-8"))
+    for argv in (["char"], ["--structured", "char"], ["--structured", "dominance", "--row", "3",
+                                                    "--col", "5", "--show-remainder"]):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            from_stdin = invoke(*argv, "-")
+        assert from_stdin[0] == 0 and invoke(*argv, str(path)) == from_stdin, argv
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("missing.txt", None,
+     "cannot read diagram file {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("folder", "dir", "cannot read diagram file {path}: [Errno 21] Is a directory: '{path}'"),
+    ("bad.txt", b"1: 1\n\xff\n",
+     "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
+    # past the first 8 KiB buffer, the position still counts from the start of the file
+    ("long.txt", b"1:\n" + b" " * 9000 + b"\xff\n",
+     "'utf-8' codec can't decode byte 0xff in position 9003: invalid start byte"),
+    ("cut.txt", b"1:" + b" 1" * 5000 + b"\n\xe2\x82\n",
+     "'utf-8' codec can't decode bytes in position 10003-10004: invalid continuation byte"),
+    # a byte order mark is kept, as text, in the first label
+    ("bom.txt", b"\xef\xbb\xbf1: 1\n", "expected column label 1 in line '\\ufeff1: 1'"),
+])
+def test_refused_diagram_file(tmp_path, name, data, message):
+    path = tmp_path / name
+    if data == "dir":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    assert invoke("char", str(path)) == (1, "", f"error: {message.format(path=path)}\n")
+
+
 def test_char_limit():
     text = "\n".join(f"{j}:" for j in range(1, 8)) + "\n"
     import tempfile, os

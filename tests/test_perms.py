@@ -1,7 +1,7 @@
 """Permutation, diagram, and pattern-containment basics."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +19,11 @@ from zeroone.perms import (
     rothe_masks,
     rothe_rows,
 )
+from zeroone.orthodontia import build_D_im, orthodontic_sequence
+from zeroone.poly import Polynomial
+import zeroone.weyl as weyl
 
+import diagram_reference
 from diagram_lemma import delete_and_flatten, has_northwest_property
 from pattern_scan import scan_witness
 
@@ -42,6 +46,30 @@ def test_adopted_permutation_equals_validated():
     for w in all_permutations(4):
         adopted = Permutation._adopt(w.entries)
         assert adopted == w and hash(adopted) == hash(w) and adopted.n == w.n
+
+
+def test_adopted_diagram_equals_validated(monkeypatch):
+    # every builder that wraps columns unvalidated: the Rothe diagram, its text
+    # read back, each stage of the straightening, D_im, and the minor D' that
+    # the dominance check hands to dual_character for each (k, l)
+    handed, zero = [], Polynomial(0, {})
+    monkeypatch.setattr(weyl, "dual_character", lambda d, limit=None: handed.append(d) or zero)
+    sites = 0
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            d, trace = rothe_diagram(w), orthodontic_sequence(w)
+            handed.clear()
+            for k, l in product(range(1, n + 1), repeat=2):
+                weyl.pattern_dominance_check(d, k, l)
+            minors = handed[1::2]  # each check hands over D, then D'
+            assert len(minors) == n * n
+            stages = map(trace.stage, range(trace.length + 1))
+            for adopted in (d, parse_diagram(str(d)), *stages, build_D_im(trace), *minors):
+                validated = Diagram(adopted.columns)
+                assert adopted == validated and hash(adopted) == hash(validated), (w, adopted)
+                assert type(adopted.columns) is tuple, (w, adopted)
+                sites += 1
+    assert sites == 34722
 
 
 def test_permutation_validation():
@@ -232,6 +260,56 @@ def test_pattern_diagram_lemma_any_realization():
                 assert pattern_at(w, kept) == current
                 ranks = sorted(w[j] for j in kept)
                 assert current.entries == tuple(ranks.index(w[j]) + 1 for j in kept)
+
+
+def _parsed(parse, text):
+    """What parse makes of text: the Diagram, or the text of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _odd_diagram_text(rng):
+    """A seeded text near the diagram format: rows shuffled and repeated, labels
+    zero-padded or spaced, blank lines, CRLF or CR line ends, a BOM, a bare label
+    with no colon, fullwidth digits, rows out of range, wrong labels."""
+    n = rng.randint(1, 5)
+    lines = []
+    for j in range(1, n + 1):
+        rows = [str(rng.randint(1, n)) for _ in range(rng.randint(0, n))]
+        rows += rng.sample(rows, len(rows) // 2)  # repeated rows, then shuffled
+        rng.shuffle(rows)
+        label = rng.choice([str(j), str(j), "0" + str(j), f" {j} ", str(j + 1)])
+        line = label if not rows and rng.random() < 0.3 else f"{label}:" + " ".join(rows)
+        if rng.random() < 0.1:
+            line = line.replace(str(rng.randint(1, n)), chr(0xFF10 + rng.randint(0, 9)), 1)
+        if rng.random() < 0.1:
+            line += f" {rng.choice([0, n + 1])}"
+        lines.append(line)
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "  ", "\t"]))
+    text = rng.choice(["\n", "\r\n", "\r"]).join(lines)
+    return "\ufeff" + text if rng.random() < 0.05 else text
+
+
+def test_parse_diagram_matches_the_reference():
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            d = rothe_diagram(w)
+            assert parse_diagram(str(d)) == diagram_reference.parse_diagram(str(d)) == d
+    # a row out of range and a later wrong label: the label is reported, as before
+    for text in ("1: 5\n3: 1", "1: 0\n2:\n4:", "1: 1 9 1\n1:"):
+        assert _parsed(parse_diagram, text) == _parsed(diagram_reference.parse_diagram, text)
+        assert "expected column label" in _parsed(parse_diagram, text)
+    rng = random.Random(7919)
+    seen = set()
+    for _ in range(2000):
+        text = _odd_diagram_text(rng)
+        got = _parsed(parse_diagram, text)
+        assert got == _parsed(diagram_reference.parse_diagram, text), text
+        seen.add(got.split(" ")[1] if isinstance(got, str) else "Diagram")
+    assert seen == {"Diagram", "expected", "bad", "row"}
 
 
 def test_diagram_text_round_trip():
