@@ -21,14 +21,20 @@ from itertools import combinations
 
 from zeroone.perms import all_permutations
 from zeroone.poly import _all_packed
-from zeroone.weyl import _pattern_inequality
+from zeroone.weyl import _pattern_inequalities
 
 TABLE = dict(_all_packed(0))  # packed S_w by one-line entries; main adds S_n before it sweeps S_n
 
 
-def schubert_pattern_inequality(w, positions):
-    """`zeroone.weyl.schubert_pattern_inequality`, reading S_w and S_sigma from TABLE."""
-    return _pattern_inequality(w, positions, lambda v: TABLE[v.entries])
+def position_sets(n):
+    """Every increasing set of positions in [n], the empty and the full set included."""
+    return [p for m in range(n + 1) for p in combinations(range(1, n + 1), m)]
+
+
+def schubert_pattern_inequalities(w, sets):
+    """`zeroone.weyl.schubert_pattern_inequality(w, P)` for each P of sets in
+    turn, reading S_w and S_sigma from TABLE."""
+    return _pattern_inequalities(w, sets, lambda v: TABLE[v.entries])
 
 
 def main():
@@ -41,13 +47,13 @@ def main():
         t0 = time.perf_counter()
         TABLE.update(_all_packed(n))
         pairs = failures = 0
+        sets = position_sets(n)
         for w in all_permutations(n):
-            for m in range(n + 1):
-                for positions in combinations(range(1, n + 1), m):
-                    pairs += 1
-                    if not schubert_pattern_inequality(w, positions):
-                        failures += 1
-                        print(f"n={n}: fails at w={w} positions={positions}", file=sys.stderr)
+            for positions, holds in zip(sets, schubert_pattern_inequalities(w, sets)):
+                pairs += 1
+                if not holds:
+                    failures += 1
+                    print(f"n={n}: fails at w={w} positions={positions}", file=sys.stderr)
         dt = time.perf_counter() - t0
         print(f"n={n}: {pairs} occurrences, {failures} failures  ({dt:.2f}s)", flush=True)
         failed = failed or failures > 0

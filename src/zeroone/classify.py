@@ -17,8 +17,8 @@ from operator import or_
 from typing import Iterator, Optional
 
 from .perms import Permutation, first_pattern, rothe_rows
-from .poly import _all_packed, is_zero_one, schubert_classic
-from .orthodontia import _StateTable, is_multiplicity_free
+from .poly import _all_packed, _zero_one, is_zero_one, schubert_classic
+from .orthodontia import _layout, _rest, _StateTable, is_multiplicity_free
 
 __all__ = [
     "MULTIPLICITOUS_PATTERNS",
@@ -273,9 +273,8 @@ def _avoider_class(n: int) -> set[bytes]:
 
 def _survey_context(n: int):
     """What a survey of S_n builds once per process for `_survey_votes`: n, the
-    deletion tables, the avoiders of S_{n-1}, the state table and the memo of
-    column spreads, filled as rows turn up rather than for all 2^n masks."""
-    return n, _deletion_tables(n), _avoider_class(n - 1), _StateTable(n), {}
+    deletion tables, the avoiders of S_{n-1} and the state table."""
+    return n, _deletion_tables(n), _avoider_class(n - 1), _StateTable(n)
 
 
 def _survey_votes(context, first: Optional[int] = None):
@@ -290,16 +289,17 @@ def _survey_votes(context, first: Optional[int] = None):
     O(1) big-integer work for the row it adds:
     - the configuration vote ORs in the columns the row leaves pending
       (`_pending`) and falls at the first later box in one of them;
-    - the state key, in `_StateTable._key`'s layout, adds the row's spread
-      (bit d in each open column below v) and then empties column v, which
-      is complete, if it is a nonzero interval mask.
-    Each leaf runs the sieve on its entries and looks its key up.
+    - the state key, packed as `_StateTable` keys are (`orthodontia._layout`),
+      gains the row: one multiply spreads its bit c to bit d of column c+1.
+    Each leaf runs the sieve on its entries and looks its key up once
+    `orthodontia._rest` has emptied the interval columns.
     """
-    n, tables, below, states, spread = context
+    n, tables, below, states = context
     if not n:
         yield b"", (_sieve_avoids(b"", below, tables), True, states.vote(0))
         return
     field, last, top = (1 << n) - 1, n - 1, n + 1
+    ones, rows, gather = _layout(n)
     singles = [bytes((v,)) for v in range(top)]
     entries = bytearray(n)
     # one frame per depth: the values to try there, then the prefix state above
@@ -320,23 +320,17 @@ def _survey_votes(context, first: Optional[int] = None):
             avail ^= bit
             row = avail & bit - 1
             if row:
-                grow = spread.get(row)
-                if grow is None:
-                    grow = spread[row] = sum(1 << n * c for c in range(n) if row >> c & 1)
-                key += grow << d
+                key += (row * gather & ones) << d
                 if pending is not None:
                     if row & pending:
                         pending = None
                     else:
                         a, b, b_prime = _pending(row, least, second)
                         pending |= a | b | b_prime
-            shift = n * (v - 1)
-            done = key >> shift & field
-            if not done & done + 1:
-                key ^= done << shift
             if d == last:
                 e = bytes(entries)
-                yield e, (_sieve_avoids(e, below, tables), pending is not None, states.vote(key))
+                rest = _rest(key, 0, ones, rows, n)
+                yield e, (_sieve_avoids(e, below, tables), pending is not None, states.vote(rest))
                 break
             if d + 1 == last:  # row n is empty, so least and second no longer matter
                 d, v = last, avail.bit_length()
@@ -435,7 +429,7 @@ def survey(
     pool_size = _pool_size(workers, n)
     if methods == "all":
         # the expansion votes by entries, from the packed coefficients
-        expansion = {bytes(e): all(c == 1 for c in terms.values()) for e, terms in _all_packed(n)}
+        expansion = {bytes(e): _zero_one(terms) for e, terms in _all_packed(n)}
         zero_one, disagreements, total, first = _tally(
             (e, (expansion[e], *vote)) for e, vote in _survey_votes(_survey_context(n))
         )

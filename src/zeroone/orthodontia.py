@@ -7,12 +7,13 @@ i+1 present), rows i and i+1 are swapped everywhere, and the interval
 columns [i] so created are counted (the m's) and emptied.  Columns keep
 their original index throughout; emptied columns simply become empty.
 
-One engine, `_engine`, runs the straightening on column bitmasks (bit p =
-row p+1) taken straight from one-line entries.  It swaps rows in place in
-one list and yields each step's letter, impact (a column bitmask) and that
-list: `orthodontic_sequence` snapshots every stage, `is_multiplicity_free`
-compares impact masks and stops at the first bad repeated letter, and the
-survey's `_StateTable` steps each distinct state once.
+One engine, `_engine`, runs the straightening on one packed int, n + 1
+bits a column (see `_layout`), so that a step swaps two rows in every
+column with a few big-int operations (Knuth, TAOCP 4A, 7.1.3).  It yields
+each step's letter, impact (a column bitmask) and packed stage, before and
+after its interval columns are emptied: `orthodontic_sequence` keeps every
+stage, `is_multiplicity_free` compares impact masks and stops at the first
+bad repeated letter, and the survey's `_StateTable` steps each state once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Diagram, Permutation, mask_rows, rothe_masks
+from .perms import Diagram, Permutation, mask_rows, rothe_rows
 from .poly import Polynomial, _omega, _packed_dd, _x
 
 __all__ = [
@@ -33,44 +34,71 @@ __all__ = [
 
 
 @lru_cache(maxsize=64)
-def _intervals(n: int) -> frozenset[int]:
-    """The masks of the interval columns [1], ..., [n] (rows 1..j)."""
-    return frozenset((1 << j) - 1 for j in range(1, n + 1))
+def _layout(n: int) -> tuple[int, int, int]:
+    """(ones, rows, gather) of the packed layout of n columns.  Column j is the
+    field at bit (j-1)(n+1), bit p of it is row p+1, and its top bit is a guard
+    that stays 0, so adding up to 2^n - 1 to every field carries into no other.
+    ones is bit 0 of every field, rows every row bit, and gather = sum 2^(tn),
+    t < n: times gather, bit c of a mask reaches bit c(n+1) (t = c), bit 0 of
+    field c reaches bit n(n-1) + c (t = n-1-c), and no two products overlap."""
+    ones = sum(1 << j * (n + 1) for j in range(n))
+    return ones, ones * ((1 << n) - 1), sum(1 << t * n for t in range(n))
 
 
-def _engine(masks: list[int]):
-    """Run the straightening on column masks, yielding one step at a time.
+def _rothe_key(w: Permutation) -> int:
+    """D(w) packed: times gather, the mask of row d+1 spreads to bit d of its columns."""
+    ones, _, gather = _layout(w.n)
+    return sum((row * gather & ones) << d for d, row in enumerate(rothe_rows(w.entries)))
 
-    Step r is (i_r, impact, work).  work is the engine's own list of column
-    masks after the first r row swaps, before the interval columns created
-    by swap r are emptied; it changes once the next step is requested.
-    impact has bit j-1 set iff column j holds a box in row i_r + 1 when swap
-    r executes.  Step 0 is (0, 0, input).
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    """The n column masks of a packed key."""
+    return tuple(key >> j * (n + 1) & (1 << n) - 1 for j in range(n))
+
+
+def _rest(key: int, i: int, ones: int, rows: int, n: int) -> int:
+    """key with its interval columns emptied; after swap i (i > 0) each must be [i].
+    f & (f + 1) is 0 just for f empty or an interval, and adding 2^n - 1 sets
+    the guard bit of each field where it is not 0; an interval holds row 1."""
+    columns = key & ones & ~((key & key + ones) + rows >> n)  # bit 0 of each
+    if not columns:
+        return key
+    rest = key & ~(columns * ((1 << n) - 1))
+    if i and key ^ rest != columns * ((1 << i) - 1):
+        raise AssertionError("unexpected interval column during straightening")
+    return rest
+
+
+def _impact(columns: int, gather: int, n: int) -> int:
+    """The columns flagged by bit 0 in columns, gathered into an n-bit mask."""
+    return columns * gather >> n * (n - 1) & (1 << n) - 1
+
+
+def _engine(key: int, n: int):
+    """Run the straightening on a packed diagram of n columns, one step at a time.
+
+    Step r is (i_r, impact, stage, rest): stage follows the first r row swaps,
+    and rest, the state step r + 1 starts from, is stage with the interval
+    columns emptied.  impact has bit j-1 set iff column j holds a box in row
+    i_r + 1 when swap r executes.  Step 0 is (0, 0, input, rest).
     """
-    intervals = _intervals(len(masks))
-    work = list(masks)
-    yield 0, 0, work
-    work[:] = [0 if mask in intervals else mask for mask in work]
-    while first := next(filter(None, work), 0):
-        teeth = ~first & (first >> 1)
+    ones, rows, gather = _layout(n)
+    field, width, i, impact = (1 << n) - 1, n + 1, 0, 0
+    while True:
+        rest = _rest(key, i, ones, rows, n)
+        yield i, impact, key, rest
+        if not rest:
+            return
+        key = rest
+        shift = (key & -key).bit_length() - 1
+        first = key >> shift - shift % width & field  # the leftmost nonempty column
+        teeth = ~first & first >> 1
         if teeth == 0:
             raise AssertionError("leftmost nonempty column has no missing tooth")
-        low = teeth & -teeth  # the bit of row i_r, the smallest missing tooth
-        flip, high = 3 * low, 2 * low
-        impact = 0
-        for j in range(work.index(first), len(work)):  # the columns left of first are empty
-            pair = work[j] & flip
-            if pair:
-                if pair != flip:
-                    work[j] ^= flip
-                if pair & high:
-                    impact |= 1 << j
-        yield low.bit_length(), impact, work
-        if not intervals.isdisjoint(work):  # empty the interval columns [i_r]
-            target = 2 * low - 1
-            work[:] = [0 if mask == target else mask for mask in work]
-            if not intervals.isdisjoint(work):
-                raise AssertionError("unexpected interval column during straightening")
+        i = (teeth & -teeth).bit_length()  # the smallest missing tooth
+        lo, hi = key & ones << i - 1, key & ones << i
+        key ^= lo ^ hi ^ lo << 1 ^ hi >> 1
+        impact = _impact(hi >> i, gather, n)
 
 
 def _repeat_ok(imp: int, other: int) -> bool:
@@ -78,11 +106,11 @@ def _repeat_ok(imp: int, other: int) -> bool:
     return imp == other and not imp & (imp - 1)
 
 
-def _walk_forward(masks: list[int]) -> bool:
-    """Multiplicity-freeness from column masks, stopping at the first bad repeat."""
+def _walk_forward(key: int, n: int) -> bool:
+    """Multiplicity-freeness from a packed diagram, stopping at the first bad repeat."""
     seen = {}
     # step 0 carries the letter 0, which never repeats
-    for letter, imp, _ in _engine(masks):
+    for letter, imp, _, _ in _engine(key, n):
         if letter not in seen:
             seen[letter] = imp
         elif not _repeat_ok(imp, seen[letter]):
@@ -93,45 +121,40 @@ def _walk_forward(masks: list[int]) -> bool:
 class _StateTable(dict):
     """The survey's multiplicity-free vote on S_n, stepping the engine once per state.
 
-    Keys pack column masks, interval columns emptied, n bits per column; emptied
-    columns keep their place, so impact bits name the same columns along a chain.
-    A value sums up the chain from its state to the empty diagram (key 0): n + 1
-    bits per letter i at offset (i-1)(n+1), a seen bit under i's impact mask, or
-    None once a repeat breaks `_repeat_ok`.  The survey builds each key prefix by
-    prefix and calls `vote`, which decodes the column masks only for a key it
-    lacks; it walks to a known state, then folds the new steps back in.  Once
-    CAP states are stored, a vote from an unknown state is `_walk_forward`, which
-    can stop at the first bad repeat.
+    Keys are packed diagrams in `_engine`'s layout, n + 1 bits per column
+    with a guard bit that stays 0, interval columns emptied; emptied columns
+    keep their place, so impact bits name the same columns along a chain.
+    A value sums up the chain from its state to the empty diagram (key 0):
+    n + 1 bits per letter i at offset (i-1)(n+1), a seen bit under i's
+    impact mask, or None once a repeat breaks `_repeat_ok`.  The survey
+    builds each key prefix by prefix and calls `vote`, which walks the
+    engine from a key it lacks to a known state, then folds the new steps
+    back in.  Once CAP states are stored, a vote from an unknown state is
+    `_walk_forward`, which can stop at the first bad repeat.
     """
 
     CAP = 1 << 18  # about 80 bytes a state; S_9 has 155739 states, S_10 more than CAP
 
     def __init__(self, n: int):
         super().__init__({0: 0})
-        self.n, self.intervals = n, _intervals(n)
-
-    def _key(self, masks: list[int]) -> int:
-        key, n, intervals = 0, self.n, self.intervals
-        for mask in reversed(masks):
-            key = key << n | (0 if mask in intervals else mask)
-        return key
+        self.n = n
 
     def vote(self, key: int) -> bool:
-        """The vote from a packed key; the column masks are decoded only if it is new."""
-        if key in self:
-            return self[key] is not None
+        """The vote from a packed key whose interval columns are empty."""
+        summary = self.get(key, -1)
+        if summary != -1:
+            return summary is not None
         n, walked = self.n, []
-        masks = [key >> shift & (1 << n) - 1 for shift in range(0, n * n, n)]
         if len(self) >= self.CAP:
-            return _walk_forward(masks)
-        steps = _engine(masks)
-        next(steps)  # later steps leave no interval column but [i_r], which _key empties
-        for letter, imp, work in steps:
+            return _walk_forward(key, n)
+        steps = _engine(key, n)
+        next(steps)  # key has no interval column, so step 0 leaves it as it is
+        for letter, imp, _, rest in steps:
             walked.append((key, letter, imp))
-            key = self._key(work)
+            key = rest
             if key in self:
                 break
-        summary, width = self[key], self.n + 1
+        summary, width = self[key], n + 1
         for key, letter, imp in reversed(walked):
             if summary is not None:
                 shift = (letter - 1) * width
@@ -152,7 +175,7 @@ class OrthodonticTrace:
     i: tuple[int, ...]
     k: tuple[int, ...]
     m: tuple[int, ...]
-    _stage_masks: tuple[tuple[int, ...], ...]
+    _stages: tuple[int, ...]  # packed as `_engine` packs them
 
     @property
     def length(self) -> int:
@@ -167,7 +190,7 @@ class OrthodonticTrace:
         """The intermediate diagram after the first r row swaps, with the
         original column indexing (emptied columns stay at their index)."""
         self._check_stage(r)
-        return Diagram._adopt(tuple(mask_rows(mask) for mask in self._stage_masks[r]))
+        return Diagram._adopt(tuple(map(mask_rows, _unpack(self._stages[r], len(self.k)))))
 
 
 def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
@@ -181,17 +204,17 @@ def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
     """
     if w.n > 255:
         raise ValueError("the orthodontic trace needs n <= 255, since it keeps every stage")
-    steps = [(letter, tuple(work)) for letter, _, work in _engine(rothe_masks(w))]
-    letters, stages = zip(*steps)
-    intervals, k = _intervals(w.n), [0] * w.n
-    for mask in stages[0]:
-        if mask in intervals:
-            k[mask.bit_length() - 1] += 1
+    n = w.n
+    letters, _, stages, rests = zip(*_engine(_rothe_key(w), n))
+    k = [0] * (n + 1)
+    for mask in _unpack(stages[0] ^ rests[0], n):  # stage 0's interval columns, 0 elsewhere
+        k[mask.bit_length()] += 1
     return OrthodonticTrace(
         i=letters[1:],
-        k=tuple(k),
-        m=tuple(stage.count((1 << i) - 1) for i, stage in zip(letters[1:], stages[1:])),
-        _stage_masks=stages,
+        k=tuple(k[1:]),
+        # stage ^ rest holds the m_r columns [i_r], i_r bits each
+        m=tuple((s ^ r).bit_count() // i for i, s, r in zip(letters[1:], stages[1:], rests[1:])),
+        _stages=stages,
     )
 
 
@@ -222,7 +245,7 @@ def is_multiplicity_free(w: Permutation) -> bool:
     """Every repeated letter of i must have all its impacts equal to one
     common singleton column.  The straightening stops at the first repeated
     letter that breaks this."""
-    return _walk_forward(rothe_masks(w))
+    return _walk_forward(_rothe_key(w), w.n)
 
 
 def schubert_orthodontic(w: Permutation) -> Polynomial:

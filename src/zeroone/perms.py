@@ -131,7 +131,7 @@ class Diagram:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"box {(i, j)} outside [{n}]x[{n}]")
             cols[j - 1].add(i)
-        return Diagram(tuple(tuple(sorted(c)) for c in cols))
+        return Diagram._adopt(tuple(tuple(sorted(c)) for c in cols))
 
     def __str__(self) -> str:
         cols = enumerate(self.columns, start=1)

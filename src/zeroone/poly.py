@@ -340,7 +340,12 @@ def schubert_all(n: int) -> Iterator[tuple[Permutation, Polynomial]]:
 
 # -- coefficient predicates -------------------------------------------
 
+def _zero_one(terms: dict[int, int]) -> bool:
+    """True iff every coefficient of packed terms is 1: the zero ones are not stored."""
+    return all(map((1).__eq__, terms.values()))
+
+
 def is_zero_one(f: Polynomial) -> bool:
     """True iff every coefficient is 0 or 1."""
-    return all(c == 1 for c in f._packed.values())
+    return _zero_one(f._packed)
 

@@ -322,14 +322,18 @@ def schubert_pattern_inequality(w: Permutation, positions: tuple[int, ...]) -> b
     (see `poly._lift`): S_w is at least c at each key of the product with
     coefficient c, and at least 0 at every other key; the coefficients of
     S_sigma are positive, so S_w >= 0 is checked once for all keys."""
-    return _pattern_inequality(w, positions, lambda v: schubert_classic(v)._packed)
+    return next(_pattern_inequalities(w, (positions,), lambda v: schubert_classic(v)._packed))
 
 
-def _pattern_inequality(w: Permutation, positions: tuple[int, ...], packed) -> bool:
-    """`schubert_pattern_inequality` with S_v read as packed(v), such as a sweep's table."""
-    sigma = pattern_at(w, positions)
+def _pattern_inequalities(w: Permutation, position_sets, packed):
+    """`schubert_pattern_inequality(w, P)` for each P of position_sets in turn, S_v
+    read as packed(v), such as a sweep's table; S_w and D(w)'s rows are read once."""
     f = packed(w)
-    m_key = _deleted_weight(rothe_rows(w.entries), sum(1 << p - 1 for p in positions),
-                            sum(1 << w[p] - 1 for p in positions))
-    lifted = _lift(packed(sigma), positions, m_key)
-    return min(f.values()) >= 0 and all(f.get(key, 0) >= c for key, c in lifted.items())
+    nonnegative = min(f.values()) >= 0
+    rows = rothe_rows(w.entries)
+    for positions in position_sets:
+        sigma = pattern_at(w, positions)
+        m_key = _deleted_weight(rows, sum(1 << p - 1 for p in positions),
+                                sum(1 << w[p] - 1 for p in positions))
+        lifted = _lift(packed(sigma), positions, m_key)
+        yield nonnegative and all(f.get(key, 0) >= c for key, c in lifted.items())

@@ -1,7 +1,7 @@
 import pytest
 
 from zeroone.poly import Polynomial, _all_packed, schubert_all
-from zeroone.weyl import _pattern_inequality
+from zeroone.weyl import _pattern_inequalities
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +27,8 @@ def schubert_table_7(schubert_packed):
 
 
 @pytest.fixture(scope="session")
-def pattern_inequality(schubert_packed):
-    """`schubert_pattern_inequality(w, positions)`, reading S_w and S_sigma from the table."""
-    return lambda w, positions: _pattern_inequality(w, positions,
-                                                    lambda v: schubert_packed[v.entries])
+def pattern_inequalities(schubert_packed):
+    """`schubert_pattern_inequality(w, P)` for each P of position_sets in turn,
+    reading S_w and S_sigma from the table."""
+    return lambda w, position_sets: _pattern_inequalities(w, position_sets,
+                                                          lambda v: schubert_packed[v.entries])

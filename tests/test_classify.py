@@ -22,7 +22,7 @@ from zeroone.classify import (
     _survey_context,
     _survey_votes,
 )
-from zeroone.orthodontia import _StateTable, _engine, is_multiplicity_free
+from zeroone.orthodontia import _StateTable, _engine, _rothe_key, is_multiplicity_free
 from zeroone.perms import (
     Permutation,
     all_permutations,
@@ -30,10 +30,10 @@ from zeroone.perms import (
     one_step_pattern,
     parse_permutation,
     rothe_diagram,
-    rothe_masks,
 )
 
 from pattern_scan import scan_table
+from straightening import emptied, straighten
 
 
 def test_twelve_patterns_listed():
@@ -145,10 +145,15 @@ def test_configuration_scanner_matches_definition_beyond_S7():
     assert kinds == {"A", "B", "B'", None}
 
 
+def state_key(w):
+    """The state table's key of D(w): the packed diagram, interval columns emptied."""
+    return next(_engine(_rothe_key(w), w.n))[3]
+
+
 def multiplicity_free_by_definition(w):
     """Every letter that repeats in i has all its impacts equal to one singleton
     column; the letters and impact columns are read off the engine's steps."""
-    steps = [(a, frozenset(mask_rows(imp))) for a, imp, _ in _engine(rothe_masks(w))][1:]
+    steps = [(a, frozenset(mask_rows(imp))) for a, imp, _, _ in _engine(_rothe_key(w), w.n)][1:]
     letters = [a for a, _ in steps]
     for letter in set(letters):
         impacts = {imp for a, imp in steps if a == letter}
@@ -166,7 +171,7 @@ def test_multfree_early_exit_matches_trace_and_patterns():
         for w in all_permutations(n):
             free = is_multiplicity_free(w)
             assert free == multiplicity_free_by_definition(w), w
-            assert states.vote(states._key(rothe_masks(w))) == free, w
+            assert states.vote(state_key(w)) == free, w
             if witnesses is not None:
                 assert free == (witnesses[w] is None), w
 
@@ -299,8 +304,7 @@ def test_survey_odometer_looks_up_the_state_keys(monkeypatch):
     for n in range(1, 8):
         keys.clear()
         perms = [e for e, _ in _survey_votes(_survey_context(n))]
-        reference = _StateTable(n)
-        assert keys == [reference._key(rothe_masks(Permutation(tuple(e)))) for e in perms]
+        assert keys == [state_key(Permutation(tuple(e))) for e in perms]
 
 
 def test_survey_pool_clamped(monkeypatch):
@@ -402,8 +406,8 @@ def test_survey_steps_each_state_once(monkeypatch):
 
     real, letters = orthodontia_mod._engine, []
 
-    def counted(masks):
-        for step in real(masks):
+    def counted(key, n):
+        for step in real(key, n):
             letters.append(step[0])
             yield step
 
@@ -435,6 +439,49 @@ def test_survey_state_table_cap(monkeypatch):
         for methods, summary in uncapped.items():
             assert survey(6, methods=methods) == summary
         assert [len(t) for t in tables] == [cap, cap]
+
+
+def reference_state_table(n):
+    """The state table of S_n from the reference straightening: every state of
+    every D(w) (a stage with its interval columns emptied, packed n + 1 bits a
+    column) with the summary of the chain from it to the empty diagram, or
+    None if a letter repeats in that chain with impacts not all one column."""
+    width, table = n + 1, {0: 0}
+
+    def pack(cols):
+        return sum(sum(1 << r - 1 for r in col) << j * width for j, col in enumerate(cols))
+
+    for w in all_permutations(n):
+        steps = straighten(w)
+        for r, (_, _, stage) in enumerate(steps):
+            chain = [(a, imp) for a, imp, _ in steps[r + 1:]]
+            summary = 0
+            for a in {a for a, _ in chain}:
+                impacts = {imp for b, imp in chain if b == a}
+                (imp, *others) = impacts
+                if others or (len(imp) > 1 and [b for b, _ in chain].count(a) > 1):
+                    summary = None
+                    break
+                summary |= (sum(1 << c - 1 for c in imp) << 1 | 1) << (a - 1) * width
+            table[pack(emptied(stage))] = summary
+    return table
+
+
+def test_survey_state_table_matches_the_reference(monkeypatch):
+    import zeroone.classify as classify_mod
+
+    tables = []
+
+    class Kept(_StateTable):
+        def __init__(self, n):
+            super().__init__(n)
+            tables.append(self)
+
+    monkeypatch.setattr(classify_mod, "_StateTable", Kept)
+    for n in range(1, 8):
+        tables.clear()
+        survey(n)
+        assert tables[0] == reference_state_table(n), n
 
 
 def test_survey_all_methods_small():

@@ -6,6 +6,11 @@ import pytest
 
 from zeroone.orthodontia import (
     _engine,
+    _impact,
+    _layout,
+    _rest,
+    _rothe_key,
+    _unpack,
     build_D_im,
     is_multiplicity_free,
     orthodontic_sequence,
@@ -23,7 +28,7 @@ from zeroone.perms import (
 from zeroone.poly import Polynomial, is_zero_one, schubert_classic
 
 from diagram_lemma import has_northwest_property
-from straightening import straighten
+from straightening import emptied, straighten
 
 
 def test_sequence_paper_example():
@@ -66,12 +71,71 @@ def test_stage_northwest_property():
             assert has_northwest_property(tr.stage(r))
 
 
+def pack(masks):
+    """Column masks packed n + 1 bits a column, n = len(masks)."""
+    return sum(mask << j * (len(masks) + 1) for j, mask in enumerate(masks))
+
+
 def engine_steps(w):
-    """The engine's steps on w, with impacts and stages as sets of indices."""
-    return [
-        (letter, frozenset(mask_rows(imp)), tuple(frozenset(mask_rows(mask)) for mask in work))
-        for letter, imp, work in _engine(rothe_masks(w))
-    ]
+    """The engine's steps on w, with impacts and stages as sets of indices.
+
+    Every packed stage keeps its guard bits 0, and every rest is its stage
+    with the interval columns emptied.
+    """
+    n, steps = w.n, []
+    guards = _layout(n)[0] << n
+    key = _rothe_key(w)
+    assert key == pack(rothe_masks(w)), w
+    for letter, imp, stage, rest in _engine(key, n):
+        assert not (stage | rest) & guards, (w, letter)
+        cols = tuple(frozenset(mask_rows(mask)) for mask in _unpack(stage, n))
+        assert [set(mask_rows(mask)) for mask in _unpack(rest, n)] == emptied(cols), (w, letter)
+        steps.append((letter, frozenset(mask_rows(imp)), cols))
+    return steps
+
+
+def is_interval(mask):
+    """Is the column mask a nonempty interval [j], rows 1..j?"""
+    return bool(mask) and mask_rows(mask) == tuple(range(1, len(mask_rows(mask)) + 1))
+
+
+def check_field_helpers(masks):
+    """The field helpers on the packed masks against their per-column definitions."""
+    n = len(masks)
+    ones, rows, gather = _layout(n)
+    key = pack(masks)
+    assert _unpack(key, n) == tuple(masks)
+    intervals = [m for m in masks if is_interval(m)]
+    cleared = tuple(0 if m in intervals else m for m in masks)
+    assert _unpack(_rest(key, 0, ones, rows, n), n) == cleared, masks
+    for i in range(1, n + 1):
+        if all(m == (1 << i) - 1 for m in intervals):
+            assert _unpack(_rest(key, i, ones, rows, n), n) == cleared, (masks, i)
+        else:
+            with pytest.raises(AssertionError, match="unexpected interval column"):
+                _rest(key, i, ones, rows, n)
+    # bit 0 of the fields of the interval columns, and of the columns that hold row n
+    flags = sum(1 << j * (n + 1) for j, m in enumerate(masks) if m in intervals)
+    assert _impact(flags, gather, n) == sum(1 << j for j, m in enumerate(masks) if m in intervals)
+    top = key >> n - 1 & ones
+    assert _impact(top, gather, n) == sum(1 << j for j, m in enumerate(masks) if n in mask_rows(m))
+
+
+def test_field_helpers_match_per_column_definitions():
+    rng = random.Random(34)
+    # every column mask in every column position, beside empty and seeded columns
+    for n in range(1, 7):
+        for j in range(n):
+            for mask in range(1 << n):
+                for others in ([0] * n, [rng.randrange(1 << n) for _ in range(n)]):
+                    check_field_helpers(others[:j] + [mask] + others[j + 1:])
+    # seeded keys: each column empty, an interval, one interval from size i, or any mask
+    for n in range(7, 41):
+        for _ in range(20):
+            i = rng.randrange(1, n + 1)
+            masks = [rng.choice((0, (1 << i) - 1, (1 << rng.randrange(1, n + 1)) - 1,
+                                 rng.randrange(1 << n))) for _ in range(n)]
+            check_field_helpers(masks)
 
 
 def reference_k_m(steps, n):

@@ -72,6 +72,28 @@ def test_adopted_diagram_equals_validated(monkeypatch):
     assert sites == 34722
 
 
+def test_from_boxes_equals_validated():
+    # each box once, in a seeded order, and each box twice
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            d = rothe_diagram(w)
+            boxes = list(d.boxes())
+            rng.shuffle(boxes)
+            for built in (Diagram.from_boxes(n, boxes), Diagram.from_boxes(n, boxes + boxes[::-1])):
+                validated = Diagram(d.columns)
+                assert built == validated and hash(built) == hash(validated), w
+                assert type(built.columns) is tuple and all(type(c) is tuple for c in built.columns)
+    # rows up to 40, whose sets need not iterate in sorted order
+    for _ in range(50):
+        boxes = [(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(rng.randint(0, 300))]
+        columns = tuple(tuple(i for i, j in boxes if j == c) for c in range(1, 41))
+        assert Diagram.from_boxes(40, boxes).columns == Diagram(columns).columns
+    for box in ((0, 1), (1, 0), (4, 1), (1, 4), (-1, 2)):
+        with pytest.raises(ValueError, match=rf"box \({box[0]}, {box[1]}\) outside \[3\]x\[3\]"):
+            Diagram.from_boxes(3, [(1, 1), box])
+
+
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))

@@ -56,7 +56,8 @@ def test_pattern_dominance_script_fails_on_a_failure(monkeypatch, capsys):
     spec.loader.exec_module(script)
     monkeypatch.setattr(sys, "argv", ["pattern_dominance.py", "--max-n", "3"])
     assert script.main() == 0
-    monkeypatch.setattr(script, "schubert_pattern_inequality", lambda w, positions: positions != (1,))
+    monkeypatch.setattr(script, "schubert_pattern_inequalities",
+                        lambda w, sets: (positions != (1,) for positions in sets))
     assert script.main() == 1
     out, err = capsys.readouterr()
     assert "n=2: 8 occurrences, 2 failures" in out

@@ -6,14 +6,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from zeroone.orthodontia import _engine, is_multiplicity_free, orthodontic_sequence
+from zeroone.orthodontia import _engine, _rothe_key, is_multiplicity_free, orthodontic_sequence
 from zeroone.perms import (
     Permutation,
     all_permutations,
     format_word,
     mask_rows,
     parse_permutation,
-    rothe_masks,
 )
 from zeroone.poly import Polynomial, schubert_classic
 from zeroone.tableaux import (
@@ -270,7 +269,7 @@ def test_root_operators_touch_only_the_impact_column():
         if not pairs:
             continue
         stages = [tableaux_stage(tr, r) for r in range(tr.length + 1)]
-        impacts = [mask_rows(imp) for _, imp, _ in _engine(rothe_masks(w))]
+        impacts = [mask_rows(imp) for _, imp, _, _ in _engine(_rothe_key(w), w.n)]
         for r, s in pairs:
             (c,) = impacts[r]
             for j in range(r, s + 1):

@@ -425,7 +425,7 @@ def test_schubert_pattern_inequality_examples():
             schubert_pattern_inequality(w, bad)
 
 
-def test_table_inequality_matches_the_classic_route(schubert_packed, pattern_inequality):
+def test_table_inequality_matches_the_classic_route(schubert_packed, pattern_inequalities):
     # criteria 6 and 10 read S_w and S_sigma from the session table of S_0..S_7
     rng = random.Random(7919)
     for _ in range(300):
@@ -434,11 +434,11 @@ def test_table_inequality_matches_the_classic_route(schubert_packed, pattern_ine
         positions = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
         for v in (w, pattern_at(w, positions)):
             assert schubert_packed[v.entries] == schubert_classic(v)._packed, v
-        assert pattern_inequality(w, positions) == schubert_pattern_inequality(w, positions)
-        # the check reads S_sigma from the lookup: with S_() read as 2 it must fail,
-        # since S_w has coefficient 1 at M, the weight of all of D(w)
+        assert [*pattern_inequalities(w, [positions])] == [schubert_pattern_inequality(w, positions)]
+        # the check reads S_sigma from the lookup for each P: with S_() read as 2 it
+        # must fail at P = (), since S_w has coefficient 1 at M, the weight of all of D(w)
         two = lambda v: schubert_packed[v.entries] if v.n else {0: 2}
-        assert not weyl._pattern_inequality(w, (), two), w
+        assert [*weyl._pattern_inequalities(w, [(), positions], two)] == [False, positions != ()], w
 
 
 def _mask(indices):
