@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Re-run the mutation claims: every mutant in MUTANTS must fail its tests.
+
+A row names a file under src/, an exact text that occurs once in it, the
+text that replaces it, and the test ids that must fail on the result.  The
+named tests first run once on an unmutated copy of src/, where they must
+pass.  Then, one row at a time, the script copies src/ to a temporary
+directory, applies the row's one replacement, and runs the row's tests with
+-x in one pytest subprocess whose PYTHONPATH is the copy.  It prints killed
+or survived per row and exits 1 if a mutant survives or a run goes wrong.
+The test suite checks only that each row's old text occurs once.
+
+Example:
+    python scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+SCHUBERT_M = "m_key = weight - sum((rows[p - 1] & cols).bit_count() * _x(p) for p in positions)"
+EXAMPLES = "tests/test_weyl.py::test_schubert_pattern_inequality_examples"
+
+MUTANTS = (
+    Mutant("M := 0 at the Schubert level", "zeroone/weyl.py", SCHUBERT_M, "m_key = 0",
+           (EXAMPLES,)),
+    Mutant("M without the kept boxes subtracted", "zeroone/weyl.py", SCHUBERT_M,
+           "m_key = weight", (EXAMPLES,)),
+    Mutant("kept boxes read from row p + 1", "zeroone/weyl.py", "(rows[p - 1] & cols)",
+           "(rows[p] & cols)", (EXAMPLES,)),
+    Mutant("kept columns P instead of w(P)", "zeroone/weyl.py",
+           "cols = sum(1 << w[p] - 1 for p in positions)",
+           "cols = sum(1 << p - 1 for p in positions)", (EXAMPLES,)),
+    Mutant("dominance M counts box (k, l) twice", "zeroone/weyl.py",
+           "for i in d.columns[l - 1] if i != k)", "for i in d.columns[l - 1])",
+           ("tests/test_weyl.py::test_deleted_weight_counts_the_hook",)),
+    Mutant("impact shifted one bit off", "zeroone/orthodontia.py",
+           ">> n * (n - 1) & field", ">> n * (n - 1) + 1 & field",
+           ("tests/test_orthodontia.py::test_engine_matches_reference_straightening",)),
+    Mutant("rothe_diagram reads w's rows as its columns", "zeroone/perms.py",
+           "rothe_rows(w.inverse().entries)", "rothe_rows(w.entries)",
+           ("tests/test_perms.py::test_rothe_diagram_transposes_rothe_rows",)),
+)
+
+
+def run_tests(tests, mutant=None) -> int:
+    """pytest's exit code for tests on a copy of src/ with mutant applied, if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant:
+            target = src / mutant.path
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                raise SystemExit(f"{mutant.name}: the old text does not occur once")
+            target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+        return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True).returncode
+
+
+def main():
+    named = sorted({t for mutant in MUTANTS for t in mutant.tests})
+    if code := run_tests(named):
+        print(f"the named tests fail on unmutated src/ (pytest exit {code})")
+        return 1
+    bad = 0
+    for mutant in MUTANTS:
+        code = run_tests(mutant.tests, mutant)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+        print(f"{verdict:10} {mutant.name}", flush=True)
+        bad += code != 1
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,7 @@ covers S_1..S_6 (50362 pairs); this script takes S_7 and up.
 
 Example:
     python scripts/pattern_dominance.py --max-n 6
-    python scripts/pattern_dominance.py --max-n 7    # 645120 pairs at n = 7, about 7.5 s
+    python scripts/pattern_dominance.py --max-n 7    # 645120 pairs at n = 7, 7 to 8.5 s
 """
 
 import argparse

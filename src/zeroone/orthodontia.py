@@ -69,11 +69,6 @@ def _rest(key: int, i: int, ones: int, rows: int, n: int) -> int:
     return rest
 
 
-def _impact(columns: int, gather: int, n: int) -> int:
-    """The columns flagged by bit 0 in columns, gathered into an n-bit mask."""
-    return columns * gather >> n * (n - 1) & (1 << n) - 1
-
-
 def _engine(key: int, n: int):
     """Run the straightening on a packed diagram of n columns, one step at a time.
 
@@ -98,7 +93,7 @@ def _engine(key: int, n: int):
         i = (teeth & -teeth).bit_length()  # the smallest missing tooth
         lo, hi = key & ones << i - 1, key & ones << i
         key ^= lo ^ hi ^ lo << 1 ^ hi >> 1
-        impact = _impact(hi >> i, gather, n)
+        impact = (hi >> i) * gather >> n * (n - 1) & field  # columns that held row i + 1
 
 
 def _repeat_ok(imp: int, other: int) -> bool:

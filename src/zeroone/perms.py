@@ -17,7 +17,6 @@ __all__ = [
     "Permutation",
     "Diagram",
     "rothe_diagram",
-    "rothe_masks",
     "rothe_rows",
     "mask_rows",
     "first_pattern",
@@ -179,23 +178,15 @@ def rothe_rows(entries: tuple[int, ...]) -> list[int]:
     return rows
 
 
-def rothe_masks(w: Permutation) -> list[int]:
-    """Columns of the inversion diagram of w, as bitmasks.
-
-    Bit i-1 of mask j-1 is set iff box (i, j) is present.  D(w) is the
-    transpose of D(w^-1), so these are the rows of the inverse's diagram.
-    """
-    return rothe_rows(w.inverse().entries)
-
-
 def mask_rows(mask: int) -> tuple[int, ...]:
     """The rows of a column bitmask (bit i-1 = row i), ascending."""
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def rothe_diagram(w: Permutation) -> Diagram:
-    """Inversion diagram of w: box (i, j) present iff i < (w^-1)_j and j < w_i."""
-    return Diagram._adopt(tuple(mask_rows(mask) for mask in rothe_masks(w)))
+    """Inversion diagram of w: box (i, j) present iff i < (w^-1)_j and j < w_i.
+    D(w) is the transpose of D(w^-1), so its columns are the inverse's rows."""
+    return Diagram._adopt(tuple(map(mask_rows, rothe_rows(w.inverse().entries))))
 
 
 @lru_cache(maxsize=64)

@@ -13,7 +13,7 @@ box in row k.  Deleting row k and renumbering the rows below it keeps their
 order, so these C are the C' <= D' of the minor diagram D' (row k and column
 l deleted) in the (n-1) frame, and Y without row and column k is the generic
 upper-triangular (n-1)-matrix: every minor and every rank is unchanged.
-Both dominance levels take M from one packed deleted-box weight.
+Each dominance level reads M, the deleted boxes' weight, off its own diagram.
 """
 
 from __future__ import annotations
@@ -267,13 +267,6 @@ class DominanceResult:
     ok: bool
 
 
-def _deleted_weight(rows: list[int], kept_rows: int, kept_cols: int) -> int:
-    """Packed weight of the boxes in a deleted row or column, each once: bit j-1 of
-    rows[i-1] is box (i, j), bit i-1 of kept_rows keeps row i, bit j-1 of kept_cols column j."""
-    return sum((row & ~kept_cols if kept_rows >> i - 1 & 1 else row).bit_count() * _x(i)
-               for i, row in enumerate(rows, start=1))
-
-
 def pattern_dominance_check(
     d: Diagram, k: int, l: int, limit: int | None = None
 ) -> DominanceResult:
@@ -296,11 +289,8 @@ def pattern_dominance_check(
     d_minor = Diagram._adopt(tuple(tuple(i - (i > k) for i in col if i != k)
                                    for j, col in enumerate(d.columns, 1) if j != l))
     chi_minor = dual_character(d_minor, limit=limit)._packed
-    rows = [0] * d.n
-    for j, col in enumerate(d.columns):
-        for i in col:
-            rows[i - 1] |= 1 << j
-    m_key = _deleted_weight(rows, ~(1 << k - 1), ~(1 << l - 1))  # all but row k, column l
+    m_key = sum(k in col for col in d.columns) * _x(k)
+    m_key += sum(_x(i) for i in d.columns[l - 1] if i != k)
     low, up = _x(k) - 1, _x(2)  # the fields of x_k..x_{n-1} move up one, x_k's reads 0
     remainder = dict(chi._packed)  # the shared character stays as it is
     ok = True
@@ -331,9 +321,12 @@ def _pattern_inequalities(w: Permutation, position_sets, packed):
     f = packed(w)
     nonnegative = min(f.values()) >= 0
     rows = rothe_rows(w.entries)
+    weight = sum(row.bit_count() * _x(i) for i, row in enumerate(rows, start=1))
     for positions in position_sets:
         sigma = pattern_at(w, positions)
-        m_key = _deleted_weight(rows, sum(1 << p - 1 for p in positions),
-                                sum(1 << w[p] - 1 for p in positions))
+        # the boxes in rows P and columns w(P) are D(sigma) reindexed, so M is D(w)'s weight
+        # less them; no field borrows, since a row's kept boxes are among its boxes
+        cols = sum(1 << w[p] - 1 for p in positions)
+        m_key = weight - sum((rows[p - 1] & cols).bit_count() * _x(p) for p in positions)
         lifted = _lift(packed(sigma), positions, m_key)
         yield nonnegative and all(f.get(key, 0) >= c for key, c in lifted.items())

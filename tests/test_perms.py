@@ -16,7 +16,6 @@ from zeroone.perms import (
     parse_permutation,
     pattern_at,
     rothe_diagram,
-    rothe_masks,
     rothe_rows,
 )
 from zeroone.orthodontia import build_D_im, orthodontic_sequence
@@ -166,14 +165,14 @@ def test_rothe_rows_match_definition():
                 assert rows[i - 1] == expected, (w, i)
 
 
-def test_rothe_masks_transpose_rothe_rows():
+def test_rothe_diagram_transposes_rothe_rows():
     for n in range(1, 8):
         for w in all_permutations(n):
             rows = rothe_rows(w.entries)
-            transpose = [
-                sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(n)
-            ]
-            assert rothe_masks(w) == transpose, w
+            transpose = tuple(
+                tuple(i for i, row in enumerate(rows, 1) if row >> j & 1) for j in range(n)
+            )
+            assert rothe_diagram(w).columns == transpose, w
 
 
 def test_northwest_of_rothe_small():

@@ -1,4 +1,5 @@
-"""The route-agreement, survey, dominance and digest scripts run end to end."""
+"""The route-agreement, survey, dominance and digest scripts run end to end,
+and the mutant table still applies."""
 
 import importlib.util
 import os
@@ -62,3 +63,18 @@ def test_pattern_dominance_script_fails_on_a_failure(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "n=2: 8 occurrences, 2 failures" in out
     assert "n=2: fails at w=12 positions=(1,)" in err
+
+
+def test_mutant_rows_apply_once():
+    # the full mutant run stays on request; this keeps its table from rotting
+    path = ROOT / "scripts" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.MUTANTS
+    for mutant in script.MUTANTS:
+        assert (ROOT / "src" / mutant.path).read_text().count(mutant.old) == 1, mutant.name
+        assert mutant.old != mutant.new and mutant.tests, mutant.name
+        for test in mutant.tests:
+            file, name = test.split("::")
+            assert f"def {name}(" in (ROOT / file).read_text(), test

@@ -368,9 +368,11 @@ def test_dominance_remainder_matches_full_frame_oracle():
             oracle = ring.sub(chi, ring.mul(result.monomial, hat))
             assert result.remainder == oracle, (d.columns, k, l)
             assert result.ok == all(c > 0 for c in oracle.terms.values())
-            every = set(range(1, d.n + 1))
-            m_key = weyl._deleted_weight(_row_masks(d), _mask(every - {k}), _mask(every - {l}))
-            assert result.monomial == Polynomial(d.n, {tuple(m_key.to_bytes(d.n, "little")): 1})
+            e = [0] * d.n
+            for i, j in d.boxes():
+                if i == k or j == l:
+                    e[i - 1] += 1
+            assert result.monomial == Polynomial(d.n, {tuple(e): 1}), (d.columns, k, l)
 
 
 def test_dominance_bounds_the_minor_diagram_not_d_hat(monkeypatch):
@@ -441,19 +443,6 @@ def test_table_inequality_matches_the_classic_route(schubert_packed, pattern_ine
         assert [*weyl._pattern_inequalities(w, [(), positions], two)] == [False, positions != ()], w
 
 
-def _mask(indices):
-    """The bitmask with bit i-1 set for each 1-based index i."""
-    return sum(1 << i - 1 for i in indices)
-
-
-def _row_masks(d):
-    """Bit j-1 of entry i-1 is box (i, j) of d."""
-    rows = [0] * d.n
-    for i, j in d.boxes():
-        rows[i - 1] |= 1 << j - 1
-    return rows
-
-
 def _reindexed(f, positions, nvars):
     """f with x_t sent to x_{positions[t-1]} among nvars variables, on tuple keys."""
     out = {}
@@ -472,7 +461,6 @@ def test_lifted_weight_matches_tuple_product():
     for n in range(1, 6):
         for w in all_permutations(n):
             boxes = list(rothe_diagram(w).boxes())
-            rows = rothe_rows(w.entries)
             for m in range(n + 1):
                 for kept in combinations(range(1, n + 1), m):
                     cols = {w[p] for p in kept}
@@ -482,8 +470,7 @@ def test_lifted_weight_matches_tuple_product():
                             e[i - 1] += 1
                     sigma = schubert_classic(pattern_at(w, kept))
                     oracle = ring.mul(Polynomial(n, {tuple(e): 1}), _reindexed(sigma, kept, n))
-                    m_key = weyl._deleted_weight(rows, _mask(kept), _mask(cols))
-                    lifted = _lift(sigma._packed, kept, m_key)
+                    lifted = _lift(sigma._packed, kept, int.from_bytes(bytes(e), "little"))
                     assert Polynomial._from_packed(n, lifted) == oracle, (w, kept)
                     # the bound that keeps every field in a byte: x_i's is at most n - i
                     assert all(v <= n - i for key in lifted
@@ -504,33 +491,40 @@ def test_schubert_pattern_inequality_at_the_byte_edge():
 
 
 def test_deleted_weight_degree_is_the_length_drop():
-    # D(sigma) is D(w) restricted to rows P and columns w(P), so the deleted
-    # boxes number l(w) - l(sigma), read off the inversions of w inside P
+    # M is D(w)'s weight less the boxes in rows P and columns w(P), which must be
+    # D(sigma) reindexed: l(sigma) boxes, code(sigma)_t of them in row P[t]; so
+    # the deleted boxes number l(w) - l(sigma), read off the inversions of w inside P
     for n in range(1, 7):
         for w in all_permutations(n):
-            rows = _row_masks(rothe_diagram(w))
+            rows = rothe_rows(w.entries)
             length = sum(a > b for a, b in combinations(w.entries, 2))
             for m in range(n + 1):
                 for kept in combinations(range(1, n + 1), m):
-                    m_key = weyl._deleted_weight(rows, _mask(kept), _mask(w[p] for p in kept))
-                    inside = sum(w[p] > w[q] for p, q in combinations(kept, 2))
-                    assert sum(m_key.to_bytes(n, "little")) == length - inside, (w, kept)
+                    cols = sum(1 << w[p] - 1 for p in kept)
+                    inside = [(rows[p - 1] & cols).bit_count() for p in kept]
+                    s = pattern_at(w, kept).entries
+                    code = [sum(v < s[t] for v in s[t + 1:]) for t in range(m)]
+                    assert inside == code, (w, kept)
+                    deleted = sum(row.bit_count() for row in rows) - sum(inside)
+                    assert deleted == length - sum(w[p] > w[q] for p, q in combinations(kept, 2))
 
 
-def test_deleted_weight_counts_the_hook():
+def test_deleted_weight_counts_the_hook(monkeypatch):
+    # M depends on d alone; the characters are stubbed out, since some of
+    # these diagrams have more subdiagrams than the determinant route accepts
+    monkeypatch.setattr(weyl, "dual_character", lambda d, limit: Polynomial(d.n, {}))
     rng = random.Random(20261018)
     for _ in range(100):
         n = rng.randint(1, 6)
         boxes = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 3 * n))}
-        rows = _row_masks(Diagram.from_boxes(n, boxes))
-        every = set(range(1, n + 1))
+        d = Diagram.from_boxes(n, boxes)
         for k, l in product(range(1, n + 1), repeat=2):
             e = [0] * n
             for i, j in boxes:
                 if i == k or j == l:
                     e[i - 1] += 1
-            m_key = weyl._deleted_weight(rows, _mask(every - {k}), _mask(every - {l}))
-            assert m_key == int.from_bytes(bytes(e), "little"), (boxes, k, l)
+            monomial = pattern_dominance_check(d, k, l).monomial
+            assert monomial == Polynomial(n, {tuple(e): 1}), (boxes, k, l)
 
 
 def test_max_coefficient_monotone_under_one_step(schubert_table_5, schubert_table_6):
