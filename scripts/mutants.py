@@ -35,6 +35,12 @@ class Mutant(NamedTuple):
 
 SCHUBERT_M = "m_key = weight - sum((rows[p - 1] & cols).bit_count() * _x(p) for p in positions)"
 EXAMPLES = "tests/test_weyl.py::test_schubert_pattern_inequality_examples"
+MINOR = "tuple(i - (i > k) for i in c if i != k) for j, c in enumerate(d.columns, 1) if j != l"
+ORACLE = "tests/test_weyl.py::test_dominance_remainder_matches_full_frame_oracle"
+PARSER = "tests/test_perms.py::test_parse_diagram_matches_the_reference"
+REST_COLUMNS = "columns = key & ones & ~((key & key + ones) + rows >> n)"
+FIELDS = "tests/test_orthodontia.py::test_field_helpers_match_per_column_definitions"
+ENGINE = "tests/test_orthodontia.py::test_engine_matches_reference_straightening"
 
 MUTANTS = (
     Mutant("M := 0 at the Schubert level", "zeroone/weyl.py", SCHUBERT_M, "m_key = 0",
@@ -55,6 +61,29 @@ MUTANTS = (
     Mutant("rothe_diagram reads w's rows as its columns", "zeroone/perms.py",
            "rothe_rows(w.inverse().entries)", "rothe_rows(w.entries)",
            ("tests/test_perms.py::test_rothe_diagram_transposes_rothe_rows",)),
+    Mutant("D' keeps the numbers of the rows below k", "zeroone/weyl.py", MINOR,
+           MINOR.replace("i - (i > k)", "i"), (ORACLE,)),
+    Mutant("D' keeps column l", "zeroone/weyl.py", MINOR, MINOR.replace(" if j != l", ""),
+           (ORACLE,)),
+    Mutant("D' keeps row k", "zeroone/weyl.py", MINOR, MINOR.replace(" if i != k", ""),
+           (ORACLE,)),
+    Mutant("repeated rows kept in a parsed column", "zeroone/perms.py",
+           "tuple(sorted(set(map(int, rows))))", "tuple(sorted(map(int, rows)))", (PARSER,)),
+    Mutant("no numeral fallback for a column label", "zeroone/perms.py",
+           "if head.strip() != str(j) and not (_is_numeral(head.strip()) and int(head) == j):",
+           "if head.strip() != str(j):", (PARSER,)),
+    Mutant("a diagram file decoded with errors replaced", "zeroone/cli.py",
+           'fh.read().decode("utf-8")', 'fh.read().decode("utf-8", errors="replace")',
+           ("tests/test_cli.py::test_refused_diagram_file",)),
+    Mutant("no [i] check after a swap in _rest", "zeroone/orthodontia.py",
+           "if i and key ^ rest != columns * ((1 << i) - 1):", "if False:", (FIELDS,)),
+    Mutant("guard-bit fill with ones for rows in _rest", "zeroone/orthodontia.py", REST_COLUMNS,
+           REST_COLUMNS.replace("+ rows >>", "+ ones >>"), (FIELDS,)),
+    Mutant("the swap without hi >> 1", "zeroone/orthodontia.py",
+           "key ^= lo ^ hi ^ lo << 1 ^ hi >> 1", "key ^= lo ^ hi ^ lo << 1", (ENGINE,)),
+    Mutant("the odometer's leaf key left unemptied", "zeroone/classify.py",
+           "rest = _rest(key, 0, ones, rows, n)", "rest = key",
+           ("tests/test_classify.py::test_survey_odometer_looks_up_the_state_keys",)),
 )
 
 

@@ -286,9 +286,9 @@ def pattern_dominance_check(
     if not (1 <= k <= d.n and 1 <= l <= d.n):
         raise ValueError(f"row/column ({k}, {l}) out of range for n={d.n}")
     chi = dual_character(d, limit=limit)
-    d_minor = Diagram._adopt(tuple(tuple(i - (i > k) for i in col if i != k)
-                                   for j, col in enumerate(d.columns, 1) if j != l))
-    chi_minor = dual_character(d_minor, limit=limit)._packed
+    # D passed the guards and D' needs none: n-1 columns, rows in [n-1], no column gains choices
+    cols = (tuple(i - (i > k) for i in c if i != k) for j, c in enumerate(d.columns, 1) if j != l)
+    chi_minor = _character(tuple(sorted(filter(None, cols))))
     m_key = sum(k in col for col in d.columns) * _x(k)
     m_key += sum(_x(i) for i in d.columns[l - 1] if i != k)
     low, up = _x(k) - 1, _x(2)  # the fields of x_k..x_{n-1} move up one, x_k's reads 0

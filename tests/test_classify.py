@@ -26,7 +26,6 @@ from zeroone.orthodontia import _StateTable, _engine, _rothe_key, is_multiplicit
 from zeroone.perms import (
     Permutation,
     all_permutations,
-    mask_rows,
     one_step_pattern,
     parse_permutation,
     rothe_diagram,
@@ -150,16 +149,14 @@ def state_key(w):
     return next(_engine(_rothe_key(w), w.n))[3]
 
 
-def multiplicity_free_by_definition(w):
+def multiplicity_free_by_definition(steps):
     """Every letter that repeats in i has all its impacts equal to one singleton
-    column; the letters and impact columns are read off the engine's steps."""
-    steps = [(a, frozenset(mask_rows(imp))) for a, imp, _, _ in _engine(_rothe_key(w), w.n)][1:]
-    letters = [a for a, _ in steps]
-    for letter in set(letters):
-        impacts = {imp for a, imp in steps if a == letter}
-        if letters.count(letter) > 1 and (len(impacts) > 1 or len(impacts.pop()) > 1):
-            return False
-    return True
+    column; steps are the engine's (letter, impact mask) pairs after step 0."""
+    impacts = {}
+    for letter, imp in steps:
+        impacts.setdefault(letter, []).append(imp)
+    return all(len(imps) == 1 or len(set(imps)) == 1 and imps[0].bit_count() == 1
+               for imps in impacts.values())
 
 
 def test_multfree_early_exit_matches_trace_and_patterns():
@@ -170,8 +167,10 @@ def test_multfree_early_exit_matches_trace_and_patterns():
         states = _StateTable(n)  # the survey's vote, one table over S_n in survey order
         for w in all_permutations(n):
             free = is_multiplicity_free(w)
-            assert free == multiplicity_free_by_definition(w), w
-            assert states.vote(state_key(w)) == free, w
+            # one walk gives the reference its steps and the table its key (see `state_key`)
+            (_, _, _, key), *steps = _engine(_rothe_key(w), n)
+            assert free == multiplicity_free_by_definition([(a, imp) for a, imp, _, _ in steps]), w
+            assert states.vote(key) == free, w
             if witnesses is not None:
                 assert free == (witnesses[w] is None), w
 

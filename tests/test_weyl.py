@@ -377,11 +377,13 @@ def test_dominance_remainder_matches_full_frame_oracle():
 
 def test_dominance_bounds_the_minor_diagram_not_d_hat(monkeypatch):
     # dropping row k can give a column more choices, renumbering never does:
-    # D-hat may have more subdiagrams than D, D' never has
+    # D-hat may have more subdiagrams than D, D' never has; so the dominance
+    # check guards D alone and reads the character of D' straight from the kernel
     def count(columns):
         return prod(map(_choice_count, columns))
 
-    for d in _random_diagrams(5, 100):
+    rothe = [rothe_diagram(w) for n in range(1, 7) for w in all_permutations(n)]
+    for d in _random_diagrams(5, 100) + rothe:
         for k, l in product(range(1, d.n + 1), repeat=2):
             d_minor = [tuple(i - (i > k) for i in col if i != k)
                        for j, col in enumerate(d.columns, 1) if j != l]
@@ -510,9 +512,10 @@ def test_deleted_weight_degree_is_the_length_drop():
 
 
 def test_deleted_weight_counts_the_hook(monkeypatch):
-    # M depends on d alone; the characters are stubbed out, since some of
-    # these diagrams have more subdiagrams than the determinant route accepts
+    # M depends on d alone; the characters of D and D' are stubbed out, since some
+    # of these diagrams have more subdiagrams than the determinant route accepts
     monkeypatch.setattr(weyl, "dual_character", lambda d, limit: Polynomial(d.n, {}))
+    monkeypatch.setattr(weyl, "_character", lambda cols: {})
     rng = random.Random(20261018)
     for _ in range(100):
         n = rng.randint(1, 6)
