@@ -41,6 +41,9 @@ PARSER = "tests/test_perms.py::test_parse_diagram_matches_the_reference"
 REST_COLUMNS = "columns = key & ones & ~((key & key + ones) + rows >> n)"
 FIELDS = "tests/test_orthodontia.py::test_field_helpers_match_per_column_definitions"
 ENGINE = "tests/test_orthodontia.py::test_engine_matches_reference_straightening"
+SIGN = "sign = -1 if (mask & -bit).bit_count() & 1 else 1"
+LEIBNIZ = "tests/test_weyl.py::test_column_minors_match_leibniz"
+DEFINITION = "tests/test_weyl.py::test_dual_character_matches_definition"
 
 MUTANTS = (
     Mutant("M := 0 at the Schubert level", "zeroone/weyl.py", SCHUBERT_M, "m_key = 0",
@@ -84,6 +87,23 @@ MUTANTS = (
     Mutant("the odometer's leaf key left unemptied", "zeroone/classify.py",
            "rest = _rest(key, 0, ones, rows, n)", "rest = key",
            ("tests/test_classify.py::test_survey_odometer_looks_up_the_state_keys",)),
+    Mutant("minor sign counted over the rows below r", "zeroone/weyl.py", SIGN,
+           SIGN.replace("mask & -bit", "mask & bit - 1"), (LEIBNIZ,)),
+    Mutant("minor rows r < c instead of r <= c", "zeroone/weyl.py",
+           "for t, r in enumerate(pool) if r <= c]", "for t, r in enumerate(pool) if r < c]",
+           (LEIBNIZ,)),
+    Mutant("_insert stores a row without dividing out its content", "zeroone/weyl.py",
+           "basis[lead] = {m: c // g for m, c in row.items()} if g > 1 else row",
+           "basis[lead] = row",
+           ("tests/test_weyl.py::test_sparse_elimination_matches_fraction_oracle",)),
+    Mutant("the last-column shortcut taken in every column", "zeroone/weyl.py",
+           "if last and not others:", "if not others:", (DEFINITION,)),
+    Mutant(">= in the subdiagram count guard", "zeroone/weyl.py",
+           "if count > MAX_SUBDIAGRAMS:", "if count >= MAX_SUBDIAGRAMS:",
+           ("tests/test_weyl.py::test_subdiagram_count_guard",)),
+    Mutant("_choice_count one bound short", "zeroone/weyl.py",
+           "for v in range(1, bound + 1):", "for v in range(1, bound):",
+           ("tests/test_weyl.py::test_column_choices",)),
 )
 
 

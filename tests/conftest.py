@@ -1,17 +1,7 @@
 import pytest
 
-from zeroone.poly import Polynomial, _all_packed, schubert_all
+from zeroone.poly import Polynomial, _all_packed
 from zeroone.weyl import _pattern_inequalities
-
-
-@pytest.fixture(scope="session")
-def schubert_table_5():
-    return {w.entries: f for w, f in schubert_all(5)}
-
-
-@pytest.fixture(scope="session")
-def schubert_table_6():
-    return {w.entries: f for w, f in schubert_all(6)}
 
 
 @pytest.fixture(scope="session")
@@ -20,10 +10,25 @@ def schubert_packed():
     return {e: terms for n in range(8) for e, terms in _all_packed(n)}
 
 
+def _table(schubert_packed, n):
+    """S_w as a Polynomial for every w in S_n, keyed by one-line entries."""
+    return {e: Polynomial._from_packed(n, terms)
+            for e, terms in schubert_packed.items() if len(e) == n}
+
+
+@pytest.fixture(scope="session")
+def schubert_table_5(schubert_packed):
+    return _table(schubert_packed, 5)
+
+
+@pytest.fixture(scope="session")
+def schubert_table_6(schubert_packed):
+    return _table(schubert_packed, 6)
+
+
 @pytest.fixture(scope="session")
 def schubert_table_7(schubert_packed):
-    return {e: Polynomial._from_packed(7, terms)
-            for e, terms in schubert_packed.items() if len(e) == 7}
+    return _table(schubert_packed, 7)
 
 
 @pytest.fixture(scope="session")

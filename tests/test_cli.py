@@ -238,6 +238,17 @@ def test_determinant_cost_guard(tmp_path):
     assert err.startswith("error:") and "64000000 subdiagrams" in err
 
 
+def test_char_builds_only_the_choices(tmp_path):
+    # one column {1..15, 40} in frame 40 has 25 subdiagrams, but C(40, 16) row sets of
+    # its size: the column's minors are grown choice by choice, never filtered from those
+    path = tmp_path / "tall.txt"
+    path.write_text(str(perms.Diagram(((*range(1, 16), 40),) + ((),) * 39)))
+    code, out, err = invoke("--limit", "40", "char", str(path))
+    head = "*".join(f"x{i}" for i in range(1, 16))
+    assert (code, err) == (0, "")
+    assert out == " + ".join(f"{head}*x{r}" for r in range(16, 41)) + "\n"
+
+
 @pytest.mark.parametrize("argv, usage", [
     (["--help"], "usage: zeroone [-h]"),
     (["expand", "--help"], "usage: zeroone expand [-h]"),

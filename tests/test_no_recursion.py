@@ -1,12 +1,10 @@
 """No function in the package calls itself, so no command-line input can recurse
-past Python's limit.  The one exception recurses once per row of a minor, and
-`minor` and `dual_character` refuse more than 255 rows."""
+past Python's limit."""
 
 import ast
 from pathlib import Path
 
-# det Y[rows; cols] expands one row per frame; minor and dual_character refuse > 255 rows
-ALLOWED = {("weyl", "_packed_minor")}
+ALLOWED = set()
 
 
 def self_calls(tree):

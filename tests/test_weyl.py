@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, permutations, product
 from math import gcd, prod
 
 import pytest
@@ -26,7 +27,7 @@ from zeroone.weyl import (
     pattern_dominance_check,
     schubert_pattern_inequality,
     _choice_count,
-    _column_choices,
+    _column_minors,
     _extend,
     _insert,
     _times,
@@ -53,7 +54,8 @@ def test_minor_examples():
 
 
 def test_minor_refuses_more_rows_than_a_byte():
-    # the expansion takes one frame per row, so 1200 rows would pass the recursion limit
+    # decoding a term walks every y field below its last column, which is what the
+    # bound holds down: the diagonal minor takes 0.3 to 0.5 s to decode at 255 rows
     for size in (256, 1200):
         with pytest.raises(ValueError, match="at most 255"):
             minor(tuple(range(1, size + 1)), tuple(range(1, size + 1)))
@@ -123,15 +125,65 @@ def test_sparse_elimination_matches_fraction_oracle(base, mixes):
         assert lead == max(row) and gcd(*row.values()) == 1
 
 
+def column_choices(col):
+    """All sorted tuples S with S <= col, elementwise on sorted entries, in
+    lexicographic order: the choices a column of a subdiagram C <= D can make."""
+    target = sorted(col)
+    pool = combinations(range(1, max(target, default=0) + 1), len(target))
+    return [s for s in pool if all(a <= b for a, b in zip(s, target))]
+
+
+@cache
+def leibniz_minor(rows, cols):
+    """det Y[rows; cols] for sorted rows and cols, as the sum over the bijections
+    pi with rows[t] <= cols[pi(t)] of sign(pi) * prod_t y_{rows[t] cols[pi(t)]},
+    keyed by monomial as `minor` keys them."""
+    terms = {}
+    for pi in permutations(range(len(cols))):
+        if all(r <= cols[p] for r, p in zip(rows, pi)):
+            sign = (-1) ** sum(a > b for a, b in combinations(pi, 2))
+            terms[frozenset(((r, cols[p]), 1) for r, p in zip(rows, pi))] = sign
+    return terms
+
+
+def _packed_y(monomial):
+    """A monomial of `minor` as a packed key: y_ij owns the field (j(j-1)/2 + i - 1)."""
+    return sum(e << (j * (j - 1) // 2 + i - 1) * weyl.BITS for (i, j), e in monomial)
+
+
 def test_column_choices():
-    assert _column_choices(()) == [()]
-    assert _column_choices((3,)) == [(1,), (2,), (3,)]
-    assert _column_choices((1, 2)) == [(1, 2)]
-    assert set(_column_choices((2, 3))) == {(1, 2), (1, 3), (2, 3)}
+    assert column_choices(()) == [()]
+    assert column_choices((3,)) == [(1,), (2,), (3,)]
+    assert column_choices((1, 2)) == [(1, 2)]
+    assert set(column_choices((2, 3))) == {(1, 2), (1, 3), (2, 3)}
     for n in range(7):
         for col in product(*([(False, True)] * n)):
             rows = tuple(r for r, on in enumerate(col, 1) if on)
-            assert _choice_count(rows) == len(_column_choices(rows))
+            assert _choice_count(rows) == len(column_choices(rows))
+
+
+def test_minor_matches_leibniz():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        size = rng.randint(0, 5)
+        rows = tuple(sorted(rng.sample(range(1, 10), size)))
+        cols = tuple(sorted(rng.sample(range(1, 10), size)))
+        got = minor(tuple(rng.sample(rows, size)), tuple(rng.sample(cols, size)))
+        assert dict(got) == leibniz_minor(rows, cols), (rows, cols)
+
+
+def test_column_minors_match_leibniz():
+    # every column inside [7]: one entry per choice S <= col in lexicographic order,
+    # with S's packed weight, the minor's largest key, and the minor itself
+    for n in range(8):
+        for col in combinations(range(1, 8), n):
+            choices = column_choices(col)
+            got = _column_minors(col)
+            assert [wkey for wkey, _, _ in got] == [sum(map(weyl._x, s)) for s in choices], col
+            for s, (_, lead, terms) in zip(choices, got):
+                expected = {_packed_y(m): c for m, c in leibniz_minor(s, col).items()}
+                assert dict(terms) == expected and len(terms) == len(expected), (s, col)
+                assert lead == max(expected), (s, col)
 
 
 def test_product_drops_cancelled_terms():
@@ -150,9 +202,9 @@ def _mono_mul(a, b):
 
 def character_by_definition(d):
     """List every C <= D, group by weight, and rank each group's products
-    of the decoded public minors with the Fraction oracle."""
+    of the Leibniz minors with the Fraction oracle."""
     groups = {}
-    for choice in product(*[_column_choices(col) for col in d.columns]):
+    for choice in product(*[column_choices(col) for col in d.columns]):
         wt = [0] * d.n
         for col in choice:
             for i in col:
@@ -166,7 +218,7 @@ def character_by_definition(d):
             for cj, dj in zip(choice, d.columns):
                 out = {}
                 for m1, c1 in poly.items():
-                    for m2, c2 in minor(cj, dj):
+                    for m2, c2 in leibniz_minor(cj, dj).items():
                         m = _mono_mul(m1, m2)
                         out[m] = out.get(m, 0) + c1 * c2
                 poly = out
@@ -287,7 +339,7 @@ def test_dual_character_support_and_coefficient_bounds():
         chi = dual_character(d)
         expected_support = set()
         group_sizes = {}
-        for choice in product(*[_column_choices(col) for col in d.columns]):
+        for choice in product(*[column_choices(col) for col in d.columns]):
             wt = [0] * d.n
             for col in choice:
                 for i in col:
@@ -305,7 +357,7 @@ def assert_augmentation(d, k, l):
     dhat = delete_row_col(d, k, l)
     row_boxes = [(k, j) for j in range(1, d.n + 1) if k in d.columns[j - 1]]
     col_boxes = [(i, l) for i in d.columns[l - 1]]
-    for choice in product(*[_column_choices(col) for col in dhat.columns]):
+    for choice in product(*[column_choices(col) for col in dhat.columns]):
         if any(k in col for col in choice):
             continue
         boxes = [(i, j) for j, col in enumerate(choice, start=1) for i in col]
