@@ -44,6 +44,7 @@ ENGINE = "tests/test_orthodontia.py::test_engine_matches_reference_straightening
 SIGN = "sign = -1 if (mask & -bit).bit_count() & 1 else 1"
 LEIBNIZ = "tests/test_weyl.py::test_column_minors_match_leibniz"
 DEFINITION = "tests/test_weyl.py::test_dual_character_matches_definition"
+SUPPORTS = "tests/test_poly.py::test_zero_one_supports_match_the_expansions"
 
 MUTANTS = (
     Mutant("M := 0 at the Schubert level", "zeroone/weyl.py", SCHUBERT_M, "m_key = 0",
@@ -104,6 +105,12 @@ MUTANTS = (
     Mutant("_choice_count one bound short", "zeroone/weyl.py",
            "for v in range(1, bound + 1):", "for v in range(1, bound):",
            ("tests/test_weyl.py::test_column_choices",)),
+    Mutant("transition terms over every q < r, no interval check", "zeroone/poly.py",
+           "if low < x[q] < top:", "if x[q] < top:", (SUPPORTS,)),
+    Mutant("transition shift by x_s instead of x_r", "zeroone/poly.py",
+           "(w, width[r], v, terms)", "(w, width[s + 1], v, terms)", (SUPPORTS,)),
+    Mutant("transition supports ORed without the disjointness test", "zeroone/poly.py",
+           "if part is None or support & part:", "if part is None:", (SUPPORTS,)),
 )
 
 

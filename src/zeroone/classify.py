@@ -17,7 +17,7 @@ from operator import or_
 from typing import Iterator, Optional
 
 from .perms import Permutation, first_pattern, rothe_rows
-from .poly import _all_packed, _zero_one, is_zero_one, schubert_classic
+from .poly import _zero_one_supports, is_zero_one, schubert_classic
 from .orthodontia import _layout, _rest, _StateTable, is_multiplicity_free
 
 __all__ = [
@@ -387,9 +387,10 @@ def survey(
     """Exhaustively classify S_n and summarize.
 
     methods="fast" runs the pattern, configuration, and multiplicity-freeness
-    predicates; methods="all" additionally expands every Schubert polynomial
-    (streamed level by level, single process).  Size limits default to 8 and
-    7 respectively; pass limit= to override deliberately.
+    predicates; methods="all" adds the expansion vote, in one process, from
+    one transition walk over S_n that keeps the support of each zero-one S_w
+    (`poly._zero_one_supports`), never a coefficient.  Size limits default
+    to 8 and 7 respectively; pass limit= to override deliberately.
 
     The pattern vote comes from a sieve rather than a scan of every 5- and
     6-entry subsequence: the avoiders of S_{n-1} are built level by level,
@@ -428,10 +429,10 @@ def survey(
         raise ValueError(f"survey size {n} exceeds limit {cap}")
     pool_size = _pool_size(workers, n)
     if methods == "all":
-        # the expansion votes by entries, from the packed coefficients
-        expansion = {bytes(e): _zero_one(terms) for e, terms in _all_packed(n)}
+        supports = _zero_one_supports(n)  # the expansion votes by entries
+        votes = _survey_votes(_survey_context(n))
         zero_one, disagreements, total, first = _tally(
-            (e, (expansion[e], *vote)) for e, vote in _survey_votes(_survey_context(n))
+            (e, (supports[e] is not None, *vote)) for e, vote in votes
         )
     elif pool_size == 1:
         zero_one, disagreements, total, first = _tally(_survey_votes(_survey_context(n)))

@@ -21,8 +21,10 @@ graded-lex formatter, and `terms` decodes them on each read.
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
-from operator import itemgetter
+from itertools import accumulate, permutations
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .perms import Permutation
@@ -340,12 +342,59 @@ def schubert_all(n: int) -> Iterator[tuple[Permutation, Polynomial]]:
 
 # -- coefficient predicates -------------------------------------------
 
-def _zero_one(terms: dict[int, int]) -> bool:
-    """True iff every coefficient of packed terms is 1: the zero ones are not stored."""
-    return all(map((1).__eq__, terms.values()))
-
-
 def is_zero_one(f: Polynomial) -> bool:
-    """True iff every coefficient is 0 or 1."""
-    return _zero_one(f._packed)
+    """True iff every coefficient is 0 or 1: the zero ones are not stored."""
+    return all(map((1).__eq__, f._packed.values()))
+
+
+def _zero_one_supports(n: int) -> dict[bytes, int | None]:
+    """One-line entries of every w in S_n -> the support of S_w as an int
+    bitset, or None if S_w is not zero-one.
+
+    The survey's class-level twin of is_zero_one(schubert_classic(w)) (ROADMAP
+    aim 2), by the transition of Lascoux-Schutzenberger (1985).  With r the
+    last descent of w, s the last index after r with w(s) < w(r) and
+    v = w t_rs, S_w = x_r S_v + sum S_{v t_qr} over q < r with v(q) < v(r)
+    and no q < j < r with v(q) < v(j) < v(r).  All terms are positive, so
+    S_w is zero-one iff each term is and their supports are disjoint.
+
+    x^e has bit sum e_i W_i, W_1 = 1 and W_{i+1} = W_i (n - i + 1): S_w lies
+    under the staircase (e_i <= n - i), so this mixed radix is injective and
+    below n!, and x_r S_v, a part of S_w, is a shift by W_r that never
+    carries.  A frame waits under its terms on an explicit stack; v is
+    shorter than w, and each v t_qr as long but lexicographically greater,
+    so the walk ends."""
+    width = [0, *accumulate(range(n, 1, -1), mul, initial=1)]
+    memo: dict[bytes, int | None] = {bytes(range(1, n + 1)): 1}
+    for w in permutations(range(1, n + 1)):
+        stack = [bytes(w)]
+        while stack:
+            w = stack.pop()
+            if w.__class__ is tuple:  # a frame: its terms are all in the memo now
+                w, shift, v, terms = w
+                support = memo[v]
+                if support is not None:
+                    support <<= shift
+                    for u in terms:
+                        part = memo[u]
+                        if part is None or support & part:
+                            support = None
+                            break
+                        support |= part
+                memo[w] = support
+            elif w not in memo:
+                r = n - 1
+                while w[r - 1] < w[r]:
+                    r -= 1
+                top, x = w[r - 1], bytearray(w)
+                s = bisect(w, top, r) - 1  # w is increasing after r
+                x[r - 1], x[s] = x[s], top
+                v, top, low, terms = bytes(x), x[r - 1], 0, []
+                for q in range(r - 2, -1, -1):
+                    if low < x[q] < top:
+                        low, x[q], x[r - 1] = x[q], top, x[q]
+                        terms.append(bytes(x))
+                        x[q], x[r - 1] = low, top
+                stack += (w, width[r], v, terms), *terms, v
+    return memo
 
