@@ -45,6 +45,7 @@ SIGN = "sign = -1 if (mask & -bit).bit_count() & 1 else 1"
 LEIBNIZ = "tests/test_weyl.py::test_column_minors_match_leibniz"
 DEFINITION = "tests/test_weyl.py::test_dual_character_matches_definition"
 SUPPORTS = "tests/test_poly.py::test_zero_one_supports_match_the_expansions"
+MULTFREE_GUARD = 'if w.n > 255:\n        raise ValueError("the multiplicity-free'
 
 MUTANTS = (
     Mutant("M := 0 at the Schubert level", "zeroone/weyl.py", SCHUBERT_M, "m_key = 0",
@@ -88,6 +89,21 @@ MUTANTS = (
     Mutant("the odometer's leaf key left unemptied", "zeroone/classify.py",
            "rest = _rest(key, 0, ones, rows, n)", "rest = key",
            ("tests/test_classify.py::test_survey_odometer_looks_up_the_state_keys",)),
+    Mutant("the survey block's expansion vote always true", "zeroone/classify.py",
+           "e in zero_ones", "True", ("tests/test_classify.py::test_survey_all_methods_small",)),
+    Mutant("a repeated letter's impacts equal but not one column", "zeroone/orthodontia.py",
+           "return imp == other and not imp & (imp - 1)", "return imp == other",
+           ("tests/test_orthodontia.py::test_multiplicity_free_implies_zero_one_S6",)),
+    Mutant("the multiplicity-free test accepts n = 256", "zeroone/orthodontia.py",
+           MULTFREE_GUARD, MULTFREE_GUARD.replace("> 255", "> 256"),
+           ("tests/test_orthodontia.py::test_orthodontic_trace_refuses_sizes_beyond_a_byte",
+            "tests/test_cli.py::test_zero_one_refuses_sizes_beyond_a_byte")),
+    Mutant("s_{i_1} applied first in build_D_im", "zeroone/orthodontia.py",
+           "reversed(trace.i[:r])", "trace.i[:r]",
+           ("tests/test_orthodontia.py::test_build_D_im_paper_example",)),
+    Mutant("no choices check in the CLI's reader", "zeroone/cli.py",
+           "if isinstance(spec, tuple) and text not in spec:", "if False:",
+           ("tests/test_cli.py::test_invalid_input_exit_codes",)),
     Mutant("minor sign counted over the rows below r", "zeroone/weyl.py", SIGN,
            SIGN.replace("mask & -bit", "mask & bit - 1"), (LEIBNIZ,)),
     Mutant("minor rows r < c instead of r <= c", "zeroone/weyl.py",

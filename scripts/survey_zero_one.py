@@ -8,7 +8,7 @@ process's and that of its largest finished worker.
 
 Example:
     python scripts/survey_zero_one.py --max-n 7
-    python scripts/survey_zero_one.py --max-n 7 --methods all
+    python scripts/survey_zero_one.py --max-n 7 --methods all --workers 2
     python scripts/survey_zero_one.py --max-n 10 --workers 2 --limit 10
 """
 

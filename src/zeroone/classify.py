@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import or_
 from typing import Iterator, Optional
@@ -253,9 +254,11 @@ def _sieve_avoids(entries: bytes, below: set[bytes], tables: list[tuple[bytes, b
     return True
 
 
+@lru_cache(maxsize=1)  # one build per process serves every block of a survey
 def _avoider_class(n: int) -> set[bytes]:
     """One-line entries, as bytes, of every permutation in S_n avoiding the
     twelve patterns, built level by level from S_0 with `_sieve_avoids`.
+    The set is shared between callers, so none may change it.
 
     Level m tests only the children of level m-1, the value m put into every
     position of each member: deleting the maximum of an avoider leaves an
@@ -272,8 +275,8 @@ def _avoider_class(n: int) -> set[bytes]:
 
 
 def _survey_context(n: int):
-    """What a survey of S_n builds once per process for `_survey_votes`: n, the
-    deletion tables, the avoiders of S_{n-1} and the state table."""
+    """What `_survey_votes` reads on S_n: n, the deletion tables, the avoiders
+    of S_{n-1} and a fresh state table."""
     return n, _deletion_tables(n), _avoider_class(n - 1), _StateTable(n)
 
 
@@ -347,34 +350,25 @@ def _pool_size(workers: int, blocks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, blocks))
 
 
-def _tally(pairs: Iterator[tuple[bytes, tuple[bool, ...]]]):
-    """(zero-one, disagreements, total, first disagreeing entries or None)
-    over the (one-line entries, vote tuple) pairs of a survey."""
+def _survey_block(n: int, zero_ones: Optional[set[bytes]], first: Optional[int]):
+    """(zero-one, disagreements, total, first disagreeing entries or None) over
+    the w in S_n starting with first, or over all of S_n for None, from a state
+    table of its own.  zero_ones, if given, holds the one-line entries of every
+    zero-one S_w and adds the expansion vote."""
+    votes = _survey_votes(_survey_context(n), first)
+    if zero_ones is not None:
+        votes = ((e, (e in zero_ones, *vote)) for e, vote in votes)
     zero_one = disagreements = total = 0
-    first = None
-    for entries, vote in pairs:
+    least = None
+    for entries, vote in votes:
         if all(vote):
             zero_one += 1
         elif any(vote):
             if not disagreements:
-                first = entries
+                least = entries
             disagreements += 1
         total += 1
-    return zero_one, disagreements, total, first
-
-
-_worker_context = None  # `_survey_context(n)` in a survey worker, set by _start_worker
-
-
-def _start_worker(n: int):
-    """Pool initializer: build the survey context of S_n, and so the avoider class, once per process."""
-    global _worker_context
-    _worker_context = _survey_context(n)
-
-
-def _survey_block(first: int):
-    """Tally the block of S_n starting with first, with the worker's context."""
-    return _tally(_survey_votes(_worker_context, first))
+    return zero_one, disagreements, total, least
 
 
 def survey(
@@ -387,8 +381,8 @@ def survey(
     """Exhaustively classify S_n and summarize.
 
     methods="fast" runs the pattern, configuration, and multiplicity-freeness
-    predicates; methods="all" adds the expansion vote, in one process, from
-    one transition walk over S_n that keeps the support of each zero-one S_w
+    predicates; methods="all" adds the expansion vote from one transition
+    walk over S_n that keeps the support of each zero-one S_w
     (`poly._zero_one_supports`), never a coefficient.  Size limits default
     to 8 and 7 respectively; pass limit= to override deliberately.
 
@@ -405,10 +399,14 @@ def survey(
     lexicographic order (`_survey_votes`): each node adds one row of the
     inversion diagram, so the configuration vote and the multiplicity-free
     state key are built prefix by prefix, and each leaf runs the sieve and
-    looks its key up in the state table.  With workers > 1, S_n is split into
-    one block per first entry, on at most as many processes as there are
-    cores and blocks; each process builds its context once.  methods="all"
-    collects the expansion votes by entries, then tallies in the odometer's order.
+    looks its key up in the state table.  Every survey tallies through
+    `_survey_block`: in process once, over all of S_n with one state table;
+    with workers > 1 once per first entry, on at most as many processes as
+    there are cores and blocks.  A process builds the avoider class once
+    (`_avoider_class` keeps its last build), but each block gets a state
+    table of its own: from S_10 up a block fills a table to its cap, so a
+    table kept for a process's later blocks would serve none of them.
+    methods="all" takes the expansion votes once, in the calling process.
 
     The summary names the least permutation, in lexicographic order, on which
     the votes disagree.  In checked mode any disagreement raises
@@ -427,24 +425,20 @@ def survey(
     )
     if n > cap:
         raise ValueError(f"survey size {n} exceeds limit {cap}")
-    pool_size = _pool_size(workers, n)
+    zero_ones = None
     if methods == "all":
-        supports = _zero_one_supports(n)  # the expansion votes by entries
-        votes = _survey_votes(_survey_context(n))
-        zero_one, disagreements, total, first = _tally(
-            (e, (supports[e] is not None, *vote)) for e, vote in votes
-        )
-    elif pool_size == 1:
-        zero_one, disagreements, total, first = _tally(_survey_votes(_survey_context(n)))
+        zero_ones = {e for e, support in _zero_one_supports(n).items() if support is not None}
+    pool_size = _pool_size(workers, n)
+    if pool_size == 1:
+        blocks = [_survey_block(n, zero_ones, None)]
     else:
         from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
 
-        with ProcessPoolExecutor(
-            max_workers=pool_size, initializer=_start_worker, initargs=(n,)
-        ) as pool:
-            zero_ones, counts, totals, firsts = zip(*pool.map(_survey_block, range(1, n + 1)))
-        zero_one, disagreements, total = sum(zero_ones), sum(counts), sum(totals)
-        first = min((e for e in firsts if e is not None), default=None)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            blocks = list(pool.map(partial(_survey_block, n, zero_ones), range(1, n + 1)))
+    counts, disagreeing, totals, firsts = zip(*blocks)
+    zero_one, disagreements, total = sum(counts), sum(disagreeing), sum(totals)
+    first = min((e for e in firsts if e is not None), default=None)
     disagreement = None if first is None else Permutation(tuple(first))
     if checked and disagreements:
         raise InternalCheckError(

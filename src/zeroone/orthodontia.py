@@ -239,7 +239,11 @@ def build_D_im(trace: OrthodonticTrace) -> Diagram:
 def is_multiplicity_free(w: Permutation) -> bool:
     """Every repeated letter of i must have all its impacts equal to one
     common singleton column.  The straightening stops at the first repeated
-    letter that breaks this."""
+    letter that breaks this.  Up to there it takes up to n(n-1)/2 steps on
+    n^2-bit keys, so n > 255 is refused, as by `orthodontic_sequence`: a
+    random w in S_700 can take seconds, and one in S_1500 took minutes."""
+    if w.n > 255:
+        raise ValueError("the multiplicity-free test needs n <= 255, as the trace does")
     return _walk_forward(_rothe_key(w), w.n)
 
 

@@ -245,6 +245,7 @@ def test_survey_counts():
     assert (pinned.total, pinned.zero_one, pinned.disagreements) == (120, 115, 0)
     assert survey(6).zero_one == 605
     assert survey(6) == survey(6, workers=2)
+    assert survey(6, methods="all", workers=2) == survey(6, methods="all")
 
 
 def test_sieve_matches_pattern_scan():
@@ -320,11 +321,10 @@ def test_survey_pool_clamped(monkeypatch):
     started = []
 
     class InProcessPool:
-        """One worker in this process: runs the initializer once, then every block."""
+        """One worker in this process: runs every block in order."""
 
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             started.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -341,12 +341,24 @@ def test_survey_pool_clamped(monkeypatch):
     assert started == [3]
 
     # the avoider class is built once per worker, not once per block
-    built = []
-    real = classify_mod._avoider_class
-    monkeypatch.setattr(classify_mod, "_avoider_class", lambda n: built.append(n) or real(n))
+    classify_mod._avoider_class.cache_clear()
     s = survey(2, workers=2)
-    assert started[-1] == 2 and built == [1]
+    assert started[-1] == 2 and classify_mod._avoider_class.cache_info().misses == 1
     assert s == survey(2)
+
+    # but each block gets a state table of its own, and an in-process survey one in all
+    tables = []
+
+    class Counted(_StateTable):
+        def __init__(self, n):
+            super().__init__(n)
+            tables.append(n)
+
+    monkeypatch.setattr(classify_mod, "_StateTable", Counted)
+    pooled = survey(5, workers=2)
+    assert tables == [5] * 5  # one per first entry
+    tables.clear()
+    assert survey(5) == pooled and tables == [5]
 
 
 def flip_configuration_vote(monkeypatch, flipped):
@@ -380,8 +392,8 @@ def test_survey_blocks_merge_to_the_least_disagreement(monkeypatch):
     class BackwardsPool:
         """Runs the blocks in process and hands their results back last first."""
 
-        def __init__(self, max_workers, initializer, initargs):
-            initializer(*initargs)
+        def __init__(self, max_workers):
+            pass
 
         def __enter__(self):
             return self

@@ -130,6 +130,14 @@ def test_divided_difference_routes_refuse_sizes_beyond_a_byte():
         assert err.startswith("error:") and "255" in err
 
 
+def test_zero_one_refuses_sizes_beyond_a_byte():
+    # the multiplicity-free vote walks for seconds on a random w in S_700
+    code, out, err = invoke("zero-one", ",".join(map(str, range(1, 257))))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "255" in err
+    assert invoke("zero-one", ",".join(map(str, range(1, 256)))) == (0, "true\n", "")
+
+
 def test_char_and_dominance(tmp_path):
     path = tmp_path / "diagram.txt"
     path.write_text("1: 1\n2: 1 3 4\n3:\n4: 3\n5:\n")
@@ -350,6 +358,9 @@ def test_invalid_input_exit_codes():
     assert invoke("expand", "3154")[0] == 1
     assert invoke("expand", "31542", "--bogus")[0] == 1
     assert invoke("expand", "notaperm")[0] == 1
+    assert invoke("expand", "31542", "--method", "bogus") == (1, "", (
+        "error: argument --method: invalid choice: 'bogus'"
+        " (choose from 'classic', 'orthodontia', 'tableaux', 'weyl')\n"))
 
 
 @pytest.mark.parametrize("text", [

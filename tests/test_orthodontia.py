@@ -161,8 +161,10 @@ def test_orthodontic_trace_refuses_sizes_beyond_a_byte():
     # the trace keeps every stage, n columns each, so its size grows like n^3
     with pytest.raises(ValueError, match="255"):
         orthodontic_sequence(Permutation(tuple(range(1, 257))))
-    # the multiplicity-free test keeps no stages and stays unguarded
-    assert is_multiplicity_free(Permutation(tuple(range(1, 257))))
+    # the multiplicity-free test keeps no stages, but its walk is as long as the trace
+    with pytest.raises(ValueError, match="255"):
+        is_multiplicity_free(Permutation(tuple(range(1, 257))))
+    assert is_multiplicity_free(Permutation(tuple(range(1, 256))))
 
 
 def test_build_D_im_paper_example():

@@ -26,6 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
      "calls 1549 sha256 c75474387ca8680ae877f62f7751907730d9770d3983760267fc320b2ba4a9c9"),
     (["scripts/survey_zero_one.py", "--max-n", "5", "--methods", "all"],
      "  5       120       115         0"),
+    (["scripts/survey_zero_one.py", "--max-n", "5", "--methods", "all", "--workers", "2"],
+     "  5       120       115         0"),
 ])
 def test_script_exits_zero(argv, last_line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
