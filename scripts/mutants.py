@@ -124,9 +124,22 @@ MUTANTS = (
     Mutant("transition terms over every q < r, no interval check", "zeroone/poly.py",
            "if low < x[q] < top:", "if x[q] < top:", (SUPPORTS,)),
     Mutant("transition shift by x_s instead of x_r", "zeroone/poly.py",
-           "(w, width[r], v, terms)", "(w, width[s + 1], v, terms)", (SUPPORTS,)),
+           "support <<= width[r]", "support <<= width[s + 1]", (SUPPORTS,)),
     Mutant("transition supports ORed without the disjointness test", "zeroone/poly.py",
            "if part is None or support & part:", "if part is None:", (SUPPORTS,)),
+    Mutant("transition level rule without u_i < u_{i+2}", "zeroone/poly.py",
+           "if u[i] < u[i + 1] and (i + 2 >= n or u[i] < u[i + 2]):", "if u[i] < u[i + 1]:",
+           (SUPPORTS,)),
+    Mutant("the B witness floor without the second column", "zeroone/classify.py",
+           "floor = max(c1, second)", "floor = c1",
+           ("tests/test_classify.py::test_configuration_scanner_matches_definition",)),
+    Mutant("the k prefix dropped at q = 0", "zeroone/tableaux.py",
+           "if q else list(enumerate(trace.k, start=1))", "if q else []",
+           ("tests/test_tableaux.py::test_tableaux_paper_example",)),
+    Mutant("m read from stage r - 1", "zeroone/orthodontia.py", "stages[1:]", "stages[:-1]",
+           ("tests/test_orthodontia.py::test_sequence_paper_example",)),
+    Mutant("a lift into field P[t]", "zeroone/poly.py", "8 * (p - 1)", "8 * p",
+           ("tests/test_weyl.py::test_lifted_weight_matches_tuple_product",)),
 )
 
 

@@ -33,8 +33,7 @@ __all__ = [
     "survey",
     "SurveySummary",
     "InternalCheckError",
-    "SURVEY_LIMIT_FAST",
-    "SURVEY_LIMIT_ALL",
+    "SURVEY_LIMIT",
 ]
 
 MULTIPLICITOUS_PATTERNS: tuple[Permutation, ...] = tuple(
@@ -57,8 +56,7 @@ MULTIPLICITOUS_PATTERNS: tuple[Permutation, ...] = tuple(
 
 _PATTERN_BYTES = frozenset(bytes(p.entries) for p in MULTIPLICITOUS_PATTERNS)
 
-SURVEY_LIMIT_FAST = 8
-SURVEY_LIMIT_ALL = 7
+SURVEY_LIMIT = 8
 
 
 class InternalCheckError(AssertionError):
@@ -382,9 +380,9 @@ def survey(
 
     methods="fast" runs the pattern, configuration, and multiplicity-freeness
     predicates; methods="all" adds the expansion vote from one transition
-    walk over S_n that keeps the support of each zero-one S_w
-    (`poly._zero_one_supports`), never a coefficient.  Size limits default
-    to 8 and 7 respectively; pass limit= to override deliberately.
+    walk over S_n that holds the supports of two inversion levels, never a
+    coefficient (`poly._zero_one_supports`), and keeps only the zero-one w.
+    The size limit is 8 for both; pass limit= to override deliberately.
 
     The pattern vote comes from a sieve rather than a scan of every 5- and
     6-entry subsequence: the avoiders of S_{n-1} are built level by level,
@@ -420,14 +418,12 @@ def survey(
         raise ValueError("survey size must be at most 255, so that values fit in a byte")
     if workers < 1:
         raise ValueError("survey workers must be positive")
-    cap = limit if limit is not None else (
-        SURVEY_LIMIT_FAST if methods == "fast" else SURVEY_LIMIT_ALL
-    )
+    cap = SURVEY_LIMIT if limit is None else limit
     if n > cap:
         raise ValueError(f"survey size {n} exceeds limit {cap}")
     zero_ones = None
     if methods == "all":
-        zero_ones = {e for e, support in _zero_one_supports(n).items() if support is not None}
+        zero_ones = {e for e, support in _zero_one_supports(n) if support is not None}
     pool_size = _pool_size(workers, n)
     if pool_size == 1:
         blocks = [_survey_block(n, zero_ones, None)]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate
 from operator import itemgetter, mul
 from typing import Iterator
 
@@ -347,9 +347,9 @@ def is_zero_one(f: Polynomial) -> bool:
     return all(map((1).__eq__, f._packed.values()))
 
 
-def _zero_one_supports(n: int) -> dict[bytes, int | None]:
-    """One-line entries of every w in S_n -> the support of S_w as an int
-    bitset, or None if S_w is not zero-one.
+def _zero_one_supports(n: int) -> Iterator[tuple[bytes, int | None]]:
+    """(one-line entries, the support of S_w as an int bitset, or None if S_w
+    is not zero-one) for every w in S_n, by ascending inversion count.
 
     The survey's class-level twin of is_zero_one(schubert_classic(w)) (ROADMAP
     aim 2), by the transition of Lascoux-Schutzenberger (1985).  With r the
@@ -361,40 +361,43 @@ def _zero_one_supports(n: int) -> dict[bytes, int | None]:
     x^e has bit sum e_i W_i, W_1 = 1 and W_{i+1} = W_i (n - i + 1): S_w lies
     under the staircase (e_i <= n - i), so this mixed radix is injective and
     below n!, and x_r S_v, a part of S_w, is a shift by W_r that never
-    carries.  A frame waits under its terms on an explicit stack; v is
-    shorter than w, and each v t_qr as long but lexicographically greater,
-    so the walk ends."""
+    carries.
+
+    Level k + 1 holds u s_i for each u of level k and each ascent i of u with
+    u_i < u_{i+2} < ... < u_n: i is then the last descent of u s_i, so each w
+    is reached once, from w s_r.  Each level is taken in decreasing
+    lexicographic order.  v is one level below w, and each v t_qr is on w's
+    level but greater than w at q, its first change, so every term is done
+    when w is reached and only two levels are held."""
     width = [0, *accumulate(range(n, 1, -1), mul, initial=1)]
-    memo: dict[bytes, int | None] = {bytes(range(1, n + 1)): 1}
-    for w in permutations(range(1, n + 1)):
-        stack = [bytes(w)]
-        while stack:
-            w = stack.pop()
-            if w.__class__ is tuple:  # a frame: its terms are all in the memo now
-                w, shift, v, terms = w
-                support = memo[v]
-                if support is not None:
-                    support <<= shift
-                    for u in terms:
-                        part = memo[u]
+    below = {bytes(range(1, n + 1)): 1}
+    yield from below.items()
+    while below:
+        level = []
+        for u in below:
+            for i in range(n - 2, -1, -1):
+                if u[i] < u[i + 1] and (i + 2 >= n or u[i] < u[i + 2]):
+                    level.append((u[:i] + bytes((u[i + 1], u[i])) + u[i + 2 :], i + 1))
+                if i + 2 < n and u[i + 1] > u[i + 2]:  # u_{i+1} < ... < u_n fails from here on
+                    break
+        here = {}
+        for w, r in sorted(level, reverse=True):
+            top, x = w[r - 1], bytearray(w)
+            s = bisect(w, top, r) - 1  # w is increasing after r
+            x[r - 1], x[s] = x[s], top
+            support = below[bytes(x)]
+            if support is not None:
+                support <<= width[r]
+                top, low = x[r - 1], 0
+                for q in range(r - 2, -1, -1):
+                    if low < x[q] < top:
+                        low, x[q], x[r - 1] = x[q], top, x[q]
+                        part = here[bytes(x)]
+                        x[q], x[r - 1] = low, top
                         if part is None or support & part:
                             support = None
                             break
                         support |= part
-                memo[w] = support
-            elif w not in memo:
-                r = n - 1
-                while w[r - 1] < w[r]:
-                    r -= 1
-                top, x = w[r - 1], bytearray(w)
-                s = bisect(w, top, r) - 1  # w is increasing after r
-                x[r - 1], x[s] = x[s], top
-                v, top, low, terms = bytes(x), x[r - 1], 0, []
-                for q in range(r - 2, -1, -1):
-                    if low < x[q] < top:
-                        low, x[q], x[r - 1] = x[q], top, x[q]
-                        terms.append(bytes(x))
-                        x[q], x[r - 1] = low, top
-                stack += (w, width[r], v, terms), *terms, v
-    return memo
-
+            here[w] = support
+            yield w, support
+        below = here

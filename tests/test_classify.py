@@ -505,7 +505,7 @@ def test_survey_limits():
     with pytest.raises(ValueError):
         survey(9)
     with pytest.raises(ValueError):
-        survey(8, methods="all")
+        survey(9, methods="all")
     with pytest.raises(ValueError):
         survey(3, methods="bogus")
     for workers in (0, -4):
