@@ -10,6 +10,24 @@ directory, applies the row's one replacement, and runs the row's tests with
 or survived per row and exits 1 if a mutant survives or a run goes wrong.
 The test suite checks only that each row's old text occurs once.
 
+Mutants that are not rows, because their code is gone or they are
+equivalent (each one survived its module's tests when tried):
+- a reversed ascending sort in `Polynomial.sorted_terms`, on its sort of
+  (degree, key) pairs from commit 620f3b8: that code is gone, replaced in
+  commit 22eda48.  Its successor, `rows.sort(key=itemgetter(0),
+  reverse=True)` in `Polynomial._graded`, has the same equivalent mutant:
+  weights are unique per monomial, so no tie's order can change.
+- `break` -> `continue` in the orbit walk of `tableaux._orbits` (commit
+  620f3b8): equivalent.  A walk that goes on past a member already in the
+  union only re-adds words of an orbit that another walk covers, with the
+  same weights.
+- the early return in `orthodontia._rest` for a key with no interval column
+  (commit 75d05ec) dropped: equivalent.  Without it rest equals key and the
+  [i] check compares 0 with 0; only time is lost.
+- `i - (i >= k)` for `i - (i > k)` in D' (`weyl.py`): equivalent.  Row k is
+  filtered out before the renumbering, so i >= k equals i > k on every row
+  that is left.
+
 Example:
     python scripts/mutants.py
 """
@@ -46,6 +64,12 @@ LEIBNIZ = "tests/test_weyl.py::test_column_minors_match_leibniz"
 DEFINITION = "tests/test_weyl.py::test_dual_character_matches_definition"
 SUPPORTS = "tests/test_poly.py::test_zero_one_supports_match_the_expansions"
 MULTFREE_GUARD = 'if w.n > 255:\n        raise ValueError("the multiplicity-free'
+KEPT = "cols = sum(1 << w[p] - 1 for p in positions)\n        " + SCHUBERT_M
+GLOBAL = 'if name[:2] == "--" and name in table:\n            spec = table[name]'
+VOTES = ("    expansion = is_zero_one(schubert_classic(w)) if include_expansion else None\n"
+         "    multfree = is_multiplicity_free(w)\n"
+         "    no_configuration = not has_configuration(w.entries)\n")
+SCAN = "    witness = witness_pattern(w)\n"
 
 MUTANTS = (
     Mutant("M := 0 at the Schubert level", "zeroone/weyl.py", SCHUBERT_M, "m_key = 0",
@@ -140,6 +164,17 @@ MUTANTS = (
            ("tests/test_orthodontia.py::test_sequence_paper_example",)),
     Mutant("a lift into field P[t]", "zeroone/poly.py", "8 * (p - 1)", "8 * p",
            ("tests/test_weyl.py::test_lifted_weight_matches_tuple_product",)),
+    Mutant("kept rows swapped with kept columns", "zeroone/weyl.py", KEPT,
+           KEPT.replace("w[p] - 1 for", "p - 1 for").replace("rows[p - 1]", "rows[w[p] - 1]")
+           .replace("_x(p)", "_x(w[p])"), (EXAMPLES,)),
+    Mutant("a global option accepted after the command word", "zeroone/cli.py", GLOBAL,
+           GLOBAL.replace("in table", "in _GLOBALS | table").replace("table[", "(_GLOBALS | table)["),
+           ("tests/test_cli.py::test_invalid_input_exit_codes",)),
+    Mutant("stage q closed under f_{i_q}", "zeroone/tableaux.py", "_orbits(trace.i[q - 1],",
+           "_orbits(trace.i[q - 2],", ("tests/test_tableaux.py::test_tableaux_paper_example",)),
+    Mutant("zero-one scans before the votes that refuse n > 255", "zeroone/classify.py",
+           VOTES + SCAN, SCAN + VOTES,
+           ("tests/test_cli.py::test_zero_one_refuses_before_any_scan",)),
 )
 
 

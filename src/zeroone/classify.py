@@ -202,18 +202,17 @@ def zero_one_status(
 ) -> ZeroOneStatus:
     """Evaluate the zero-one predicates independently.
 
-    Expansion is opt-in since it dominates the runtime.  In checked mode a
-    disagreement raises InternalCheckError: the predicates are theorems of
-    each other, so disagreement means an implementation bug.
+    Expansion is opt-in since it dominates the runtime.  The votes that
+    refuse n > 255 (expansion, multiplicity-freeness) run first, so no scan
+    runs on a refused w.  In checked mode a disagreement raises
+    InternalCheckError: the predicates are theorems of each other, so
+    disagreement means an implementation bug.
     """
+    expansion = is_zero_one(schubert_classic(w)) if include_expansion else None
+    multfree = is_multiplicity_free(w)
+    no_configuration = not has_configuration(w.entries)
     witness = witness_pattern(w)
-    status = ZeroOneStatus(
-        by_expansion=is_zero_one(schubert_classic(w)) if include_expansion else None,
-        by_patterns=witness is None,
-        by_configurations=not has_configuration(w.entries),
-        by_multiplicity_free=is_multiplicity_free(w),
-        witness=witness,
-    )
+    status = ZeroOneStatus(expansion, witness is None, no_configuration, multfree, witness)
     if checked and not status.agree():
         raise InternalCheckError(f"zero-one predicates disagree for {w}: {status}")
     return status
@@ -272,16 +271,12 @@ def _avoider_class(n: int) -> set[bytes]:
     return level
 
 
-def _survey_context(n: int):
-    """What `_survey_votes` reads on S_n: n, the deletion tables, the avoiders
-    of S_{n-1} and a fresh state table."""
-    return n, _deletion_tables(n), _avoider_class(n - 1), _StateTable(n)
-
-
-def _survey_votes(context, first: Optional[int] = None):
+def _survey_votes(n: int, first: Optional[int] = None):
     """(one-line entries as bytes, (pattern, configuration, multiplicity-free
     vote)) for every w in S_n, in lexicographic order; only for those
-    starting with first if given.  context comes from `_survey_context(n)`.
+    starting with first if given.  The votes read the deletion tables of S_n,
+    the avoiders of S_{n-1} (the S_0 leaf deletes nothing, so it reads none)
+    and a state table of their own.
 
     One odometer over the prefixes of S_n (Knuth, TAOCP 4A, 7.2.1.2): a node
     places v at depth d, and with avail the values not yet placed,
@@ -295,10 +290,11 @@ def _survey_votes(context, first: Optional[int] = None):
     Each leaf runs the sieve on its entries and looks its key up once
     `orthodontia._rest` has emptied the interval columns.
     """
-    n, tables, below, states = context
+    tables, states = _deletion_tables(n), _StateTable(n)
     if not n:
-        yield b"", (_sieve_avoids(b"", below, tables), True, states.vote(0))
+        yield b"", (_sieve_avoids(b"", set(), tables), True, states.vote(0))
         return
+    below = _avoider_class(n - 1)
     field, last, top = (1 << n) - 1, n - 1, n + 1
     ones, rows, gather = _layout(n)
     singles = [bytes((v,)) for v in range(top)]
@@ -353,7 +349,7 @@ def _survey_block(n: int, zero_ones: Optional[set[bytes]], first: Optional[int])
     the w in S_n starting with first, or over all of S_n for None, from a state
     table of its own.  zero_ones, if given, holds the one-line entries of every
     zero-one S_w and adds the expansion vote."""
-    votes = _survey_votes(_survey_context(n), first)
+    votes = _survey_votes(n, first)
     if zero_ones is not None:
         votes = ((e, (e in zero_ones, *vote)) for e, vote in votes)
     zero_one = disagreements = total = 0

@@ -19,7 +19,6 @@ from zeroone.classify import (
     _deletion_tables,
     _pool_size,
     _sieve_avoids,
-    _survey_context,
     _survey_votes,
 )
 from zeroone.orthodontia import _StateTable, _engine, _rothe_key, is_multiplicity_free
@@ -261,26 +260,28 @@ def test_sieve_matches_pattern_scan():
 
 def test_survey_blocks_split_by_first_entry():
     for n in range(1, 6):
-        context = _survey_context(n)
-        blocks = [e for first in range(1, n + 1) for e, _ in _survey_votes(context, first)]
-        assert blocks == [e for e, _ in _survey_votes(context)]
+        blocks = [e for first in range(1, n + 1) for e, _ in _survey_votes(n, first)]
+        assert blocks == [e for e, _ in _survey_votes(n)]
 
 
 def test_survey_odometer_runs_in_lexicographic_order():
     for n in range(8):
-        context = _survey_context(n)
         perms = [bytes(e) for e in it_perms(range(1, n + 1))]
-        assert [e for e, _ in _survey_votes(context)] == perms
+        assert [e for e, _ in _survey_votes(n)] == perms
         for first in range(1, n + 1):
-            block = [e for e, _ in _survey_votes(context, first)]
+            block = [e for e, _ in _survey_votes(n, first)]
             assert block == [e for e in perms if e[0] == first]
 
 
 def test_survey_odometer_votes_match_the_predicates():
+    # the S_0 leaf deletes nothing, so its sieve reads no avoider set
+    before = _avoider_class.cache_info()
+    assert list(_survey_votes(0)) == [(b"", (True, True, True))]
+    assert _avoider_class.cache_info() == before
     # the prefix-incremental votes against each predicate on the whole permutation
     for n in range(1, 8):
         below, tables = _avoider_class(n - 1), _deletion_tables(n)
-        for e, votes in _survey_votes(_survey_context(n)):
+        for e, votes in _survey_votes(n):
             w = Permutation(tuple(e))
             expected = (
                 _sieve_avoids(e, below, tables),
@@ -303,7 +304,7 @@ def test_survey_odometer_looks_up_the_state_keys(monkeypatch):
     monkeypatch.setattr(classify_mod, "_StateTable", Recorded)
     for n in range(1, 8):
         keys.clear()
-        perms = [e for e, _ in _survey_votes(_survey_context(n))]
+        perms = [e for e, _ in _survey_votes(n)]
         assert keys == [state_key(Permutation(tuple(e))) for e in perms]
 
 

@@ -138,6 +138,22 @@ def test_zero_one_refuses_sizes_beyond_a_byte():
     assert invoke("zero-one", ",".join(map(str, range(1, 256)))) == (0, "true\n", "")
 
 
+def test_zero_one_refuses_before_any_scan(monkeypatch):
+    # the votes that refuse n > 255 run first, so neither scan sees a refused w
+    import zeroone.classify as classify_mod
+
+    def scan(*args):
+        raise AssertionError("a scan ran on a refused permutation")
+
+    monkeypatch.setattr(classify_mod, "witness_pattern", scan)
+    monkeypatch.setattr(classify_mod, "has_configuration", scan)
+    big = ",".join(map(str, range(1, 257)))
+    for argv in (["zero-one", big], ["--checked", "zero-one", big, "--all-methods"]):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "255" in err
+
+
 def test_char_and_dominance(tmp_path):
     path = tmp_path / "diagram.txt"
     path.write_text("1: 1\n2: 1 3 4\n3:\n4: 3\n5:\n")
@@ -361,6 +377,9 @@ def test_invalid_input_exit_codes():
     assert invoke("expand", "31542", "--method", "bogus") == (1, "", (
         "error: argument --method: invalid choice: 'bogus'"
         " (choose from 'classic', 'orthodontia', 'tableaux', 'weyl')\n"))
+    # the global options go before the command word
+    assert invoke("zero-one", "12543", "--checked") == (
+        1, "", "error: unrecognized arguments: --checked\n")
 
 
 @pytest.mark.parametrize("text", [
