@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Cross-validate the expansion methods against each other, with timings.
 
-Runs the divided-difference sweep over all of S_n (`schubert_all`, timed as
-"all"), then checks against it the per-query descent that `expand` runs
+Runs the transition walk over all of S_n (`schubert_all`, timed as "all"),
+then checks against it the per-query descent that `expand` runs
 (`schubert_classic`), the operator formula, the tableau
 expansion, and the determinant-rank character up to the requested size.  Any
 disagreement is printed and the run exits nonzero.

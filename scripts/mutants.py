@@ -63,6 +63,11 @@ SIGN = "sign = -1 if (mask & -bit).bit_count() & 1 else 1"
 LEIBNIZ = "tests/test_weyl.py::test_column_minors_match_leibniz"
 DEFINITION = "tests/test_weyl.py::test_dual_character_matches_definition"
 SUPPORTS = "tests/test_poly.py::test_zero_one_supports_match_the_expansions"
+ALL_CLASSIC = "tests/test_poly.py::test_schubert_all_matches_classic"
+ALL_ORDER = "tests/test_poly.py::test_schubert_all_order"
+MEMO_CLASSIC = "tests/test_poly.py::test_classic_memo_over_S6"
+FOLD = "fold(below[bytes(x)], r, terms(x, r, here))"
+LEVEL_RULE = "if j > 1 and u[j - 2] < u[j - 1] and u[j - 2] < u[j]:"
 MULTFREE_GUARD = 'if w.n > 255:\n        raise ValueError("the multiplicity-free'
 KEPT = "cols = sum(1 << w[p] - 1 for p in positions)\n        " + SCHUBERT_M
 GLOBAL = 'if name[:2] == "--" and name in table:\n            spec = table[name]'
@@ -146,14 +151,15 @@ MUTANTS = (
            "for v in range(1, bound + 1):", "for v in range(1, bound):",
            ("tests/test_weyl.py::test_column_choices",)),
     Mutant("transition terms over every q < r, no interval check", "zeroone/poly.py",
-           "if low < x[q] < top:", "if x[q] < top:", (SUPPORTS,)),
-    Mutant("transition shift by x_s instead of x_r", "zeroone/poly.py",
-           "support <<= width[r]", "support <<= width[s + 1]", (SUPPORTS,)),
+           "if low < x[q] < top:", "if x[q] < top:", (SUPPORTS, ALL_CLASSIC)),
+    Mutant("transition shift by x_s instead of x_r", "zeroone/poly.py", FOLD,
+           FOLD.replace("], r,", "], s + 1,"), (SUPPORTS, ALL_CLASSIC)),
     Mutant("transition supports ORed without the disjointness test", "zeroone/poly.py",
            "if part is None or support & part:", "if part is None:", (SUPPORTS,)),
-    Mutant("transition level rule without u_i < u_{i+2}", "zeroone/poly.py",
-           "if u[i] < u[i + 1] and (i + 2 >= n or u[i] < u[i + 2]):", "if u[i] < u[i + 1]:",
-           (SUPPORTS,)),
+    Mutant("transition level rule without u_i < u_{i+2}", "zeroone/poly.py", LEVEL_RULE,
+           LEVEL_RULE.replace(" and u[j - 2] < u[j]", ""), (SUPPORTS, ALL_ORDER, ALL_CLASSIC)),
+    Mutant("a transition term overwrites instead of adding", "zeroone/poly.py",
+           "out[k] = out.get(k, 0) + c", "out[k] = c", (SUPPORTS, MEMO_CLASSIC)),
     Mutant("the B witness floor without the second column", "zeroone/classify.py",
            "floor = max(c1, second)", "floor = c1",
            ("tests/test_classify.py::test_configuration_scanner_matches_definition",)),

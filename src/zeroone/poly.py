@@ -257,11 +257,6 @@ def demazure(i: int, f: Polynomial) -> Polynomial:
 
 # -- the classic descent ---------------------------------------------
 
-def _staircase(n: int) -> int:
-    """x_1^{n-1} x_2^{n-2} ... x_{n-1}, packed."""
-    return int.from_bytes(bytes(range(n - 1, -1, -1)), "little")
-
-
 _MAX_STEPS = 990  # the identity of S_45 (990 steps) is answered, that of S_46 refused
 
 
@@ -281,7 +276,7 @@ def _classic(entries: tuple[int, ...]) -> Polynomial:
             i = i - 1 or 1
         else:
             i += 1
-    packed = {_staircase(n): 1}
+    packed = {int.from_bytes(bytes(range(n - 1, -1, -1)), "little"): 1}  # the staircase
     for i in reversed(path):
         packed = _packed_dd(i, packed)
     return Polynomial._from_packed(n, packed)
@@ -305,37 +300,72 @@ def schubert_classic(w: Permutation) -> Polynomial:
     return _classic(w.entries)
 
 
-def _all_packed(n: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
-    """(one-line entries, packed schubert(w)) for every w in S_n, as `schubert_all` orders them.
+def _transitions(n: int, one, fold) -> Iterator[tuple[bytes, object]]:
+    """(one-line entries, value) for every w in S_n, by ascending inversion
+    count, each level in decreasing lexicographic order: the transition of
+    Lascoux-Schutzenberger (1985), folded.  With r the last descent of w, s
+    the last index after r with w(s) < w(r) and v = w t_rs, S_w = x_r S_v +
+    sum S_{v t_qr} over q < r with v(q) < v(r) and no q < j < r with
+    v(q) < v(j) < v(r).  The identity's value is `one`, each other w's
+    fold(value of v, r, the terms' values for q decreasing), made lazily.
 
-    Each level is built from the one above: p * s_i is a child of p when i is
-    a descent of p with p_1 > ... > p_{i-1} > p_{i+1}, exactly when i is the
-    child's leftmost ascent, so every w below w_0 is reached once, by d_i.
-    """
-    top = tuple(range(n, 0, -1))
-    level = {top: {_staircase(n): 1}}
-    yield top, level[top]
-    while level:
-        kids = []
-        for p, terms in level.items():
-            for i in range(1, n):
-                if p[i - 1] > p[i] and (i == 1 or p[i - 2] > p[i]):
-                    kids.append((p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :], i, terms))
-                if i > 1 and p[i - 2] < p[i - 1]:  # p_1 > ... > p_i fails from here on
-                    break
-        kids.sort(key=itemgetter(0))
-        level = {}
-        for e, i, terms in kids:
-            level[e] = out = _packed_dd(i, terms)
-            yield e, out
+    Level k + 1 holds u s_i for each u of level k and each ascent i of u with
+    u_i < u_{i+2} < ... < u_n: with u_j < ... < u_n the last run, every i in
+    j..n-1, and j - 2 if u_{j-2} < u_{j-1}, u_j.  i is then the last descent
+    of u s_i, so each w is reached once, from w s_r.  v is one level below w,
+    and each v t_qr is on w's level but greater than w at q, its first
+    change, so every term is done when w is reached and only two levels are
+    held.  Entries are bytes, so n must lie in 0..255."""
+    if not 0 <= n <= 255:
+        raise ValueError("the transition walk needs 0 <= n <= 255, so that entries fit in a byte")
+
+    def terms(x: bytearray, r: int, here: dict) -> Iterator:
+        top, low = x[r - 1], 0
+        for q in range(r - 2, -1, -1):
+            if low < x[q] < top:
+                low, x[q], x[r - 1] = x[q], top, x[q]
+                yield here[bytes(x)]
+                x[q], x[r - 1] = low, top
+
+    below = {bytes(range(1, n + 1)): one}
+    yield from below.items()
+    while below:
+        level = []
+        for u in below:
+            j = n - 1
+            while j > 0 and u[j - 1] < u[j]:  # u[j:] is the last increasing run
+                j -= 1
+            for i in range(j, n - 1):
+                level.append((u[:i] + bytes((u[i + 1], u[i])) + u[i + 2 :], i + 1))
+            if j > 1 and u[j - 2] < u[j - 1] and u[j - 2] < u[j]:
+                level.append((u[: j - 2] + bytes((u[j - 1], u[j - 2])) + u[j:], j - 1))
+        here = {}
+        for w, r in sorted(level, reverse=True):
+            top, x = w[r - 1], bytearray(w)
+            s = bisect(w, top, r) - 1  # w is increasing after r
+            x[r - 1], x[s] = x[s], top
+            here[w] = value = fold(below[bytes(x)], r, terms(x, r, here))
+            yield w, value
+        below = here
+
+
+def _all_packed(n: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """(one-line entries, packed schubert(w)) for every w in S_n, in the order of
+    `_transitions`, folded as x_r S_v plus each term: all positive, none cancels."""
+    def fold(terms: dict[int, int], r: int, parts: Iterator[dict[int, int]]) -> dict[int, int]:
+        at = _x(r)
+        out = {k + at: c for k, c in terms.items()}
+        for part in parts:
+            for k, c in part.items():
+                out[k] = out.get(k, 0) + c
+        return out
+
+    return ((tuple(w), terms) for w, terms in _transitions(n, {0: 1}, fold))
 
 
 def schubert_all(n: int) -> Iterator[tuple[Permutation, Polynomial]]:
-    """Yield (w, schubert(w)) for every w in S_n, by descending inversion count.
-
-    Keeps only two adjacent inversion levels in memory, so full sweeps over
-    S_7 stay small.  Within a level the order is lexicographic.
-    """
+    """Yield (w, schubert(w)) for every w in S_n, by ascending inversion count,
+    each level in decreasing lexicographic order, holding only two levels."""
     for e, terms in _all_packed(n):
         yield Permutation._adopt(e), Polynomial._from_packed(n, terms)
 
@@ -349,55 +379,24 @@ def is_zero_one(f: Polynomial) -> bool:
 
 def _zero_one_supports(n: int) -> Iterator[tuple[bytes, int | None]]:
     """(one-line entries, the support of S_w as an int bitset, or None if S_w
-    is not zero-one) for every w in S_n, by ascending inversion count.
+    is not zero-one) for every w in S_n, in the order of `_transitions`.
 
     The survey's class-level twin of is_zero_one(schubert_classic(w)) (ROADMAP
-    aim 2), by the transition of Lascoux-Schutzenberger (1985).  With r the
-    last descent of w, s the last index after r with w(s) < w(r) and
-    v = w t_rs, S_w = x_r S_v + sum S_{v t_qr} over q < r with v(q) < v(r)
-    and no q < j < r with v(q) < v(j) < v(r).  All terms are positive, so
-    S_w is zero-one iff each term is and their supports are disjoint.
-
-    x^e has bit sum e_i W_i, W_1 = 1 and W_{i+1} = W_i (n - i + 1): S_w lies
-    under the staircase (e_i <= n - i), so this mixed radix is injective and
-    below n!, and x_r S_v, a part of S_w, is a shift by W_r that never
-    carries.
-
-    Level k + 1 holds u s_i for each u of level k and each ascent i of u with
-    u_i < u_{i+2} < ... < u_n: i is then the last descent of u s_i, so each w
-    is reached once, from w s_r.  Each level is taken in decreasing
-    lexicographic order.  v is one level below w, and each v t_qr is on w's
-    level but greater than w at q, its first change, so every term is done
-    when w is reached and only two levels are held."""
+    aim 2), folded on supports: all terms are positive, so S_w is zero-one iff
+    x_r S_v and each term are and their supports are disjoint; the fold stops
+    at the first overlap.  x^e has bit sum e_i W_i, W_1 = 1 and W_{i+1} =
+    W_i (n - i + 1): S_w lies under the staircase (e_i <= n - i), so this
+    mixed radix is injective and below n!, and x_r S_v is a shift by W_r that
+    never carries."""
     width = [0, *accumulate(range(n, 1, -1), mul, initial=1)]
-    below = {bytes(range(1, n + 1)): 1}
-    yield from below.items()
-    while below:
-        level = []
-        for u in below:
-            for i in range(n - 2, -1, -1):
-                if u[i] < u[i + 1] and (i + 2 >= n or u[i] < u[i + 2]):
-                    level.append((u[:i] + bytes((u[i + 1], u[i])) + u[i + 2 :], i + 1))
-                if i + 2 < n and u[i + 1] > u[i + 2]:  # u_{i+1} < ... < u_n fails from here on
-                    break
-        here = {}
-        for w, r in sorted(level, reverse=True):
-            top, x = w[r - 1], bytearray(w)
-            s = bisect(w, top, r) - 1  # w is increasing after r
-            x[r - 1], x[s] = x[s], top
-            support = below[bytes(x)]
-            if support is not None:
-                support <<= width[r]
-                top, low = x[r - 1], 0
-                for q in range(r - 2, -1, -1):
-                    if low < x[q] < top:
-                        low, x[q], x[r - 1] = x[q], top, x[q]
-                        part = here[bytes(x)]
-                        x[q], x[r - 1] = low, top
-                        if part is None or support & part:
-                            support = None
-                            break
-                        support |= part
-            here[w] = support
-            yield w, support
-        below = here
+
+    def fold(support: int | None, r: int, parts: Iterator[int | None]) -> int | None:
+        if support is not None:
+            support <<= width[r]
+            for part in parts:
+                if part is None or support & part:
+                    return None
+                support |= part
+        return support
+
+    return _transitions(n, 1, fold)

@@ -6,7 +6,9 @@ from zeroone.weyl import _pattern_inequalities
 
 @pytest.fixture(scope="session")
 def schubert_packed():
-    """Packed S_w for every w in S_0..S_7, keyed by one-line entries."""
+    """Packed S_w for every w in S_0..S_7, keyed by one-line entries: the
+    transition walk's packed fold, which shares no kernel with the classic and
+    orthodontic routes checked against it."""
     return {e: terms for n in range(8) for e, terms in _all_packed(n)}
 
 

@@ -13,6 +13,7 @@ from zeroone.orthodontia import orthodontic_sequence
 from zeroone.perms import Permutation, all_permutations, parse_permutation
 from zeroone.poly import (
     Polynomial,
+    _all_packed,
     _zero_one_supports,
     demazure,
     divided_difference,
@@ -257,13 +258,34 @@ def test_schubert_all_matches_classic():
 
 
 def test_schubert_all_order():
-    # descending inversion count, lexicographic within a level
+    # ascending inversion count, decreasing lexicographic within a level: the
+    # transition walk's order, which the survey's supports share
     def key(e):
-        return -sum(a > b for a, b in combinations(e, 2)), e
+        return sum(a > b for a, b in combinations(e, 2)), [-a for a in e]
 
     for n in range(7):
         order = [w.entries for w, _ in schubert_all(n)]
         assert order == sorted(permutations(range(1, n + 1)), key=key), n
+        assert order == [tuple(e) for e, _ in _zero_one_supports(n)], n
+
+
+def test_schubert_all_refuses_sizes_beyond_a_byte():
+    for n in (256, -1):
+        with pytest.raises(ValueError, match=r"needs 0 <= n <= 255"):
+            next(schubert_all(n))
+
+
+def test_all_of_S_n_tables_use_no_divided_difference(monkeypatch):
+    # the session table checks the classic and orthodontic routes, which run
+    # on _packed_dd, so it must not be built by that kernel itself
+    import zeroone.poly as poly_mod
+
+    def refuse(*args):
+        raise AssertionError("_packed_dd called")
+
+    monkeypatch.setattr(poly_mod, "_packed_dd", refuse)
+    assert sum(1 for _ in _all_packed(6)) == 720
+    assert sum(1 for _ in _zero_one_supports(6)) == 720
 
 
 def test_classic_memo_over_S6(schubert_table_6):
@@ -283,7 +305,9 @@ def test_coefficient_predicates():
 
 
 def test_zero_one_supports_match_the_expansions(schubert_packed):
-    # the transition walk against the divided-difference sweep, support by support
+    # the supports fold of the transition walk against its packed fold, support
+    # by support; test_classic_memo_over_S6 and test_schubert_all_matches_classic
+    # check the walk itself against schubert_classic
     for n in range(1, 8):
         width = [prod(range(n - i + 1, n + 1)) for i in range(n)]  # W_1..W_n
         walk = list(_zero_one_supports(n))
