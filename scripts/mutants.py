@@ -66,7 +66,7 @@ SUPPORTS = "tests/test_poly.py::test_zero_one_supports_match_the_expansions"
 ALL_CLASSIC = "tests/test_poly.py::test_schubert_all_matches_classic"
 ALL_ORDER = "tests/test_poly.py::test_schubert_all_order"
 MEMO_CLASSIC = "tests/test_poly.py::test_classic_memo_over_S6"
-FOLD = "fold(below[bytes(x)], r, terms(x, r, here))"
+FOLD = "fold(v, r, terms(x, r, here))"
 LEVEL_RULE = "if j > 1 and u[j - 2] < u[j - 1] and u[j - 2] < u[j]:"
 MULTFREE_GUARD = 'if w.n > 255:\n        raise ValueError("the multiplicity-free'
 KEPT = "cols = sum(1 << w[p] - 1 for p in positions)\n        " + SCHUBERT_M
@@ -75,6 +75,10 @@ VOTES = ("    expansion = is_zero_one(schubert_classic(w)) if include_expansion 
          "    multfree = is_multiplicity_free(w)\n"
          "    no_configuration = not has_configuration(w.entries)\n")
 SCAN = "    witness = witness_pattern(w)\n"
+M_STEP = ("    for i, _, stage, rest in steps:  # stage ^ rest holds the m_r columns [i_r], i_r bits each\n"
+          "        letters.append(i)\n"
+          "        m.append((stage ^ rest).bit_count() // i)\n")
+REPLAY = "tuple(stage for _, _, stage, _ in _engine(self._key, len(self.k)))"
 
 MUTANTS = (
     Mutant("M := 0 at the Schubert level", "zeroone/weyl.py", SCHUBERT_M, "m_key = 0",
@@ -153,7 +157,7 @@ MUTANTS = (
     Mutant("transition terms over every q < r, no interval check", "zeroone/poly.py",
            "if low < x[q] < top:", "if x[q] < top:", (SUPPORTS, ALL_CLASSIC)),
     Mutant("transition shift by x_s instead of x_r", "zeroone/poly.py", FOLD,
-           FOLD.replace("], r,", "], s + 1,"), (SUPPORTS, ALL_CLASSIC)),
+           FOLD.replace("(v, r,", "(v, s + 1,"), (SUPPORTS, ALL_CLASSIC)),
     Mutant("transition supports ORed without the disjointness test", "zeroone/poly.py",
            "if part is None or support & part:", "if part is None:", (SUPPORTS,)),
     Mutant("transition level rule without u_i < u_{i+2}", "zeroone/poly.py", LEVEL_RULE,
@@ -166,8 +170,12 @@ MUTANTS = (
     Mutant("the k prefix dropped at q = 0", "zeroone/tableaux.py",
            "if q else list(enumerate(trace.k, start=1))", "if q else []",
            ("tests/test_tableaux.py::test_tableaux_paper_example",)),
-    Mutant("m read from stage r - 1", "zeroone/orthodontia.py", "stages[1:]", "stages[:-1]",
+    Mutant("m read from stage r - 1", "zeroone/orthodontia.py", M_STEP,
+           "    before = key\n" + M_STEP.replace("(stage ^ rest)", "(before ^ rest)")
+           + "        before = stage\n",
            ("tests/test_orthodontia.py::test_sequence_paper_example",)),
+    Mutant("stages rebuilt from the second step on", "zeroone/orthodontia.py", REPLAY,
+           REPLAY + "[1:]", ("tests/test_orthodontia.py::test_stages_keep_original_indexing",)),
     Mutant("a lift into field P[t]", "zeroone/poly.py", "8 * (p - 1)", "8 * p",
            ("tests/test_weyl.py::test_lifted_weight_matches_tuple_product",)),
     Mutant("kept rows swapped with kept columns", "zeroone/weyl.py", KEPT,

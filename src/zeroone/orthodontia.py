@@ -11,15 +11,15 @@ One engine, `_engine`, runs the straightening on one packed int, n + 1
 bits a column (see `_layout`), so that a step swaps two rows in every
 column with a few big-int operations (Knuth, TAOCP 4A, 7.1.3).  It yields
 each step's letter, impact (a column bitmask) and packed stage, before and
-after its interval columns are emptied: `orthodontic_sequence` keeps every
-stage, `is_multiplicity_free` compares impact masks and stops at the first
-bad repeated letter, and the survey's `_StateTable` steps each state once.
+after its interval columns are emptied: `orthodontic_sequence` reads i, k and
+m in one pass, `is_multiplicity_free` compares impact masks and stops at the
+first bad repeated letter, and the survey's `_StateTable` steps each state once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .perms import Diagram, Permutation, mask_rows, rothe_rows
 from .poly import Polynomial, _omega, _packed_dd, _x
@@ -165,12 +165,12 @@ class _StateTable(dict):
 
 @dataclass(frozen=True)
 class OrthodonticTrace:
-    """Sequence data (i, k, m) together with the full straightening trace."""
+    """Sequence data (i, k, m) and D(w); the first `stage` call replays the stages."""
 
     i: tuple[int, ...]
     k: tuple[int, ...]
     m: tuple[int, ...]
-    _stages: tuple[int, ...]  # packed as `_engine` packs them
+    _key: int  # D(w), packed as `_engine` packs it
 
     @property
     def length(self) -> int:
@@ -187,30 +187,32 @@ class OrthodonticTrace:
         self._check_stage(r)
         return Diagram._adopt(tuple(map(mask_rows, _unpack(self._stages[r], len(self.k)))))
 
+    @cached_property
+    def _stages(self) -> tuple[int, ...]:
+        """Every packed stage, from one replay of the engine."""
+        return tuple(stage for _, _, stage, _ in _engine(self._key, len(self.k)))
+
 
 def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
-    """The orthodontic sequence of w with every stage of its straightening.
+    """The orthodontic sequence of w, read in one pass of the straightening.
 
     k_j counts the interval columns [j] of stage 0 and m_r the columns [i_r]
     of stage r, the only interval columns the engine lets stage r hold.
-    The trace keeps up to n(n-1)/2 stages of n columns each, so it is
-    refused before straightening when n > 255, the bound every route that
-    reads it needs for its bytes and packed fields.
+    The walk takes up to n(n-1)/2 steps on n^2-bit keys, and it is refused
+    before straightening when n > 255, the bound every route that reads the
+    trace needs for its bytes and packed fields.
     """
     if w.n > 255:
-        raise ValueError("the orthodontic trace needs n <= 255, since it keeps every stage")
-    n = w.n
-    letters, _, stages, rests = zip(*_engine(_rothe_key(w), n))
-    k = [0] * (n + 1)
-    for mask in _unpack(stages[0] ^ rests[0], n):  # stage 0's interval columns, 0 elsewhere
+        raise ValueError("the orthodontic trace needs n <= 255, since its readers pack into bytes")
+    n, letters, k, m = w.n, [], [0] * (w.n + 1), []
+    steps = _engine(_rothe_key(w), n)
+    _, _, key, rest = next(steps)
+    for mask in _unpack(key ^ rest, n):  # stage 0's interval columns, 0 elsewhere
         k[mask.bit_length()] += 1
-    return OrthodonticTrace(
-        i=letters[1:],
-        k=tuple(k[1:]),
-        # stage ^ rest holds the m_r columns [i_r], i_r bits each
-        m=tuple((s ^ r).bit_count() // i for i, s, r in zip(letters[1:], stages[1:], rests[1:])),
-        _stages=stages,
-    )
+    for i, _, stage, rest in steps:  # stage ^ rest holds the m_r columns [i_r], i_r bits each
+        letters.append(i)
+        m.append((stage ^ rest).bit_count() // i)
+    return OrthodonticTrace(tuple(letters), tuple(k[1:]), tuple(m), key)
 
 
 def build_D_im(trace: OrthodonticTrace) -> Diagram:

@@ -307,7 +307,8 @@ def _transitions(n: int, one, fold) -> Iterator[tuple[bytes, object]]:
     the last index after r with w(s) < w(r) and v = w t_rs, S_w = x_r S_v +
     sum S_{v t_qr} over q < r with v(q) < v(r) and no q < j < r with
     v(q) < v(j) < v(r).  The identity's value is `one`, each other w's
-    fold(value of v, r, the terms' values for q decreasing), made lazily.
+    fold(value of v, r, the terms' values for q decreasing), made lazily, or
+    None without a fold if v's value is None (S_w >= x_r S_v coefficientwise).
 
     Level k + 1 holds u s_i for each u of level k and each ascent i of u with
     u_i < u_{i+2} < ... < u_n: with u_j < ... < u_n the last run, every i in
@@ -344,7 +345,8 @@ def _transitions(n: int, one, fold) -> Iterator[tuple[bytes, object]]:
             top, x = w[r - 1], bytearray(w)
             s = bisect(w, top, r) - 1  # w is increasing after r
             x[r - 1], x[s] = x[s], top
-            here[w] = value = fold(below[bytes(x)], r, terms(x, r, here))
+            v = below[bytes(x)]
+            here[w] = value = v if v is None else fold(v, r, terms(x, r, here))
             yield w, value
         below = here
 
@@ -390,13 +392,12 @@ def _zero_one_supports(n: int) -> Iterator[tuple[bytes, int | None]]:
     never carries."""
     width = [0, *accumulate(range(n, 1, -1), mul, initial=1)]
 
-    def fold(support: int | None, r: int, parts: Iterator[int | None]) -> int | None:
-        if support is not None:
-            support <<= width[r]
-            for part in parts:
-                if part is None or support & part:
-                    return None
-                support |= part
+    def fold(support: int, r: int, parts: Iterator[int | None]) -> int | None:
+        support <<= width[r]
+        for part in parts:
+            if part is None or support & part:
+                return None
+            support |= part
         return support
 
     return _transitions(n, 1, fold)

@@ -96,7 +96,7 @@ def test_tableaux_stage_and_check():
 
 
 def test_orthodontia_refuses_sizes_beyond_a_byte():
-    # the trace keeps every stage, so its size grows like n^3
+    # the routes that read the trace pack rows into bytes
     code, out, err = invoke("orthodontia", ",".join(map(str, range(1, 257))))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "255" in err

@@ -1,6 +1,7 @@
 """Orthodontic sequences, reconstruction, impacts, multiplicity-freeness."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -61,6 +62,19 @@ def test_stages_keep_original_indexing():
     assert tr.stage(0).columns[0] == (1,) and tr.k == (1, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         tr.stage(4)
+
+
+def test_trace_holds_no_stage_until_one_is_read():
+    # the trace keeps i, k, m and D(w) packed; the first stage call replays the engine
+    w = Permutation(tuple(random.Random(60).sample(range(1, 61), 60)))
+    tracemalloc.start()
+    try:
+        tr = orthodontic_sequence(w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000, held
+    assert tr.stage(0) == rothe_diagram(w)
 
 
 def test_stage_northwest_property():
@@ -158,7 +172,8 @@ def test_engine_matches_reference_straightening():
 
 
 def test_orthodontic_trace_refuses_sizes_beyond_a_byte():
-    # the trace keeps every stage, n columns each, so its size grows like n^3
+    # the routes that read the trace pack rows into bytes, and its walk takes
+    # up to n(n-1)/2 steps on n^2-bit keys
     with pytest.raises(ValueError, match="255"):
         orthodontic_sequence(Permutation(tuple(range(1, 257))))
     # the multiplicity-free test keeps no stages, but its walk is as long as the trace

@@ -14,6 +14,7 @@ from zeroone.perms import Permutation, all_permutations, parse_permutation
 from zeroone.poly import (
     Polynomial,
     _all_packed,
+    _transitions,
     _zero_one_supports,
     demazure,
     divided_difference,
@@ -286,6 +287,26 @@ def test_all_of_S_n_tables_use_no_divided_difference(monkeypatch):
     monkeypatch.setattr(poly_mod, "_packed_dd", refuse)
     assert sum(1 for _ in _all_packed(6)) == 720
     assert sum(1 for _ in _zero_one_supports(6)) == 720
+
+
+def test_transition_walk_folds_no_none():
+    # a w whose v has the value None gets None with no fold call, since S_w >=
+    # x_r S_v coefficientwise; here the first fold returns None, which passes up
+    # to every w built on it
+    calls = []
+
+    def fold(value, r, parts):
+        assert value is not None, "a fold was handed None"
+        calls.append(r)
+        return None if len(calls) == 1 else value + 1
+
+    walk = dict(_transitions(5, 0, fold))
+    nones = [e for e, value in walk.items() if value is None]
+    assert bytes((2, 1, 3, 4, 5)) in nones and len(nones) > 1
+    assert len(calls) == len(walk) - len(nones)  # the identity is not folded, one fold gave None
+    for e, value in walk.items():
+        if value is not None:
+            assert value == sum(a > b for a, b in combinations(e, 2)), e
 
 
 def test_classic_memo_over_S6(schubert_table_6):
