@@ -66,6 +66,9 @@ SUPPORTS = "tests/test_poly.py::test_zero_one_supports_match_the_expansions"
 ALL_CLASSIC = "tests/test_poly.py::test_schubert_all_matches_classic"
 ALL_ORDER = "tests/test_poly.py::test_schubert_all_order"
 MEMO_CLASSIC = "tests/test_poly.py::test_classic_memo_over_S6"
+PAPER_EXAMPLE = "tests/test_poly.py::test_schubert_paper_example"
+STRATEGIES = "tests/test_poly.py::test_schubert_strategies_agree"
+WIDE_KEYS = "tests/test_poly.py::test_kernel_on_keys_wider_than_a_machine_word"
 FOLD = "fold(v, r, terms(x, r, here))"
 LEVEL_RULE = "if j > 1 and u[j - 2] < u[j - 1] and u[j - 2] < u[j]:"
 MULTFREE_GUARD = 'if w.n > 255:\n        raise ValueError("the multiplicity-free'
@@ -164,6 +167,12 @@ MUTANTS = (
            LEVEL_RULE.replace(" and u[j - 2] < u[j]", ""), (SUPPORTS, ALL_ORDER, ALL_CLASSIC)),
     Mutant("a transition term overwrites instead of adding", "zeroone/poly.py",
            "out[k] = out.get(k, 0) + c", "out[k] = c", (SUPPORTS, MEMO_CLASSIC)),
+    Mutant("a divided difference's positive run one key short", "zeroone/poly.py",
+           "while s > 1:", "while s > 2:", (PAPER_EXAMPLE, MEMO_CLASSIC, WIDE_KEYS)),
+    Mutant("a divided difference's negative run adds c", "zeroone/poly.py",
+           "out[key] = get(key, 0) - c", "out[key] = get(key, 0) + c", (MEMO_CLASSIC, WIDE_KEYS)),
+    Mutant("a divided difference keeps its cancelled terms", "zeroone/poly.py",
+           "if 0 in out.values():", "if False:", (STRATEGIES, WIDE_KEYS)),
     Mutant("the B witness floor without the second column", "zeroone/classify.py",
            "floor = max(c1, second)", "floor = c1",
            ("tests/test_classify.py::test_configuration_scanner_matches_definition",)),

@@ -194,6 +194,8 @@ def _packed_dd(i: int, terms: dict[int, int], times: int = 0) -> dict[int, int]:
     and d_i never raises them; in the orthodontic chain omega_i^m * f is the
     character of a diagram with at most n columns, one of them empty, so its
     exponents are at most n - 1 too.  Both routes refuse n > 255 up front.
+    Each run is stepped by adds under a small-int counter: a range over n-byte
+    keys cost a range object per term, and long-int iteration past 63 bits.
     """
     at = 8 * (i - 1)
     nxt = at + 8
@@ -205,17 +207,18 @@ def _packed_dd(i: int, terms: dict[int, int], times: int = 0) -> dict[int, int]:
     get = out.get
     for k, c in terms.items():
         s = (k >> at & 255) - (k >> nxt & 255) + lift
-        if s == 1:  # the commonest single-term case
-            key = k + shift
+        key = k + shift
+        if s > 0:
             out[key] = get(key, 0) + c
-        elif s > 1:
-            base = k + shift
-            for key in range(base, base - s * step, -step):
+            while s > 1:
+                key -= step
                 out[key] = get(key, 0) + c
-        elif s:
-            base = k + shift
-            for key in range(base + step, base + (1 - s) * step, step):
+                s -= 1
+        else:
+            while s:
+                key += step
                 out[key] = get(key, 0) - c
+                s += 1
     if 0 in out.values():  # most results have no cancelled term
         return {k: c for k, c in out.items() if c}
     return out

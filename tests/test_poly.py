@@ -136,6 +136,25 @@ def test_kernel_matches_tuple_definition(f, data):
     assert demazure(i, f).terms == _reference_demazure(i, f.terms)
 
 
+def test_kernel_on_keys_wider_than_a_machine_word():
+    # nvars 9..12 packs keys of 72-96 bits, as the routes do at S_10; each
+    # term comes with its s_i-swap at +-c, so whole runs cancel or overlap
+    rng = random.Random(45)
+    draws = ((0, 4), (250, 255), (0, 255))
+    for nvars in range(9, 13):
+        for i in range(1, nvars):
+            terms = {}
+            for _ in range(4):
+                e = [rng.randint(*rng.choice(draws)) for _ in range(nvars)]
+                c = rng.choice((-3, -2, -1, 1, 2, 3))
+                swap = tuple(e[: i - 1] + [e[i], e[i - 1]] + e[i + 1 :])
+                terms[tuple(e)] = c
+                terms[swap] = terms.get(swap, 0) + rng.choice((c, -c))
+            f = Polynomial(nvars, terms)
+            assert divided_difference(i, f).terms == _reference_divided_difference(i, f.terms)
+            assert demazure(i, f).terms == _reference_demazure(i, f.terms)
+
+
 def test_kernel_refuses_exponents_beyond_a_byte():
     for op in (divided_difference, demazure):
         with pytest.raises(ValueError, match="255"):
