@@ -22,6 +22,15 @@ from zeroone.tableaux import schubert_from_tableaux
 from zeroone.weyl import dual_character
 
 
+ROUTES = {
+    "classic": schubert_classic,
+    "orthodontia": schubert_orthodontic,
+    "tableaux": schubert_from_tableaux,
+    # the limit is w's own size: --weyl-max-n, not the CLI's default, bounds n
+    "weyl": lambda w: dual_character(rothe_diagram(w), limit=w.n),
+}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6)
@@ -30,14 +39,8 @@ def main():
 
     failures = 0
     for n in range(1, args.max_n + 1):
-        with_weyl = n <= args.weyl_max_n
-        routes = {
-            "classic": schubert_classic,
-            "orthodontia": schubert_orthodontic,
-            "tableaux": schubert_from_tableaux,
-            "weyl": lambda w: dual_character(rothe_diagram(w)),
-        }
-        if not with_weyl:
+        routes = dict(ROUTES)
+        if n > args.weyl_max_n:
             del routes["weyl"]
         times = dict.fromkeys(["all", *routes], 0.0)
         t0 = time.perf_counter()

@@ -70,6 +70,9 @@ PAPER_EXAMPLE = "tests/test_poly.py::test_schubert_paper_example"
 STRATEGIES = "tests/test_poly.py::test_schubert_strategies_agree"
 WIDE_KEYS = "tests/test_poly.py::test_kernel_on_keys_wider_than_a_machine_word"
 FOLD = "fold(v, r, terms(x, r, here))"
+DISJOINT = "if part is None or not support.isdisjoint(part):"
+OVERLAP = ("support = set(map(_x(r).__add__, support))\n"
+           "        for part in parts:\n            " + DISJOINT)
 LEVEL_RULE = "if j > 1 and u[j - 2] < u[j - 1] and u[j - 2] < u[j]:"
 MULTFREE_GUARD = 'if w.n > 255:\n        raise ValueError("the multiplicity-free'
 KEPT = "cols = sum(1 << w[p] - 1 for p in positions)\n        " + SCHUBERT_M
@@ -126,7 +129,11 @@ MUTANTS = (
            "rest = _rest(key, 0, ones, rows, n)", "rest = key",
            ("tests/test_classify.py::test_survey_odometer_looks_up_the_state_keys",)),
     Mutant("the survey block's expansion vote always true", "zeroone/classify.py",
-           "e in zero_ones", "True", ("tests/test_classify.py::test_survey_all_methods_small",)),
+           "(e in zero_ones, *vote)", "(True, *vote)",
+           ("tests/test_classify.py::test_survey_all_methods_small",)),
+    Mutant("every pooled block handed every zero-one entry", "zeroone/classify.py",
+           "shares[e[0] - 1].add(e)", "[share.add(e) for share in shares]",
+           ("tests/test_classify.py::test_pooled_blocks_get_only_their_own_zero_ones",)),
     Mutant("a repeated letter's impacts equal but not one column", "zeroone/orthodontia.py",
            "return imp == other and not imp & (imp - 1)", "return imp == other",
            ("tests/test_orthodontia.py::test_multiplicity_free_implies_zero_one_S6",)),
@@ -161,8 +168,12 @@ MUTANTS = (
            "if low < x[q] < top:", "if x[q] < top:", (SUPPORTS, ALL_CLASSIC)),
     Mutant("transition shift by x_s instead of x_r", "zeroone/poly.py", FOLD,
            FOLD.replace("(v, r,", "(v, s + 1,"), (SUPPORTS, ALL_CLASSIC)),
-    Mutant("transition supports ORed without the disjointness test", "zeroone/poly.py",
-           "if part is None or support & part:", "if part is None:", (SUPPORTS,)),
+    Mutant("transition supports joined without the disjointness test", "zeroone/poly.py",
+           DISJOINT, "if part is None:", (SUPPORTS,)),
+    Mutant("a transition term tested against x_r S_v only, not the terms before it",
+           "zeroone/poly.py", OVERLAP,
+           OVERLAP.replace("\n", "\n        shifted = frozenset(support)\n", 1)
+           .replace("not support.", "not shifted."), (SUPPORTS,)),
     Mutant("transition level rule without u_i < u_{i+2}", "zeroone/poly.py", LEVEL_RULE,
            LEVEL_RULE.replace(" and u[j - 2] < u[j]", ""), (SUPPORTS, ALL_ORDER, ALL_CLASSIC)),
     Mutant("a transition term overwrites instead of adding", "zeroone/poly.py",

@@ -347,8 +347,8 @@ def _pool_size(workers: int, blocks: int) -> int:
 def _survey_block(n: int, zero_ones: Optional[set[bytes]], first: Optional[int]):
     """(zero-one, disagreements, total, first disagreeing entries or None) over
     the w in S_n starting with first, or over all of S_n for None, from a state
-    table of its own.  zero_ones, if given, holds the one-line entries of every
-    zero-one S_w and adds the expansion vote."""
+    table of its own.  zero_ones, if given, holds the one-line entries of the
+    zero-one S_w among them and adds the expansion vote."""
     votes = _survey_votes(n, first)
     if zero_ones is not None:
         votes = ((e, (e in zero_ones, *vote)) for e, vote in votes)
@@ -400,7 +400,8 @@ def survey(
     (`_avoider_class` keeps its last build), but each block gets a state
     table of its own: from S_10 up a block fills a table to its cap, so a
     table kept for a process's later blocks would serve none of them.
-    methods="all" takes the expansion votes once, in the calling process.
+    methods="all" takes the expansion votes once, in the calling process, and
+    hands each block only the zero-one entries that start with its first entry.
 
     The summary names the least permutation, in lexicographic order, on which
     the votes disagree.  In checked mode any disagreement raises
@@ -426,8 +427,11 @@ def survey(
     else:
         from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
 
+        shares = [None if zero_ones is None else set() for _ in range(n)]
+        for e in zero_ones or ():
+            shares[e[0] - 1].add(e)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            blocks = list(pool.map(partial(_survey_block, n, zero_ones), range(1, n + 1)))
+            blocks = list(pool.map(partial(_survey_block, n), shares, range(1, n + 1)))
     counts, disagreeing, totals, firsts = zip(*blocks)
     zero_one, disagreements, total = sum(counts), sum(disagreeing), sum(totals)
     first = min((e for e in firsts if e is not None), default=None)

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
-from itertools import accumulate
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterator
 
 from .perms import Permutation
@@ -382,25 +381,20 @@ def is_zero_one(f: Polynomial) -> bool:
     return all(map((1).__eq__, f._packed.values()))
 
 
-def _zero_one_supports(n: int) -> Iterator[tuple[bytes, int | None]]:
-    """(one-line entries, the support of S_w as an int bitset, or None if S_w
-    is not zero-one) for every w in S_n, in the order of `_transitions`.
+def _zero_one_supports(n: int) -> Iterator[tuple[bytes, set[int] | None]]:
+    """(one-line entries, the support of S_w as a set of packed keys, or None
+    if S_w is not zero-one) for every w in S_n, in the order of `_transitions`.
 
     The survey's class-level twin of is_zero_one(schubert_classic(w)) (ROADMAP
     aim 2), folded on supports: all terms are positive, so S_w is zero-one iff
     x_r S_v and each term are and their supports are disjoint; the fold stops
-    at the first overlap.  x^e has bit sum e_i W_i, W_1 = 1 and W_{i+1} =
-    W_i (n - i + 1): S_w lies under the staircase (e_i <= n - i), so this
-    mixed radix is injective and below n!, and x_r S_v is a shift by W_r that
-    never carries."""
-    width = [0, *accumulate(range(n, 1, -1), mul, initial=1)]
-
-    def fold(support: int, r: int, parts: Iterator[int | None]) -> int | None:
-        support <<= width[r]
+    at the first overlap."""
+    def fold(support: set[int], r: int, parts: Iterator[set[int] | None]) -> set[int] | None:
+        support = set(map(_x(r).__add__, support))
         for part in parts:
-            if part is None or support & part:
+            if part is None or not support.isdisjoint(part):
                 return None
             support |= part
         return support
 
-    return _transitions(n, 1, fold)
+    return _transitions(n, {0}, fold)

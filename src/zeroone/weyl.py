@@ -37,9 +37,9 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_LIMIT = 6
-# Bounds #{C <= D}, the product of the columns' choice counts (at most 2700 on
-# a Rothe diagram of S_7).  Under it, five columns {3,4,5} of S_5 took 0.3 s
-# and five columns {2,...,7} of S_7 about 8 s on a 2-core x86-64 VM.
+# Bounds #{C <= D} (at most 2700 on a Rothe diagram of S_7), not the cost: on a
+# 2-core x86-64 VM 10^5 took 0.3 s (five columns {3,4,5}, S_5), 85500 7.5 s (six
+# columns, S_6; README), 63504 58 s and 2.2 GB (two columns {6,...,10}, S_10).
 MAX_SUBDIAGRAMS = 10**5
 
 # A Y-polynomial maps packed exponent keys to ints.  Variable y_ij (i <= j)

@@ -29,6 +29,7 @@ from zeroone.perms import (
     parse_permutation,
     rothe_diagram,
 )
+from zeroone.poly import _zero_one_supports
 
 from pattern_scan import scan_table
 from straightening import emptied, straighten
@@ -333,8 +334,8 @@ def test_survey_pool_clamped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, blocks):
-            return map(fn, blocks)
+        def map(self, fn, *blocks):
+            return map(fn, *blocks)
 
     monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -387,23 +388,24 @@ def test_survey_names_its_first_disagreement(monkeypatch):
     assert survey(4, checked=True).disagreement is None
 
 
+class BackwardsPool:
+    """Runs the blocks in process and hands their results back last first."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *blocks):
+        return reversed(list(map(fn, *blocks)))
+
+
 def test_survey_blocks_merge_to_the_least_disagreement(monkeypatch):
     import zeroone.classify as classify_mod
-
-    class BackwardsPool:
-        """Runs the blocks in process and hands their results back last first."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, blocks):
-            return reversed(list(map(fn, blocks)))
 
     monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BackwardsPool)
@@ -411,6 +413,30 @@ def test_survey_blocks_merge_to_the_least_disagreement(monkeypatch):
     s = survey(5, workers=2)
     assert s == survey(5)
     assert s.disagreements == 3 and str(s.disagreement) == "21543"
+
+
+def test_pooled_blocks_get_only_their_own_zero_ones(monkeypatch):
+    # a pool pickles each block's arguments; the whole zero-one set would be
+    # 656200 entries per block at S_10
+    import zeroone.classify as classify_mod
+
+    real, handed = classify_mod._survey_block, {}
+
+    def recorded(n, zero_ones, first):
+        handed[first] = zero_ones
+        return real(n, zero_ones, first)
+
+    monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BackwardsPool)
+    monkeypatch.setattr(classify_mod, "_survey_block", recorded)
+    pooled = survey(6, methods="all", workers=2)
+    monkeypatch.undo()
+    zero_ones = {e for e, support in _zero_one_supports(6) if support is not None}
+    assert sorted(handed) == [1, 2, 3, 4, 5, 6]
+    for first, share in handed.items():
+        assert share == {e for e in zero_ones if e[0] == first}, first
+    assert pooled == survey(6, methods="all")
+    assert (pooled.zero_one, pooled.disagreements) == (605, 0)
 
 
 def test_survey_steps_each_state_once(monkeypatch):

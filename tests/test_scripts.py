@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from zeroone.perms import Permutation
+from zeroone.poly import schubert_classic
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -67,6 +70,17 @@ def test_pattern_dominance_script_fails_on_a_failure(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "n=2: 8 occurrences, 2 failures" in out
     assert "n=2: fails at w=12 positions=(1,)" in err
+
+
+def test_method_agreement_weyl_route_passes_size_limit():
+    # the determinant route's default limit is n <= 6; --weyl-max-n 7 must not
+    # stop on the first permutation of S_7
+    path = ROOT / "scripts" / "method_agreement.py"
+    spec = importlib.util.spec_from_file_location("agreement_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    w = Permutation((2, 1, 5, 4, 3, 7, 6))
+    assert script.ROUTES["weyl"](w) == schubert_classic(w)
 
 
 def test_mutant_rows_apply_once():
