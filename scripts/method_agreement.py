@@ -26,8 +26,7 @@ ROUTES = {
     "classic": schubert_classic,
     "orthodontia": schubert_orthodontic,
     "tableaux": schubert_from_tableaux,
-    # the limit is w's own size: --weyl-max-n, not the CLI's default, bounds n
-    "weyl": lambda w: dual_character(rothe_diagram(w), limit=w.n),
+    "weyl": lambda w: dual_character(rothe_diagram(w)),
 }
 
 

@@ -74,7 +74,7 @@ DISJOINT = "if part is None or not support.isdisjoint(part):"
 OVERLAP = ("support = set(map(_x(r).__add__, support))\n"
            "        for part in parts:\n            " + DISJOINT)
 LEVEL_RULE = "if j > 1 and u[j - 2] < u[j - 1] and u[j - 2] < u[j]:"
-MULTFREE_GUARD = 'if w.n > 255:\n        raise ValueError("the multiplicity-free'
+ENGINE_GUARD = 'if w.n > 255:\n        raise ValueError("the orthodontic engine'
 KEPT = "cols = sum(1 << w[p] - 1 for p in positions)\n        " + SCHUBERT_M
 GLOBAL = 'if name[:2] == "--" and name in table:\n            spec = table[name]'
 VOTES = ("    expansion = is_zero_one(schubert_classic(w)) if include_expansion else None\n"
@@ -111,11 +111,15 @@ MUTANTS = (
            (ORACLE,)),
     Mutant("D' keeps row k", "zeroone/weyl.py", MINOR, MINOR.replace(" if i != k", ""),
            (ORACLE,)),
-    Mutant("repeated rows kept in a parsed column", "zeroone/perms.py",
-           "tuple(sorted(set(map(int, rows))))", "tuple(sorted(map(int, rows)))", (PARSER,)),
+    Mutant("repeated rows kept in a validated column", "zeroone/perms.py",
+           "tuple(tuple(sorted(set(col))) for col in self.columns)",
+           "tuple(tuple(sorted(col)) for col in self.columns)",
+           ("tests/test_perms.py::test_from_boxes_equals_validated",)),
     Mutant("no numeral fallback for a column label", "zeroone/perms.py",
            "if head.strip() != str(j) and not (_is_numeral(head.strip()) and int(head) == j):",
            "if head.strip() != str(j):", (PARSER,)),
+    Mutant("the command line's size cap refuses the cap itself", "zeroone/cli.py",
+           "if n > cap:", "if n >= cap:", ("tests/test_cli.py::test_char_limit",)),
     Mutant("a diagram file decoded with errors replaced", "zeroone/cli.py",
            'fh.read().decode("utf-8")', 'fh.read().decode("utf-8", errors="replace")',
            ("tests/test_cli.py::test_refused_diagram_file",)),
@@ -137,8 +141,8 @@ MUTANTS = (
     Mutant("a repeated letter's impacts equal but not one column", "zeroone/orthodontia.py",
            "return imp == other and not imp & (imp - 1)", "return imp == other",
            ("tests/test_orthodontia.py::test_multiplicity_free_implies_zero_one_S6",)),
-    Mutant("the multiplicity-free test accepts n = 256", "zeroone/orthodontia.py",
-           MULTFREE_GUARD, MULTFREE_GUARD.replace("> 255", "> 256"),
+    Mutant("the orthodontic engine accepts n = 256", "zeroone/orthodontia.py",
+           ENGINE_GUARD, ENGINE_GUARD.replace("> 255", "> 256"),
            ("tests/test_orthodontia.py::test_orthodontic_trace_refuses_sizes_beyond_a_byte",
             "tests/test_cli.py::test_zero_one_refuses_sizes_beyond_a_byte")),
     Mutant("s_{i_1} applied first in build_D_im", "zeroone/orthodontia.py",

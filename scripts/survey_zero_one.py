@@ -9,7 +9,7 @@ process's and that of its largest finished worker.
 Example:
     python scripts/survey_zero_one.py --max-n 7
     python scripts/survey_zero_one.py --max-n 7 --methods all --workers 2
-    python scripts/survey_zero_one.py --max-n 10 --workers 2 --limit 10
+    python scripts/survey_zero_one.py --max-n 10 --workers 2
 """
 
 import argparse
@@ -31,14 +31,13 @@ def main():
     parser.add_argument("--max-n", type=int, default=7)
     parser.add_argument("--methods", choices=["fast", "all"], default="fast")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--limit", type=int, default=None)
     args = parser.parse_args()
 
     print(f"{'n':>3} {'total':>9} {'zero-one':>9} {'disagree':>9} {'seconds':>8} {'peak-MB':>8}")
     failed = False
     for n in range(args.min_n, args.max_n + 1):
         t0 = time.perf_counter()
-        summary = survey(n, methods=args.methods, workers=args.workers, limit=args.limit)
+        summary = survey(n, methods=args.methods, workers=args.workers)
         dt = time.perf_counter() - t0
         peak = max(resource.getrusage(who).ru_maxrss
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024

@@ -33,7 +33,6 @@ __all__ = [
     "survey",
     "SurveySummary",
     "InternalCheckError",
-    "SURVEY_LIMIT",
 ]
 
 MULTIPLICITOUS_PATTERNS: tuple[Permutation, ...] = tuple(
@@ -55,8 +54,6 @@ MULTIPLICITOUS_PATTERNS: tuple[Permutation, ...] = tuple(
 )
 
 _PATTERN_BYTES = frozenset(bytes(p.entries) for p in MULTIPLICITOUS_PATTERNS)
-
-SURVEY_LIMIT = 8
 
 
 class InternalCheckError(AssertionError):
@@ -369,7 +366,6 @@ def survey(
     n: int,
     methods: str = "fast",
     workers: int = 1,
-    limit: int | None = None,
     checked: bool = False,
 ) -> SurveySummary:
     """Exhaustively classify S_n and summarize.
@@ -378,7 +374,6 @@ def survey(
     predicates; methods="all" adds the expansion vote from one transition
     walk over S_n that holds the supports of two inversion levels, never a
     coefficient (`poly._zero_one_supports`), and keeps only the zero-one w.
-    The size limit is 8 for both; pass limit= to override deliberately.
 
     The pattern vote comes from a sieve rather than a scan of every 5- and
     6-entry subsequence: the avoiders of S_{n-1} are built level by level,
@@ -415,9 +410,6 @@ def survey(
         raise ValueError("survey size must be at most 255, so that values fit in a byte")
     if workers < 1:
         raise ValueError("survey workers must be positive")
-    cap = SURVEY_LIMIT if limit is None else limit
-    if n > cap:
-        raise ValueError(f"survey size {n} exceeds limit {cap}")
     zero_ones = None
     if methods == "all":
         zero_ones = {e for e, support in _zero_one_supports(n) if support is not None}

@@ -24,6 +24,20 @@ def _print_poly(f: poly.Polynomial, out, structured: bool):
         print(str(f), file=out)
 
 
+# The default size caps, which --limit replaces: a survey and the determinant
+# route grow like n! or worse.  The library keeps only the guards that protect a
+# computation (the n <= 255 byte bounds, weyl's field width and subdiagram count,
+# the classic route's step cap), and no --limit lifts those.
+_CAPS = {"diagram": 6, "survey": 8}
+
+
+def _capped(kind: str, n: int, args) -> None:
+    """Refuse size n past the cap of its kind, or past --limit when one is given."""
+    cap = _CAPS[kind] if args.limit is None else args.limit
+    if n > cap:
+        raise ValueError(f"{kind} size {n} exceeds limit {cap}; raise it with --limit")
+
+
 def _read_diagram(source: str) -> perms.Diagram:
     if source == "-":
         text = sys.stdin.read()
@@ -46,7 +60,8 @@ def _cmd_expand(args, out) -> None:
     elif args.method == "tableaux":
         f = tableaux.schubert_from_tableaux(w)
     else:
-        f = weyl.dual_character(perms.rothe_diagram(w), limit=args.limit)
+        _capped("diagram", w.n, args)
+        f = weyl.dual_character(perms.rothe_diagram(w))
     _print_poly(f, out, args.structured)
 
 
@@ -72,14 +87,17 @@ def _cmd_tableaux(args, out) -> None:
 
 def _cmd_char(args, out) -> None:
     """dual character of a diagram file (a path, or - for stdin)"""
-    f = weyl.dual_character(_read_diagram(args.diagram), limit=args.limit)
+    d = _read_diagram(args.diagram)
+    _capped("diagram", d.n, args)
+    f = weyl.dual_character(d)
     _print_poly(f, out, args.structured)
 
 
 def _cmd_dominance(args, out) -> None:
     """coefficientwise dominance after a row/column deletion"""
     d = _read_diagram(args.diagram)
-    result = weyl.pattern_dominance_check(d, args.row, args.col, limit=args.limit)
+    _capped("diagram", d.n, args)
+    result = weyl.pattern_dominance_check(d, args.row, args.col)
     print(f"M {result.monomial}", file=out)
     print(f"ok {'true' if result.ok else 'false'}", file=out)
     if args.show_remainder:
@@ -107,8 +125,9 @@ def _cmd_zero_one(args, out) -> None:
 
 def _cmd_survey(args, out) -> None:
     """classify all of S_n"""
+    _capped("survey", args.n, args)
     summary = classify.survey(args.n, methods=args.methods, workers=args.workers,
-                              limit=args.limit, checked=args.checked)
+                              checked=args.checked)
     for field in ("n", "total", "zero_one", "disagreements"):
         print(f"{field} {getattr(summary, field)}", file=out)
     if summary.disagreements:

@@ -46,7 +46,14 @@ def _layout(n: int) -> tuple[int, int, int]:
 
 
 def _rothe_key(w: Permutation) -> int:
-    """D(w) packed: times gather, the mask of row d+1 spreads to bit d of its columns."""
+    """D(w) packed: times gather, the mask of row d+1 spreads to bit d of its columns.
+
+    Every reader of the engine packs w here, so here n > 255 is refused: the
+    routes that read the trace pack into bytes, and the walk takes up to
+    n(n-1)/2 steps on n^2-bit keys (a random w in S_700 can take seconds, and
+    one in S_1500 took minutes)."""
+    if w.n > 255:
+        raise ValueError("the orthodontic engine needs n <= 255, since its readers pack into bytes")
     ones, _, gather = _layout(w.n)
     return sum((row * gather & ones) << d for d, row in enumerate(rothe_rows(w.entries)))
 
@@ -198,12 +205,8 @@ def orthodontic_sequence(w: Permutation) -> OrthodonticTrace:
 
     k_j counts the interval columns [j] of stage 0 and m_r the columns [i_r]
     of stage r, the only interval columns the engine lets stage r hold.
-    The walk takes up to n(n-1)/2 steps on n^2-bit keys, and it is refused
-    before straightening when n > 255, the bound every route that reads the
-    trace needs for its bytes and packed fields.
+    `_rothe_key` refuses n > 255 before straightening.
     """
-    if w.n > 255:
-        raise ValueError("the orthodontic trace needs n <= 255, since its readers pack into bytes")
     n, letters, k, m = w.n, [], [0] * (w.n + 1), []
     steps = _engine(_rothe_key(w), n)
     _, _, key, rest = next(steps)
@@ -241,11 +244,7 @@ def build_D_im(trace: OrthodonticTrace) -> Diagram:
 def is_multiplicity_free(w: Permutation) -> bool:
     """Every repeated letter of i must have all its impacts equal to one
     common singleton column.  The straightening stops at the first repeated
-    letter that breaks this.  Up to there it takes up to n(n-1)/2 steps on
-    n^2-bit keys, so n > 255 is refused, as by `orthodontic_sequence`: a
-    random w in S_700 can take seconds, and one in S_1500 took minutes."""
-    if w.n > 255:
-        raise ValueError("the multiplicity-free test needs n <= 255, as the trace does")
+    letter that breaks this; `_rothe_key` refuses n > 255, as for the trace."""
     return _walk_forward(_rothe_key(w), w.n)
 
 
@@ -254,8 +253,8 @@ def schubert_orthodontic(w: Permutation) -> Polynomial:
     omega_1^{k_1}...omega_n^{k_n} pi_{i_1}(omega_{i_1}^{m_1} pi_{i_2}(...)).
 
     The chain runs on packed keys (see `poly._packed_dd`, which also says
-    why no field carries), so n must be at most 255, as `orthodontic_sequence`
-    demands before any work.  omega_j^m packs to m * `_omega(j)`, and
+    why no field carries), so n must be at most 255, as `_rothe_key` demands
+    before any work.  omega_j^m packs to m * `_omega(j)`, and
     pi_i(omega_i^m * f) is the kernel on f with the monomial x_i * omega_i^m.
     """
     n = w.n

@@ -100,7 +100,10 @@ class Diagram:
 
     def __post_init__(self):
         cols = tuple(tuple(sorted(set(col))) for col in self.columns)
-        object.__setattr__(self, "columns", _in_frame(cols))
+        for col in cols:
+            if col and not (1 <= col[0] and col[-1] <= len(cols)):
+                raise ValueError(f"row index out of [{len(cols)}] in column {col}")
+        object.__setattr__(self, "columns", cols)
 
     @classmethod
     def _adopt(cls, columns: tuple[tuple[int, ...], ...]) -> "Diagram":
@@ -151,16 +154,8 @@ def parse_diagram(text: str) -> Diagram:
         # split() yields nonempty fields, so one test of their concatenation covers each
         if rows and not _is_numeral("".join(rows)):
             raise ValueError(f"bad row indices in line {line!r}")
-        cols.append(tuple(sorted(set(map(int, rows)))))
-    return Diagram._adopt(_in_frame(tuple(cols)))  # rows are checked after every label
-
-
-def _in_frame(cols: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """cols as they are, once every row of each sorted column lies in [n], n = len(cols)."""
-    for col in cols:
-        if col and not (1 <= col[0] and col[-1] <= len(cols)):
-            raise ValueError(f"row index out of [{len(cols)}] in column {col}")
-    return cols
+        cols.append(map(int, rows))
+    return Diagram(tuple(cols))  # rows are checked after every label
 
 
 def rothe_rows(entries: tuple[int, ...]) -> list[int]:

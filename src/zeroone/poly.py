@@ -263,12 +263,25 @@ _MAX_STEPS = 990  # the identity of S_45 (990 steps) is answered, that of S_46 r
 
 
 @lru_cache(maxsize=16)
-def _classic(entries: tuple[int, ...]) -> Polynomial:
-    """schubert(w) from w's entries: a climb to w_0 by leftmost ascents on a
-    plain list (after a swap at i, the next one is at i - 1 or later), refused
-    past _MAX_STEPS swaps, then d_i down the same path from the staircase."""
-    n = len(entries)
-    e, path, i = list(entries), [], 1
+def schubert_classic(w: Permutation) -> Polynomial:
+    """Schubert polynomial via divided differences, descending from w_0.
+
+    A climb to w_0 by leftmost ascents on a plain list (after a swap at i,
+    the next one is at i - 1 or later), then d_i down the same path from the
+    staircase.  The braid relations make the result independent of the
+    choice, which the test suite checks against a descent by rightmost
+    ascents.  The 16 most recently used results are kept; a hit returns the
+    same Polynomial.
+    The route refuses n > 255, so that exponents fit in a byte, and a chain of
+    more than 990 steps (n(n-1)/2 - inversions(w)).  The step cap bounds the
+    chain's length, not its cost: it is left over from the frame budget of a
+    recursive descent, and the terms along an accepted chain can still run
+    into the hundreds of thousands.
+    """
+    n = w.n
+    if n > 255:
+        raise ValueError("the classic route needs n <= 255, so that exponents fit in a byte")
+    e, path, i = list(w.entries), [], 1
     while i < n:
         if e[i - 1] < e[i]:
             e[i - 1], e[i] = e[i], e[i - 1]
@@ -282,24 +295,6 @@ def _classic(entries: tuple[int, ...]) -> Polynomial:
     for i in reversed(path):
         packed = _packed_dd(i, packed)
     return Polynomial._from_packed(n, packed)
-
-
-def schubert_classic(w: Permutation) -> Polynomial:
-    """Schubert polynomial via divided differences, descending from w_0.
-
-    Each step uses the leftmost ascent; the braid relations make the result
-    independent of the choice, which the test suite checks against a descent
-    by rightmost ascents.  The 16 most recently used results are kept; a hit
-    returns the same Polynomial.
-    The route refuses n > 255, so that exponents fit in a byte, and a chain of
-    more than 990 steps (n(n-1)/2 - inversions(w)).  The step cap bounds the
-    chain's length, not its cost: it is left over from the frame budget of a
-    recursive descent, and the terms along an accepted chain can still run
-    into the hundreds of thousands.
-    """
-    if w.n > 255:
-        raise ValueError("the classic route needs n <= 255, so that exponents fit in a byte")
-    return _classic(w.entries)
 
 
 def _transitions(n: int, one, fold) -> Iterator[tuple[bytes, object]]:

@@ -32,11 +32,9 @@ __all__ = [
     "schubert_pattern_inequality",
     "DominanceResult",
     "SizeLimitError",
-    "DEFAULT_SIZE_LIMIT",
     "MAX_SUBDIAGRAMS",
 ]
 
-DEFAULT_SIZE_LIMIT = 6
 # Bounds #{C <= D} (at most 2700 on a Rothe diagram of S_7), not the cost: on a
 # 2-core x86-64 VM 10^5 took 0.3 s (five columns {3,4,5}, S_5), 85500 7.5 s (six
 # columns, S_6; README), 63504 58 s and 2.2 GB (two columns {6,...,10}, S_10).
@@ -52,7 +50,7 @@ YPoly = dict[int, int]
 
 
 class SizeLimitError(ValueError):
-    """Diagram too large for the configured dual-character limit."""
+    """Diagram too large for the determinant route's guards."""
 
 
 def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[tuple[frozenset, int], ...]:
@@ -228,19 +226,13 @@ def _character(cols: tuple[tuple[int, ...], ...]) -> dict[int, int]:
     return {wt: len(b) for wt, b in spans.items()}
 
 
-def dual_character(d: Diagram, limit: int | None = None) -> Polynomial:
+def dual_character(d: Diagram) -> Polynomial:
     """The dual character of the flagged Weyl module of d.
 
     Every coefficient is the exact rank of the span of determinant products
     for one weight group; for inversion diagrams this recovers the Schubert
     polynomial.  Recent results are kept per multiset of nonempty columns.
-    limit caps d.n, DEFAULT_SIZE_LIMIT if None.
     """
-    limit = DEFAULT_SIZE_LIMIT if limit is None else limit
-    if d.n > limit:
-        raise SizeLimitError(
-            f"diagram size {d.n} exceeds limit {limit}; raise the limit explicitly to proceed"
-        )
     # Minors are multilinear, so y_ab has exponent at most #{j : b in D_j} <= n
     # in a product over the columns; a field must hold that without carrying.
     if d.n > _FIELD:
@@ -263,9 +255,7 @@ class DominanceResult:
     ok: bool
 
 
-def pattern_dominance_check(
-    d: Diagram, k: int, l: int, limit: int | None = None
-) -> DominanceResult:
+def pattern_dominance_check(d: Diagram, k: int, l: int) -> DominanceResult:
     """Check chi_D >= M * chi_{D-hat}(x_k := 0) coefficientwise.
 
     D-hat keeps the [n] x [n] frame and drops the boxes in row k or column
@@ -281,7 +271,7 @@ def pattern_dominance_check(
     """
     if not (1 <= k <= d.n and 1 <= l <= d.n):
         raise ValueError(f"row/column ({k}, {l}) out of range for n={d.n}")
-    chi = dual_character(d, limit=limit)
+    chi = dual_character(d)
     # D passed the guards and D' needs none: n-1 columns, rows in [n-1], no column gains choices
     cols = (tuple(i - (i > k) for i in c if i != k) for j, c in enumerate(d.columns, 1) if j != l)
     chi_minor = _character(tuple(sorted(filter(None, cols))))

@@ -1,8 +1,9 @@
 """The diagram parser as it was before the one-pass intake, the reference for it.
 
-`zeroone.perms.parse_diagram` checks each line once and wraps its columns
-unvalidated.  This is the parser it replaced, kept as it was, so the tests
-can check that both read every text alike, errors included.
+`zeroone.perms.parse_diagram` compares each label with its expected text
+before it reads the label as a numeral.  This is the parser it replaced, kept
+as it was, so the tests can check that both read every text alike, errors
+included.
 """
 
 from zeroone.perms import Diagram, _is_numeral

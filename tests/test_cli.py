@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cli_reference
-from zeroone import cli, perms
+from zeroone import classify, cli, perms
 from zeroone.cli import run
 
 
@@ -243,6 +243,41 @@ def test_char_limit():
         assert code == 0 and out == "1\n"
     finally:
         os.unlink(path)
+
+
+def test_capped_commands_name_their_limit(tmp_path, monkeypatch):
+    # the command line caps a survey at n = 8 and the determinant route at n = 6,
+    # before any other rule of the command; --limit replaces the cap
+    path = tmp_path / "seven.txt"
+    path.write_text(str(perms.rothe_diagram(perms.parse_permutation("2143657"))))
+    diagram, survey = "diagram size 7 exceeds limit 6", "survey size {} exceeds limit 8"
+    for argv, message in [
+        (["survey", "9"], survey.format(9)),
+        (["survey", "9", "--methods", "all"], survey.format(9)),
+        (["survey", "300"], survey.format(300)),
+        (["char", str(path)], diagram),
+        (["dominance", str(path), "--row", "1", "--col", "2"], diagram),
+        (["dominance", str(path), "--row", "0", "--col", "2"], diagram),
+        (["expand", "2143657", "--method", "weyl"], diagram),
+    ]:
+        assert invoke(*argv) == (1, "", f"error: {message}; raise it with --limit\n"), argv
+    expanded = invoke("expand", "2143657")
+    assert invoke("--limit", "7", "expand", "2143657", "--method", "weyl") == expanded
+    assert invoke("--limit", "7", "char", str(path)) == expanded
+    assert invoke("--limit", "7", "dominance", str(path), "--row", "1", "--col", "2") == (
+        0, "M x1\nok true\n", "")
+    # an S_9 survey takes seconds: the library's call stands in, to show it is reached
+    calls = []
+
+    def survey_9(n, methods, workers, checked):
+        calls.append(methods)
+        return classify.SurveySummary(n, 362880, 110809, 0, None)
+
+    monkeypatch.setattr(classify, "survey", survey_9)
+    for methods in ("fast", "all"):
+        assert invoke("--limit", "9", "survey", "9", "--methods", methods) == (
+            0, "n 9\ntotal 362880\nzero_one 110809\ndisagreements 0\n", "")
+    assert calls == ["fast", "all"]
 
 
 def test_char_skips_zero_minors(tmp_path):

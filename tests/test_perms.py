@@ -46,8 +46,8 @@ def test_adopted_permutation_equals_validated():
 
 
 def test_adopted_diagram_equals_validated():
-    # every builder that wraps columns unvalidated: the Rothe diagram, its text
-    # read back, each stage of the straightening, and D_im
+    # every builder that wraps columns unvalidated (the Rothe diagram, each stage
+    # of the straightening, and D_im) and the Rothe diagram's text read back
     sites = 0
     for n in range(1, 7):
         for w in all_permutations(n):

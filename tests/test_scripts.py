@@ -73,8 +73,8 @@ def test_pattern_dominance_script_fails_on_a_failure(monkeypatch, capsys):
 
 
 def test_method_agreement_weyl_route_passes_size_limit():
-    # the determinant route's default limit is n <= 6; --weyl-max-n 7 must not
-    # stop on the first permutation of S_7
+    # the command line caps the determinant route at n = 6, the library does not:
+    # --weyl-max-n 7 must not stop on the first permutation of S_7
     path = ROOT / "scripts" / "method_agreement.py"
     spec = importlib.util.spec_from_file_location("agreement_script", path)
     script = importlib.util.module_from_spec(spec)

@@ -262,10 +262,13 @@ def test_dual_character_is_schubert_S4():
 
 
 def test_dual_character_size_limit():
+    # the library caps no size: the command line's cap of n = 6 is tested by test_char_limit
     big = Diagram(tuple(() for _ in range(7)))
-    with pytest.raises(SizeLimitError):
-        dual_character(big)
-    assert dual_character(big, limit=7) == Polynomial(7, {(0,) * 7: 1})
+    assert dual_character(big) == Polynomial(7, {(0,) * 7: 1})
+    w = Permutation((2, 1, 5, 4, 3, 7, 6))
+    d = rothe_diagram(w)
+    assert dual_character(d) == schubert_classic(w)
+    assert pattern_dominance_check(d, 3, 5).ok
 
 
 def test_exponent_fields_hold_n():
@@ -291,12 +294,12 @@ def test_exponent_width_guard(monkeypatch):
 
     wide = weyl._FIELD + 1
     empty = Diagram(((),) * (wide - 1))
-    assert dual_character(empty, limit=wide) == Polynomial(wide - 1, {(0,) * (wide - 1): 1})
+    assert dual_character(empty) == Polynomial(wide - 1, {(0,) * (wide - 1): 1})
     # the empty diagram's character is cached by now: refusing the cached
     # column pass also shows that the guard acts before the cache
     monkeypatch.setattr(weyl, "_character", refuse)
     with pytest.raises(SizeLimitError):
-        dual_character(Diagram(((),) * wide), limit=wide)
+        dual_character(Diagram(((),) * wide))
 
 
 def test_subdiagram_count_guard(monkeypatch):
@@ -312,7 +315,7 @@ def test_subdiagram_count_guard(monkeypatch):
     def refuse(cols):
         raise AssertionError("the count guard must act before the column pass")
 
-    # every column {4,5,6}: C(6,3)^6 = 20^6 subdiagrams, within the size limit 6
+    # every column {4,5,6}: C(6,3)^6 = 20^6 subdiagrams, within the command line's cap of n = 6
     monkeypatch.setattr(weyl, "_character", refuse)
     with pytest.raises(SizeLimitError, match="64000000 subdiagrams"):
         dual_character(Diagram(((4, 5, 6),) * 6))
@@ -453,9 +456,9 @@ def test_character_memo_ignores_column_order_and_frame():
         chi = dual_character(d)
         # the same nonempty columns, reversed, in a frame two larger
         moved = Diagram(d.columns[::-1] + ((), ()))
-        assert dual_character(moved, limit=7) == character_by_definition(moved), d.columns
+        assert dual_character(moved) == character_by_definition(moved), d.columns
         assert weyl._character.cache_info().hits == 1
-        assert dual_character(moved, limit=7).terms == {e + (0, 0): c for e, c in chi.terms.items()}
+        assert dual_character(moved).terms == {e + (0, 0): c for e, c in chi.terms.items()}
 
 
 def test_dominance_leaves_the_shared_character_intact():
@@ -566,7 +569,7 @@ def test_deleted_weight_degree_is_the_length_drop():
 def test_deleted_weight_counts_the_hook(monkeypatch):
     # M depends on d alone; the characters of D and D' are stubbed out, since some
     # of these diagrams have more subdiagrams than the determinant route accepts
-    monkeypatch.setattr(weyl, "dual_character", lambda d, limit: Polynomial(d.n, {}))
+    monkeypatch.setattr(weyl, "dual_character", lambda d: Polynomial(d.n, {}))
     monkeypatch.setattr(weyl, "_character", lambda cols: {})
     rng = random.Random(20261018)
     for _ in range(100):
