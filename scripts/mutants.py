@@ -87,13 +87,13 @@ M_STEP = ("    for i, _, stage, rest in steps:  # stage ^ rest holds the m_r col
 REPLAY = "tuple(stage for _, _, stage, _ in _engine(self._key, len(self.k)))"
 
 MUTANTS = (
-    Mutant("M := 0 at the Schubert level", "zeroone/weyl.py", SCHUBERT_M, "m_key = 0",
+    Mutant("M := 0 at the Schubert level", "zeroone/poly.py", SCHUBERT_M, "m_key = 0",
            (EXAMPLES,)),
-    Mutant("M without the kept boxes subtracted", "zeroone/weyl.py", SCHUBERT_M,
+    Mutant("M without the kept boxes subtracted", "zeroone/poly.py", SCHUBERT_M,
            "m_key = weight", (EXAMPLES,)),
-    Mutant("kept boxes read from row p + 1", "zeroone/weyl.py", "(rows[p - 1] & cols)",
+    Mutant("kept boxes read from row p + 1", "zeroone/poly.py", "(rows[p - 1] & cols)",
            "(rows[p] & cols)", (EXAMPLES,)),
-    Mutant("kept columns P instead of w(P)", "zeroone/weyl.py",
+    Mutant("kept columns P instead of w(P)", "zeroone/poly.py",
            "cols = sum(1 << w[p] - 1 for p in positions)",
            "cols = sum(1 << p - 1 for p in positions)", (EXAMPLES,)),
     Mutant("dominance M counts box (k, l) twice", "zeroone/weyl.py",
@@ -202,9 +202,12 @@ MUTANTS = (
            REPLAY + "[1:]", ("tests/test_orthodontia.py::test_stages_keep_original_indexing",)),
     Mutant("a lift into field P[t]", "zeroone/poly.py", "8 * (p - 1)", "8 * p",
            ("tests/test_weyl.py::test_lifted_weight_matches_tuple_product",)),
-    Mutant("kept rows swapped with kept columns", "zeroone/weyl.py", KEPT,
+    Mutant("kept rows swapped with kept columns", "zeroone/poly.py", KEPT,
            KEPT.replace("w[p] - 1 for", "p - 1 for").replace("rows[p - 1]", "rows[w[p] - 1]")
            .replace("_x(p)", "_x(w[p])"), (EXAMPLES,)),
+    Mutant("S_w lifted in place of S_sigma", "zeroone/poly.py", "_lift(table[sigma.entries],",
+           "_lift(table[w.entries],",
+           ("tests/test_weyl.py::test_table_inequality_matches_the_classic_route",)),
     Mutant("a global option accepted after the command word", "zeroone/cli.py", GLOBAL,
            GLOBAL.replace("in table", "in _GLOBALS | table").replace("table[", "(_GLOBALS | table)["),
            ("tests/test_cli.py::test_invalid_input_exit_codes",)),

@@ -28,7 +28,7 @@ def _print_poly(f: poly.Polynomial, out, structured: bool):
 # route grow like n! or worse.  The library keeps only the guards that protect a
 # computation (the n <= 255 byte bounds, weyl's field width and subdiagram count,
 # the classic route's step cap), and no --limit lifts those.
-_CAPS = {"diagram": 6, "survey": 8}
+_CAPS = {"diagram": 6, "survey": 9}
 
 
 def _capped(kind: str, n: int, args) -> None:

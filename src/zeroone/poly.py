@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator
 
-from .perms import Permutation
+from .perms import Permutation, pattern_at, rothe_rows
 
 __all__ = [
     "Polynomial",
@@ -34,6 +34,7 @@ __all__ = [
     "demazure",
     "schubert_classic",
     "schubert_all",
+    "schubert_pattern_inequality",
     "is_zero_one",
 ]
 
@@ -295,6 +296,34 @@ def schubert_classic(w: Permutation) -> Polynomial:
     for i in reversed(path):
         packed = _packed_dd(i, packed)
     return Polynomial._from_packed(n, packed)
+
+
+def schubert_pattern_inequality(w: Permutation, positions: tuple[int, ...]) -> bool:
+    """S_w - M * S_sigma(x_P) has no negative coefficient, where sigma is the
+    pattern of w at the increasing positions P and M is the weight of the boxes
+    of D(w) outside rows P or outside columns w(P).  Checked on packed keys
+    (see `_lift`): S_w is at least c at each key of the product with
+    coefficient c, and at least 0 at every other key; the coefficients of
+    S_sigma are positive, so S_w >= 0 is checked once for all keys."""
+    table = {v.entries: schubert_classic(v)._packed for v in (w, pattern_at(w, positions))}
+    return next(_pattern_inequalities(w, (positions,), table))
+
+
+def _pattern_inequalities(w: Permutation, position_sets, table):
+    """`schubert_pattern_inequality(w, P)` for each P of position_sets in turn, S_v
+    read as table[v.entries], packed; S_w and D(w)'s rows are read once."""
+    f = table[w.entries]
+    nonnegative = min(f.values()) >= 0
+    rows = rothe_rows(w.entries)
+    weight = sum(row.bit_count() * _x(i) for i, row in enumerate(rows, start=1))
+    for positions in position_sets:
+        sigma = pattern_at(w, positions)
+        # the boxes in rows P and columns w(P) are D(sigma) reindexed, so M is D(w)'s weight
+        # less them; no field borrows, since a row's kept boxes are among its boxes
+        cols = sum(1 << w[p] - 1 for p in positions)
+        m_key = weight - sum((rows[p - 1] & cols).bit_count() * _x(p) for p in positions)
+        lifted = _lift(table[sigma.entries], positions, m_key)
+        yield nonnegative and all(f.get(key, 0) >= c for key, c in lifted.items())
 
 
 def _transitions(n: int, one, fold) -> Iterator[tuple[bytes, object]]:

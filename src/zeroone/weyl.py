@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-from .perms import Diagram, Permutation, pattern_at, rothe_rows
-from .poly import Polynomial, _lift, _x, schubert_classic
+from .perms import Diagram
+from .poly import Polynomial, _x
 
 __all__ = [
     "minor",
     "dual_character",
     "pattern_dominance_check",
-    "schubert_pattern_inequality",
     "DominanceResult",
     "SizeLimitError",
     "MAX_SUBDIAGRAMS",
@@ -289,30 +288,3 @@ def pattern_dominance_check(d: Diagram, k: int, l: int) -> DominanceResult:
             del remainder[key]
     return DominanceResult(Polynomial._from_packed(d.n, {m_key: 1}),
                            Polynomial._from_packed(d.n, remainder), ok)
-
-
-def schubert_pattern_inequality(w: Permutation, positions: tuple[int, ...]) -> bool:
-    """S_w - M * S_sigma(x_P) has no negative coefficient, where sigma is the
-    pattern of w at the increasing positions P and M is the weight of the boxes
-    of D(w) outside rows P or outside columns w(P).  Checked on packed keys
-    (see `poly._lift`): S_w is at least c at each key of the product with
-    coefficient c, and at least 0 at every other key; the coefficients of
-    S_sigma are positive, so S_w >= 0 is checked once for all keys."""
-    return next(_pattern_inequalities(w, (positions,), lambda v: schubert_classic(v)._packed))
-
-
-def _pattern_inequalities(w: Permutation, position_sets, packed):
-    """`schubert_pattern_inequality(w, P)` for each P of position_sets in turn, S_v
-    read as packed(v), such as a sweep's table; S_w and D(w)'s rows are read once."""
-    f = packed(w)
-    nonnegative = min(f.values()) >= 0
-    rows = rothe_rows(w.entries)
-    weight = sum(row.bit_count() * _x(i) for i, row in enumerate(rows, start=1))
-    for positions in position_sets:
-        sigma = pattern_at(w, positions)
-        # the boxes in rows P and columns w(P) are D(sigma) reindexed, so M is D(w)'s weight
-        # less them; no field borrows, since a row's kept boxes are among its boxes
-        cols = sum(1 << w[p] - 1 for p in positions)
-        m_key = weight - sum((rows[p - 1] & cols).bit_count() * _x(p) for p in positions)
-        lifted = _lift(packed(sigma), positions, m_key)
-        yield nonnegative and all(f.get(key, 0) >= c for key, c in lifted.items())

@@ -1,7 +1,6 @@
 import pytest
 
 from zeroone.poly import Polynomial, _all_packed
-from zeroone.weyl import _pattern_inequalities
 
 
 @pytest.fixture(scope="session")
@@ -32,10 +31,3 @@ def schubert_table_6(schubert_packed):
 def schubert_table_7(schubert_packed):
     return _table(schubert_packed, 7)
 
-
-@pytest.fixture(scope="session")
-def pattern_inequalities(schubert_packed):
-    """`schubert_pattern_inequality(w, P)` for each P of position_sets in turn,
-    reading S_w and S_sigma from the table."""
-    return lambda w, position_sets: _pattern_inequalities(w, position_sets,
-                                                          lambda v: schubert_packed[v.entries])

@@ -30,7 +30,7 @@ from zeroone.perms import (
     one_step_pattern,
     rothe_diagram,
 )
-from zeroone.poly import is_zero_one, schubert_classic
+from zeroone.poly import _pattern_inequalities, is_zero_one, schubert_classic
 from zeroone.tableaux import (
     read_words_into_diagram,
     root_operator,
@@ -122,11 +122,11 @@ def test_criterion_5_pattern_coefficients(schubert_table_6):
         assert peak == 4  # regression pin, brute force over S_6
 
 
-def test_criterion_6_schubert_dominance(pattern_inequalities):
+def test_criterion_6_schubert_dominance(schubert_packed):
     with criterion(6, "pattern dominance for Schubert polynomials over S_7"):
         sets = [tuple(p for p in range(1, 8) if p != k) for k in range(1, 8)]
         for w in all_permutations(7):
-            for k, holds in enumerate(pattern_inequalities(w, sets), 1):
+            for k, holds in enumerate(_pattern_inequalities(w, sets, schubert_packed), 1):
                 assert holds, (w, k)
 
 
@@ -175,13 +175,13 @@ def test_criterion_9_closure_and_minimality(schubert_table_5, schubert_table_6):
                 assert zero_one_status(sigma, checked=True).verdict()
 
 
-def test_criterion_10_every_occurrence_dominance(pattern_inequalities):
+def test_criterion_10_every_occurrence_dominance(schubert_packed):
     with criterion(10, "pattern dominance for every occurrence over S_1..S_6"):
         pairs = 0
         for n in range(1, 7):
             sets = [p for m in range(n + 1) for p in combinations(range(1, n + 1), m)]
             for w in all_permutations(n):
-                for positions, holds in zip(sets, pattern_inequalities(w, sets)):
+                for positions, holds in zip(sets, _pattern_inequalities(w, sets, schubert_packed)):
                     assert holds, (w, positions)
                     pairs += 1
         assert pairs == 50362  # sum of n! * 2^n; scripts/pattern_dominance.py takes S_7 and up

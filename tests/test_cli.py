@@ -246,14 +246,14 @@ def test_char_limit():
 
 
 def test_capped_commands_name_their_limit(tmp_path, monkeypatch):
-    # the command line caps a survey at n = 8 and the determinant route at n = 6,
+    # the command line caps a survey at n = 9 and the determinant route at n = 6,
     # before any other rule of the command; --limit replaces the cap
     path = tmp_path / "seven.txt"
     path.write_text(str(perms.rothe_diagram(perms.parse_permutation("2143657"))))
-    diagram, survey = "diagram size 7 exceeds limit 6", "survey size {} exceeds limit 8"
+    diagram, survey = "diagram size 7 exceeds limit 6", "survey size {} exceeds limit 9"
     for argv, message in [
-        (["survey", "9"], survey.format(9)),
-        (["survey", "9", "--methods", "all"], survey.format(9)),
+        (["survey", "10"], survey.format(10)),
+        (["survey", "10", "--methods", "all"], survey.format(10)),
         (["survey", "300"], survey.format(300)),
         (["char", str(path)], diagram),
         (["dominance", str(path), "--row", "1", "--col", "2"], diagram),
@@ -266,17 +266,17 @@ def test_capped_commands_name_their_limit(tmp_path, monkeypatch):
     assert invoke("--limit", "7", "char", str(path)) == expanded
     assert invoke("--limit", "7", "dominance", str(path), "--row", "1", "--col", "2") == (
         0, "M x1\nok true\n", "")
-    # an S_9 survey takes seconds: the library's call stands in, to show it is reached
+    # an S_10 survey takes tens of seconds: the library's call stands in, to show it is reached
     calls = []
 
-    def survey_9(n, methods, workers, checked):
+    def survey_10(n, methods, workers, checked):
         calls.append(methods)
-        return classify.SurveySummary(n, 362880, 110809, 0, None)
+        return classify.SurveySummary(n, 3628800, 656200, 0, None)
 
-    monkeypatch.setattr(classify, "survey", survey_9)
+    monkeypatch.setattr(classify, "survey", survey_10)
     for methods in ("fast", "all"):
-        assert invoke("--limit", "9", "survey", "9", "--methods", methods) == (
-            0, "n 9\ntotal 362880\nzero_one 110809\ndisagreements 0\n", "")
+        assert invoke("--limit", "10", "survey", "10", "--methods", methods) == (
+            0, "n 10\ntotal 3628800\nzero_one 656200\ndisagreements 0\n", "")
     assert calls == ["fast", "all"]
 
 
@@ -357,7 +357,7 @@ def test_survey_output():
     code, out, _ = invoke("survey", "5")
     assert code == 0
     assert out == "n 5\ntotal 120\nzero_one 115\ndisagreements 0\n"
-    code, _, err = invoke("survey", "9")
+    code, _, err = invoke("survey", "10")
     assert code == 1 and "limit" in err
     for argv in (["survey", "-1"], ["survey", "-1", "--methods", "all"]):
         code, out, err = invoke(*argv)

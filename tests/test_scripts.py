@@ -6,14 +6,25 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import combinations
+from math import prod
 from pathlib import Path
 
 import pytest
 
-from zeroone.perms import Permutation
+import zeroone.weyl as weyl
+from zeroone.perms import Permutation, all_permutations, rothe_diagram
 from zeroone.poly import schubert_classic
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _script(name):
+    """scripts/<name>.py as a module, its main not run."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 @pytest.mark.parametrize("argv, last_line", [
@@ -42,10 +53,7 @@ def test_script_exits_zero(argv, last_line):
 
 
 def test_survey_script_fails_on_a_wrong_count(monkeypatch, capsys):
-    path = ROOT / "scripts" / "survey_zero_one.py"
-    spec = importlib.util.spec_from_file_location("survey_script", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("survey_zero_one")
     monkeypatch.setattr(sys, "argv", ["survey_zero_one.py", "--max-n", "4"])
     assert script.main() == 0
     real = script.survey
@@ -58,14 +66,11 @@ def test_survey_script_fails_on_a_wrong_count(monkeypatch, capsys):
 
 
 def test_pattern_dominance_script_fails_on_a_failure(monkeypatch, capsys):
-    path = ROOT / "scripts" / "pattern_dominance.py"
-    spec = importlib.util.spec_from_file_location("dominance_script", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("pattern_dominance")
     monkeypatch.setattr(sys, "argv", ["pattern_dominance.py", "--max-n", "3"])
     assert script.main() == 0
-    monkeypatch.setattr(script, "schubert_pattern_inequalities",
-                        lambda w, sets: (positions != (1,) for positions in sets))
+    monkeypatch.setattr(script, "_pattern_inequalities",
+                        lambda w, sets, table: (positions != (1,) for positions in sets))
     assert script.main() == 1
     out, err = capsys.readouterr()
     assert "n=2: 8 occurrences, 2 failures" in out
@@ -75,20 +80,32 @@ def test_pattern_dominance_script_fails_on_a_failure(monkeypatch, capsys):
 def test_method_agreement_weyl_route_passes_size_limit():
     # the command line caps the determinant route at n = 6, the library does not:
     # --weyl-max-n 7 must not stop on the first permutation of S_7
-    path = ROOT / "scripts" / "method_agreement.py"
-    spec = importlib.util.spec_from_file_location("agreement_script", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("method_agreement")
     w = Permutation((2, 1, 5, 4, 3, 7, 6))
     assert script.ROUTES["weyl"](w) == schubert_classic(w)
 
 
+def test_method_agreement_counts_the_weyl_refusals(monkeypatch, capsys):
+    # a w whose diagram the determinant route's guard refuses is counted on its
+    # n line, not taken for a disagreement; a lowered guard makes S_4 meet it
+    script = _script("method_agreement")
+    monkeypatch.setattr(weyl, "MAX_SUBDIAGRAMS", 2)
+    monkeypatch.setattr(sys, "argv", ["method_agreement.py", "--max-n", "4", "--weyl-max-n", "4"])
+    script.main()
+
+    def subdiagrams(col):
+        return sum(all(a <= b for a, b in zip(s, col)) for s in combinations(range(1, 5), len(col)))
+
+    refused = sum(prod(map(subdiagrams, rothe_diagram(w).columns)) > 2 for w in all_permutations(4))
+    assert refused > 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith(f"n=4: 24 permutations agree, {refused} refused by weyl  ("), lines
+    assert "refused" not in "".join(lines[:-1])
+
+
 def test_mutant_rows_apply_once():
     # the full mutant run stays on request; this keeps its table from rotting
-    path = ROOT / "scripts" / "mutants.py"
-    spec = importlib.util.spec_from_file_location("mutants_script", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("mutants")
     assert script.MUTANTS
     for mutant in script.MUTANTS:
         assert (ROOT / "src" / mutant.path).read_text().count(mutant.old) == 1, mutant.name

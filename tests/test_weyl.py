@@ -1,6 +1,7 @@
 """Flagged Weyl module characters, exact ranks, and dominance."""
 
 import random
+from collections import ChainMap
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
@@ -18,14 +19,19 @@ from zeroone.perms import (
     rothe_diagram,
     rothe_rows,
 )
-from zeroone.poly import Polynomial, _lift, schubert_classic
+from zeroone.poly import (
+    Polynomial,
+    _lift,
+    _pattern_inequalities,
+    schubert_classic,
+    schubert_pattern_inequality,
+)
 from zeroone.weyl import (
     SizeLimitError,
     dual_character,
     matrix_rank,
     minor,
     pattern_dominance_check,
-    schubert_pattern_inequality,
     _choice_count,
     _column_minors,
     _extend,
@@ -484,7 +490,7 @@ def test_schubert_pattern_inequality_examples():
             schubert_pattern_inequality(w, bad)
 
 
-def test_table_inequality_matches_the_classic_route(schubert_packed, pattern_inequalities):
+def test_table_inequality_matches_the_classic_route(schubert_packed):
     # criteria 6 and 10 read S_w and S_sigma from the session table of S_0..S_7
     rng = random.Random(7919)
     for _ in range(300):
@@ -493,11 +499,12 @@ def test_table_inequality_matches_the_classic_route(schubert_packed, pattern_ine
         positions = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
         for v in (w, pattern_at(w, positions)):
             assert schubert_packed[v.entries] == schubert_classic(v)._packed, v
-        assert [*pattern_inequalities(w, [positions])] == [schubert_pattern_inequality(w, positions)]
-        # the check reads S_sigma from the lookup for each P: with S_() read as 2 it
+        assert [*_pattern_inequalities(w, [positions], schubert_packed)] == [
+            schubert_pattern_inequality(w, positions)]
+        # the check reads S_sigma from the table for each P: with S_() read as 2 it
         # must fail at P = (), since S_w has coefficient 1 at M, the weight of all of D(w)
-        two = lambda v: schubert_packed[v.entries] if v.n else {0: 2}
-        assert [*weyl._pattern_inequalities(w, [(), positions], two)] == [False, positions != ()], w
+        two = ChainMap({(): {0: 2}}, schubert_packed)
+        assert [*_pattern_inequalities(w, [(), positions], two)] == [False, positions != ()], w
 
 
 def _reindexed(f, positions, nvars):
