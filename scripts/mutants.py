@@ -58,6 +58,8 @@ ORACLE = "tests/test_weyl.py::test_dominance_remainder_matches_full_frame_oracle
 PARSER = "tests/test_perms.py::test_parse_diagram_matches_the_reference"
 REST_COLUMNS = "columns = key & ones & ~((key & key + ones) + rows >> n)"
 FIELDS = "tests/test_orthodontia.py::test_field_helpers_match_per_column_definitions"
+LEAF_KEYS = "tests/test_classify.py::test_survey_odometer_looks_up_the_state_keys"
+LEAF_VOTES = "tests/test_classify.py::test_survey_odometer_votes_match_the_predicates"
 ENGINE = "tests/test_orthodontia.py::test_engine_matches_reference_straightening"
 SIGN = "sign = -1 if (mask & -bit).bit_count() & 1 else 1"
 LEIBNIZ = "tests/test_weyl.py::test_column_minors_match_leibniz"
@@ -130,8 +132,21 @@ MUTANTS = (
     Mutant("the swap without hi >> 1", "zeroone/orthodontia.py",
            "key ^= lo ^ hi ^ lo << 1 ^ hi >> 1", "key ^= lo ^ hi ^ lo << 1", (ENGINE,)),
     Mutant("the odometer's leaf key left unemptied", "zeroone/classify.py",
-           "rest = _rest(key, 0, ones, rows, n)", "rest = key",
-           ("tests/test_classify.py::test_survey_odometer_looks_up_the_state_keys",)),
+           "rest = key & ~(columns * field) if columns else key", "rest = key", (LEAF_KEYS,)),
+    Mutant("the leaf's inline emptying with ones in place of rows", "zeroone/classify.py",
+           REST_COLUMNS, REST_COLUMNS.replace("+ rows >>", "+ ones >>"), (LEAF_KEYS,)),
+    Mutant("the second leaf of a pair without its box (n-1, a)", "zeroone/classify.py",
+           "key + boxes[a - 1],", "key,", (LEAF_KEYS,)),
+    Mutant("the second leaf with the first leaf's configuration state", "zeroone/classify.py",
+           "free and not pending >> a - 1 & 1)", "free)", (LEAF_VOTES,)),
+    Mutant("the two leaves of a pair yielded in reverse order", "zeroone/classify.py",
+           "for e, key, free in leaves:", "for e, key, free in reversed(leaves):",
+           ("tests/test_classify.py::test_survey_odometer_runs_in_lexicographic_order",)),
+    Mutant("the sieve with six positions", "zeroone/classify.py", "for x in entries[:7]:",
+           "for x in entries[:6]:",
+           ("tests/test_classify.py::test_sieve_deletes_at_most_seven_positions",)),
+    Mutant("the leaf's inline sieve with six positions", "zeroone/classify.py", "for x in e[:7]:",
+           "for x in e[:6]:", (LEAF_VOTES,)),
     Mutant("the survey block's expansion vote always true", "zeroone/classify.py",
            "(e in zero_ones, *vote)", "(True, *vote)",
            ("tests/test_classify.py::test_survey_all_methods_small",)),

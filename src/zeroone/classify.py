@@ -13,13 +13,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, permutations
 from operator import or_
 from typing import Iterator, Optional
 
 from .perms import Permutation, first_pattern, rothe_rows
 from .poly import _zero_one_supports, is_zero_one, schubert_classic
-from .orthodontia import _layout, _rest, _StateTable, is_multiplicity_free
+from .orthodontia import _layout, _StateTable, is_multiplicity_free
 
 __all__ = [
     "MULTIPLICITOUS_PATTERNS",
@@ -237,11 +237,13 @@ def _sieve_avoids(entries: bytes, below: set[bytes], tables: list[tuple[bytes, b
     in S_{n-1} and tables must come from `_deletion_tables(m)` with m >= n.
     Containment is transitive, so w avoids every pattern iff w is not itself
     one of them and each of its one-step patterns (delete one entry, flatten)
-    avoids them all.
+    avoids them all.  Deleting positions 1..min(n, 7) is enough: a pattern
+    has at most six entries, so an occurrence in w misses one of any seven
+    positions, and deleting that one keeps the occurrence.
     """
     if entries in _PATTERN_BYTES:
         return False
-    for x in entries:
+    for x in entries[:7]:
         table, delete = tables[x]
         if entries.translate(table, delete) not in below:
             return False
@@ -284,18 +286,24 @@ def _survey_votes(n: int, first: Optional[int] = None):
       (`_pending`) and falls at the first later box in one of them;
     - the state key, packed as `_StateTable` keys are (`orthodontia._layout`),
       gains the row: one multiply spreads its bit c to bit d of column c+1.
-    Each leaf runs the sieve on its entries and looks its key up once
-    `orthodontia._rest` has emptied the interval columns.
+    The odometer stops at depth n-2, where two values a < b are left: the
+    leaves (..., a, b), then (..., b, a).  Row n of D(w) is empty, and row
+    n-1 is too in the first and the box (n-1, a) in the second.  Each leaf
+    runs the sieve and looks its key up once its interval columns are emptied.
     """
     tables, states = _deletion_tables(n), _StateTable(n)
-    if not n:
-        yield b"", (_sieve_avoids(b"", set(), tables), True, states.vote(0))
+    below = _avoider_class(n - 1) if n else set()
+    if n < 3:  # no pair, and D(w) is at most the interval column [1]: key 0, no configuration
+        for e in map(bytes, permutations(range(1, n + 1))):
+            if first is None or e[0] == first:
+                yield e, (_sieve_avoids(e, below, tables), True, states.vote(0))
         return
-    below = _avoider_class(n - 1)
-    field, last, top = (1 << n) - 1, n - 1, n + 1
+    field, top = (1 << n) - 1, n + 1
     ones, rows, gather = _layout(n)
+    boxes = [1 << c * top + n - 2 for c in range(n)]  # the box (n-1, c+1), packed
     singles = [bytes((v,)) for v in range(top)]
-    entries = bytearray(n)
+    entries = bytearray(n - 2)  # the prefix above a pair
+    known = states.get
     # one frame per depth: the values to try there, then the prefix state above
     # it: the unplaced values (as bytes and as a mask), the key, the pending
     # columns (None once a configuration is found), the two least entries
@@ -308,32 +316,43 @@ def _survey_votes(n: int, first: Optional[int] = None):
             frames.pop()
             continue
         d = len(frames) - 1
-        while True:  # place v at depth d, then the one value left if that is all
-            entries[d] = v
-            bit = 1 << v - 1
-            avail ^= bit
-            row = avail & bit - 1
-            if row:
-                key += (row * gather & ones) << d
-                if pending is not None:
-                    if row & pending:
-                        pending = None
-                    else:
-                        a, b, b_prime = _pending(row, least, second)
-                        pending |= a | b | b_prime
-            if d == last:
-                e = bytes(entries)
-                rest = _rest(key, 0, ones, rows, n)
-                yield e, (_sieve_avoids(e, below, tables), pending is not None, states.vote(rest))
-                break
-            if d + 1 == last:  # row n is empty, so least and second no longer matter
-                d, v = last, avail.bit_length()
-                continue
+        entries[d] = v
+        bit = 1 << v - 1
+        avail ^= bit
+        row = avail & bit - 1
+        if row:
+            key += (row * gather & ones) << d
+            if pending is not None:
+                if row & pending:
+                    pending = None
+                else:
+                    a, b, b_prime = _pending(row, least, second)
+                    pending |= a | b | b_prime
+        if d + 3 < n:
             if v < second:
                 least, second = (v, least) if v < least else (least, v)
             values = values.replace(singles[v], b"")
             frames.append((iter(values), values, avail, key, pending, least, second))
-            break
+            continue
+        a, b = (avail & -avail).bit_length(), avail.bit_length()
+        head, free = bytes(entries), pending is not None
+        leaves = ((head + singles[a] + singles[b], key, free),
+                  (head + singles[b] + singles[a], key + boxes[a - 1],
+                   free and not pending >> a - 1 & 1))
+        # each leaf copies the bodies of `_sieve_avoids`, of `_rest` at i = 0 and
+        # of the table's hit, since a call per leaf is measurable on `survey 8`
+        for e, key, free in leaves:
+            for x in e[:7]:
+                table, delete = tables[x]
+                if e.translate(table, delete) not in below:
+                    avoids = False
+                    break
+            else:
+                avoids = e not in _PATTERN_BYTES
+            columns = key & ones & ~((key & key + ones) + rows >> n)
+            rest = key & ~(columns * field) if columns else key
+            summary = known(rest, -1)
+            yield e, (avoids, free, states.vote(rest) if summary == -1 else summary is not None)
 
 
 def _pool_size(workers: int, blocks: int) -> int:
@@ -351,10 +370,12 @@ def _survey_block(n: int, zero_ones: Optional[set[bytes]], first: Optional[int])
         votes = ((e, (e in zero_ones, *vote)) for e, vote in votes)
     zero_one = disagreements = total = 0
     least = None
+    width = 3 if zero_ones is None else 4
+    yes, no = (True,) * width, (False,) * width
     for entries, vote in votes:
-        if all(vote):
+        if vote == yes:
             zero_one += 1
-        elif any(vote):
+        elif vote != no:
             if not disagreements:
                 least = entries
             disagreements += 1
@@ -377,9 +398,10 @@ def survey(
 
     The pattern vote comes from a sieve rather than a scan of every 5- and
     6-entry subsequence: the avoiders of S_{n-1} are built level by level,
-    and w in S_n avoids the twelve patterns iff w is not one of them and all
-    n of its one-step patterns are avoiders.  This is exact because pattern
-    containment is transitive; it assumes nothing about zero-one-ness, so
+    and w in S_n avoids the twelve patterns iff w is not one of them and its
+    one-step patterns at positions 1..min(n, 7) are avoiders.  This is exact
+    because pattern containment is transitive and a pattern has at most six
+    entries (`_sieve_avoids`); it assumes nothing about zero-one-ness, so
     the vote stays independent of the other predicates.  Permutations are
     held as bytes, each one-step pattern is one bytes.translate, and so n
     must be at most 255.

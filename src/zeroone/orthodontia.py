@@ -13,7 +13,8 @@ column with a few big-int operations (Knuth, TAOCP 4A, 7.1.3).  It yields
 each step's letter, impact (a column bitmask) and packed stage, before and
 after its interval columns are emptied: `orthodontic_sequence` reads i, k and
 m in one pass, `is_multiplicity_free` compares impact masks and stops at the
-first bad repeated letter, and the survey's `_StateTable` steps each state once.
+first bad repeated letter, and the survey's `_StateTable` steps each state once
+with the engine's step function, `_step`, and no generator.
 """
 
 from __future__ import annotations
@@ -76,31 +77,38 @@ def _rest(key: int, i: int, ones: int, rows: int, n: int) -> int:
     return rest
 
 
+def _step(key: int, n: int, ones: int, rows: int, gather: int) -> tuple[int, int, int, int]:
+    """Step r > 0 of `_engine`, (i_r, impact, stage, rest), from the rest of
+    step r - 1: a nonempty packed key of n columns with no interval column."""
+    field, width = (1 << n) - 1, n + 1
+    shift = (key & -key).bit_length() - 1
+    first = key >> shift - shift % width & field  # the leftmost nonempty column
+    teeth = ~first & first >> 1
+    if teeth == 0:
+        raise AssertionError("leftmost nonempty column has no missing tooth")
+    i = (teeth & -teeth).bit_length()  # the smallest missing tooth
+    lo, hi = key & ones << i - 1, key & ones << i
+    key ^= lo ^ hi ^ lo << 1 ^ hi >> 1
+    impact = (hi >> i) * gather >> n * (n - 1) & field  # columns that held row i + 1
+    return i, impact, key, _rest(key, i, ones, rows, n)
+
+
 def _engine(key: int, n: int):
     """Run the straightening on a packed diagram of n columns, one step at a time.
 
     Step r is (i_r, impact, stage, rest): stage follows the first r row swaps,
     and rest, the state step r + 1 starts from, is stage with the interval
     columns emptied.  impact has bit j-1 set iff column j holds a box in row
-    i_r + 1 when swap r executes.  Step 0 is (0, 0, input, rest).
+    i_r + 1 when swap r executes.  Step 0 is (0, 0, input, rest); each later
+    step is `_step` on the rest before it.
     """
     ones, rows, gather = _layout(n)
-    field, width, i, impact = (1 << n) - 1, n + 1, 0, 0
+    step = (0, 0, key, _rest(key, 0, ones, rows, n))
     while True:
-        rest = _rest(key, i, ones, rows, n)
-        yield i, impact, key, rest
-        if not rest:
+        yield step
+        if not step[3]:
             return
-        key = rest
-        shift = (key & -key).bit_length() - 1
-        first = key >> shift - shift % width & field  # the leftmost nonempty column
-        teeth = ~first & first >> 1
-        if teeth == 0:
-            raise AssertionError("leftmost nonempty column has no missing tooth")
-        i = (teeth & -teeth).bit_length()  # the smallest missing tooth
-        lo, hi = key & ones << i - 1, key & ones << i
-        key ^= lo ^ hi ^ lo << 1 ^ hi >> 1
-        impact = (hi >> i) * gather >> n * (n - 1) & field  # columns that held row i + 1
+        step = _step(step[3], n, ones, rows, gather)
 
 
 def _repeat_ok(imp: int, other: int) -> bool:
@@ -129,10 +137,10 @@ class _StateTable(dict):
     A value sums up the chain from its state to the empty diagram (key 0):
     n + 1 bits per letter i at offset (i-1)(n+1), a seen bit under i's
     impact mask, or None once a repeat breaks `_repeat_ok`.  The survey
-    builds each key prefix by prefix and calls `vote`, which walks the
-    engine from a key it lacks to a known state, then folds the new steps
-    back in.  Once CAP states are stored, a vote from an unknown state is
-    `_walk_forward`, which can stop at the first bad repeat.
+    builds each key prefix by prefix, looks it up itself and calls `vote` on
+    a miss, which takes `_step` from the key to a known state, then folds the
+    new steps back in.  Once CAP states are stored, a vote from an unknown
+    state is `_walk_forward`, which can stop at the first bad repeat.
     """
 
     CAP = 1 << 18  # about 80 bytes a state; S_9 has 155739 states, S_10 more than CAP
@@ -149,13 +157,11 @@ class _StateTable(dict):
         n, walked = self.n, []
         if len(self) >= self.CAP:
             return _walk_forward(key, n)
-        steps = _engine(key, n)
-        next(steps)  # key has no interval column, so step 0 leaves it as it is
-        for letter, imp, _, rest in steps:
+        ones, rows, gather = _layout(n)
+        while key not in self:  # the empty diagram, key 0, is always in
+            letter, imp, _, rest = _step(key, n, ones, rows, gather)
             walked.append((key, letter, imp))
             key = rest
-            if key in self:
-                break
         summary, width = self[key], n + 1
         for key, letter, imp in reversed(walked):
             if summary is not None:

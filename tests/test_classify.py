@@ -259,14 +259,28 @@ def test_sieve_matches_pattern_scan():
         assert not _sieve_avoids(bytes(p.entries), below, _deletion_tables(p.n))
 
 
+def test_sieve_deletes_at_most_seven_positions():
+    # a pattern has at most six entries, so deleting positions 1..min(n, 7)
+    # finds every occurrence: the class equals a sieve that deletes every position
+    patterns, level = {bytes(p.entries) for p in MULTIPLICITOUS_PATTERNS}, {b""}
+    for m in range(1, 9):
+        top, tables = bytes((m,)), _deletion_tables(m)
+        children = (e[:k] + top + e[k:] for e in level for k in range(m))
+        level = {e for e in children
+                 if e not in patterns and all(e.translate(*tables[x]) in level for x in e)}
+        assert _avoider_class(m) == level, m
+    assert len(level) == 19038
+
+
 def test_survey_blocks_split_by_first_entry():
-    for n in range(1, 6):
+    # n <= 2 takes the short path, n >= 3 the pairs of leaves; S_0 has no first entry
+    for n in range(1, 9):
         blocks = [e for first in range(1, n + 1) for e, _ in _survey_votes(n, first)]
         assert blocks == [e for e, _ in _survey_votes(n)]
 
 
 def test_survey_odometer_runs_in_lexicographic_order():
-    for n in range(8):
+    for n in range(9):
         perms = [bytes(e) for e in it_perms(range(1, n + 1))]
         assert [e for e, _ in _survey_votes(n)] == perms
         for first in range(1, n + 1):
@@ -298,6 +312,10 @@ def test_survey_odometer_looks_up_the_state_keys(monkeypatch):
     keys = []
 
     class Recorded(_StateTable):
+        def __init__(self, n):  # seeds no state, so every leaf's lookup misses and calls vote
+            super().__init__(n)
+            self.clear()
+
         def vote(self, key):  # records the key only, so a wrong key cannot hide behind a crash
             keys.append(key)
             return True
@@ -442,19 +460,19 @@ def test_pooled_blocks_get_only_their_own_zero_ones(monkeypatch):
 def test_survey_steps_each_state_once(monkeypatch):
     import zeroone.orthodontia as orthodontia_mod
 
-    real, letters = orthodontia_mod._engine, []
+    real, letters = orthodontia_mod._step, []
 
-    def counted(key, n):
-        for step in real(key, n):
-            letters.append(step[0])
-            yield step
+    def counted(*args):
+        step = real(*args)
+        letters.append(step[0])
+        return step
 
-    monkeypatch.setattr(orthodontia_mod, "_engine", counted)
+    monkeypatch.setattr(orthodontia_mod, "_step", counted)
     for methods in ("fast", "all"):
         letters.clear()
         assert survey(7, methods=methods).zero_one == 3343
         # S_7 reaches 1956 states with interval columns emptied, the empty one seeded
-        assert sum(map(bool, letters)) == 1955
+        assert len(letters) == 1955 and all(letters)
 
 
 def test_survey_state_table_cap(monkeypatch):
