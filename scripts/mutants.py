@@ -87,6 +87,8 @@ M_STEP = ("    for i, _, stage, rest in steps:  # stage ^ rest holds the m_r col
           "        letters.append(i)\n"
           "        m.append((stage ^ rest).bit_count() // i)\n")
 REPLAY = "tuple(stage for _, _, stage, _ in _engine(self._key, len(self.k)))"
+ZERO_ONE_CHECK = "if args.checked and not status.agree():"
+CHECKED_ZERO_ONE = "tests/test_cli.py::test_checked_disagreement_exits_2"
 
 MUTANTS = (
     Mutant("M := 0 at the Schubert level", "zeroone/poly.py", SCHUBERT_M, "m_key = 0",
@@ -231,6 +233,13 @@ MUTANTS = (
     Mutant("zero-one scans before the votes that refuse n > 255", "zeroone/classify.py",
            VOTES + SCAN, SCAN + VOTES,
            ("tests/test_cli.py::test_zero_one_refuses_before_any_scan",)),
+    Mutant("--checked zero-one ignores a disagreement", "zeroone/cli.py", ZERO_ONE_CHECK,
+           "if False:", (CHECKED_ZERO_ONE,)),
+    Mutant("the zero-one check fires without --checked", "zeroone/cli.py", ZERO_ONE_CHECK,
+           "if not status.agree():", (CHECKED_ZERO_ONE,)),
+    Mutant("the survey check fires without --checked", "zeroone/cli.py",
+           "if args.checked and summary.disagreements:", "if summary.disagreements:",
+           ("tests/test_cli.py::test_survey_names_a_disagreement",)),
 )
 
 

@@ -4,8 +4,8 @@ Four independent tests decide whether a Schubert polynomial has all its
 coefficients in {0, 1}: direct expansion, avoidance of the twelve patterns,
 absence of configurations A / B / B' in the inversion diagram, and
 multiplicity-freeness of the orthodontic sequence.  They are provably
-equivalent; `zero_one_status` computes them separately so the equivalence
-stays an executable check.
+equivalent; `zero_one_status` and `survey` return the votes separately, so
+`zeroone --checked` keeps the equivalence an executable check.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "zero_one_status",
     "survey",
     "SurveySummary",
-    "InternalCheckError",
 ]
 
 MULTIPLICITOUS_PATTERNS: tuple[Permutation, ...] = tuple(
@@ -54,10 +53,6 @@ MULTIPLICITOUS_PATTERNS: tuple[Permutation, ...] = tuple(
 )
 
 _PATTERN_BYTES = frozenset(bytes(p.entries) for p in MULTIPLICITOUS_PATTERNS)
-
-
-class InternalCheckError(AssertionError):
-    """Checked-mode disagreement between provably equivalent predicates."""
 
 
 @dataclass(frozen=True)
@@ -194,25 +189,20 @@ class ZeroOneStatus:
         return all(self.computed())
 
 
-def zero_one_status(
-    w: Permutation, include_expansion: bool = False, checked: bool = False
-) -> ZeroOneStatus:
+def zero_one_status(w: Permutation, include_expansion: bool = False) -> ZeroOneStatus:
     """Evaluate the zero-one predicates independently.
 
     Expansion is opt-in since it dominates the runtime.  The votes that
     refuse n > 255 (expansion, multiplicity-freeness) run first, so no scan
-    runs on a refused w.  In checked mode a disagreement raises
-    InternalCheckError: the predicates are theorems of each other, so
-    disagreement means an implementation bug.
+    runs on a refused w.  The predicates are theorems of each other, so a
+    status whose `agree()` is false means an implementation bug; the caller
+    decides what to do about it (`zeroone --checked` exits 2).
     """
     expansion = is_zero_one(schubert_classic(w)) if include_expansion else None
     multfree = is_multiplicity_free(w)
     no_configuration = not has_configuration(w.entries)
     witness = witness_pattern(w)
-    status = ZeroOneStatus(expansion, witness is None, no_configuration, multfree, witness)
-    if checked and not status.agree():
-        raise InternalCheckError(f"zero-one predicates disagree for {w}: {status}")
-    return status
+    return ZeroOneStatus(expansion, witness is None, no_configuration, multfree, witness)
 
 
 @dataclass(frozen=True)
@@ -383,12 +373,7 @@ def _survey_block(n: int, zero_ones: Optional[set[bytes]], first: Optional[int])
     return zero_one, disagreements, total, least
 
 
-def survey(
-    n: int,
-    methods: str = "fast",
-    workers: int = 1,
-    checked: bool = False,
-) -> SurveySummary:
+def survey(n: int, methods: str = "fast", workers: int = 1) -> SurveySummary:
     """Exhaustively classify S_n and summarize.
 
     methods="fast" runs the pattern, configuration, and multiplicity-freeness
@@ -420,9 +405,9 @@ def survey(
     methods="all" takes the expansion votes once, in the calling process, and
     hands each block only the zero-one entries that start with its first entry.
 
-    The summary names the least permutation, in lexicographic order, on which
-    the votes disagree.  In checked mode any disagreement raises
-    InternalCheckError naming it.
+    The summary counts the permutations on which the votes disagree and names
+    the least of them in lexicographic order; the caller decides what a
+    disagreement means (`zeroone --checked` exits 2).
     """
     if methods not in ("fast", "all"):
         raise ValueError(f"unknown methods {methods!r}")
@@ -450,9 +435,4 @@ def survey(
     zero_one, disagreements, total = sum(counts), sum(disagreeing), sum(totals)
     first = min((e for e in firsts if e is not None), default=None)
     disagreement = None if first is None else Permutation(tuple(first))
-    if checked and disagreements:
-        raise InternalCheckError(
-            f"survey of S_{n}: the votes disagree on {disagreements} permutations,"
-            f" first on {disagreement}"
-        )
     return SurveySummary(n, total, zero_one, disagreements, disagreement)

@@ -110,7 +110,9 @@ def _cmd_dominance(args, out) -> None:
 def _cmd_zero_one(args, out) -> None:
     """is the Schubert polynomial zero-one? --all-methods also expands it"""
     w = perms.parse_permutation(args.perm)
-    status = classify.zero_one_status(w, include_expansion=args.all_methods, checked=args.checked)
+    status = classify.zero_one_status(w, include_expansion=args.all_methods)
+    if args.checked and not status.agree():
+        raise AssertionError(f"zero-one predicates disagree for {w}: {status}")
     verdict = status.verdict()
     print("true" if verdict else "false", file=out)
     if not verdict and status.witness is not None:
@@ -126,8 +128,10 @@ def _cmd_zero_one(args, out) -> None:
 def _cmd_survey(args, out) -> None:
     """classify all of S_n"""
     _capped("survey", args.n, args)
-    summary = classify.survey(args.n, methods=args.methods, workers=args.workers,
-                              checked=args.checked)
+    summary = classify.survey(args.n, methods=args.methods, workers=args.workers)
+    if args.checked and summary.disagreements:
+        raise AssertionError(f"survey of S_{args.n}: the votes disagree on {summary.disagreements}"
+                             f" permutations, first on {summary.disagreement}")
     for field in ("n", "total", "zero_one", "disagreements"):
         print(f"{field} {getattr(summary, field)}", file=out)
     if summary.disagreements:

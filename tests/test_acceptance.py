@@ -172,7 +172,8 @@ def test_criterion_9_closure_and_minimality(schubert_table_5, schubert_table_6):
             for k in range(1, p.n + 1):
                 sigma = one_step_pattern(p, k)
                 assert is_zero_one(schubert_classic(sigma)), (p, k)
-                assert zero_one_status(sigma, checked=True).verdict()
+                status = zero_one_status(sigma)
+                assert status.agree() and status.verdict()
 
 
 def test_criterion_10_every_occurrence_dominance(schubert_packed):

@@ -8,7 +8,6 @@ import pytest
 
 from zeroone.classify import (
     MULTIPLICITOUS_PATTERNS,
-    InternalCheckError,
     avoids_multiplicitous,
     find_configuration,
     has_configuration,
@@ -199,12 +198,12 @@ def test_witness_pattern():
 
 
 def test_zero_one_status_examples():
-    good = zero_one_status(parse_permutation("31542"), include_expansion=True, checked=True)
+    good = zero_one_status(parse_permutation("31542"), include_expansion=True)
     assert good.verdict() and good.agree()
     assert good.by_expansion and good.by_patterns
     assert good.by_configurations and good.by_multiplicity_free
 
-    bad = zero_one_status(parse_permutation("12543"), include_expansion=True, checked=True)
+    bad = zero_one_status(parse_permutation("12543"), include_expansion=True)
     assert not bad.verdict() and bad.agree()
     assert bad.computed() == [False, False, False, False]
     assert good.witness is None and bad.witness == (parse_permutation("12543"), (1, 2, 3, 4, 5))
@@ -214,21 +213,18 @@ def test_zero_one_status_examples():
     assert len(fast.computed()) == 3
 
 
-def test_zero_one_status_checked_raises_on_disagreement(monkeypatch):
+def test_zero_one_status_reports_a_disagreement(monkeypatch):
     import zeroone.classify as classify_mod
 
     # a forged witness makes the pattern vote "not zero-one"
     monkeypatch.setattr(classify_mod, "witness_pattern", lambda w: (w, (1, 2, 3, 4, 5)))
-    with pytest.raises(InternalCheckError):
-        zero_one_status(Permutation((1, 2, 3, 4, 5)), checked=True)
-    # unchecked mode reports the (forced) disagreement without raising
     status = zero_one_status(Permutation((1, 2, 3, 4, 5)))
     assert not status.agree()
 
 
 def test_predicates_agree_exhaustively_S6():
     for w in all_permutations(6):
-        assert zero_one_status(w, checked=True).agree()
+        assert zero_one_status(w).agree()
 
 
 def test_configuration_free_iff_pattern_avoiding_S6():
@@ -401,9 +397,7 @@ def test_survey_names_its_first_disagreement(monkeypatch):
         assert (s.total, s.zero_one, s.disagreements) == (120, 115, 2)
         # the least in lexicographic order, for both methods
         assert str(s.disagreement) == "13254"
-        with pytest.raises(InternalCheckError, match=str(s.disagreement)):
-            survey(5, methods=methods, checked=True)
-    assert survey(4, checked=True).disagreement is None
+    assert survey(4).disagreement is None
 
 
 class BackwardsPool:

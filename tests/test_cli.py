@@ -269,7 +269,7 @@ def test_capped_commands_name_their_limit(tmp_path, monkeypatch):
     # an S_10 survey takes tens of seconds: the library's call stands in, to show it is reached
     calls = []
 
-    def survey_10(n, methods, workers, checked):
+    def survey_10(n, methods, workers):
         calls.append(methods)
         return classify.SurveySummary(n, 3628800, 656200, 0, None)
 
@@ -348,9 +348,12 @@ def test_checked_disagreement_exits_2(monkeypatch):
 
     # a forged witness makes the pattern vote "not zero-one"
     monkeypatch.setattr(classify_mod, "witness_pattern", lambda w: (w, (1, 2, 3, 4)))
-    code, _, err = invoke("--checked", "zero-one", "1234")
-    assert code == 2
-    assert err.startswith("internal-error:")
+    assert invoke("--checked", "zero-one", "1234") == (2, "", (
+        "internal-error: zero-one predicates disagree for 1234: ZeroOneStatus(by_expansion=None,"
+        " by_patterns=False, by_configurations=True, by_multiplicity_free=True,"
+        " witness=(Permutation(entries=(1, 2, 3, 4)), (1, 2, 3, 4)))\n"))
+    # without --checked the disagreement is reported, not raised
+    assert invoke("zero-one", "1234") == (0, "false\nwitness 1234\n", "")
 
 
 def test_survey_output():
@@ -382,9 +385,21 @@ def test_survey_names_a_disagreement(methods, monkeypatch):
     monkeypatch.setattr(classify_mod, "_survey_votes", flip)
     report = "n 5\ntotal 120\nzero_one 115\ndisagreements 1\ndisagreement 13254\n"
     assert invoke("survey", "5", "--methods", methods) == (0, report, "")
-    code, out, err = invoke("--checked", "survey", "5", "--methods", methods)
-    assert code == 2 and out == ""
-    assert err.startswith("internal-error:") and "13254" in err
+    assert invoke("--checked", "survey", "5", "--methods", methods) == (2, "", (
+        "internal-error: survey of S_5: the votes disagree on 1 permutations, first on 13254\n"))
+
+
+def test_checked_output_equals_unchecked_output():
+    # --checked only adds checks: where they pass, stdout is what the unchecked call prints
+    for n in range(1, 6):
+        for w in itertools.permutations(range(1, n + 1)):
+            text = "".join(map(str, w))
+            assert invoke("--checked", "zero-one", text, "--all-methods") == invoke(
+                "zero-one", text, "--all-methods")
+    for n in range(7):
+        for methods in ("fast", "all"):
+            assert invoke("--checked", "survey", str(n), "--methods", methods) == invoke(
+                "survey", str(n), "--methods", methods)
 
 
 @pytest.mark.parametrize("argv", [
